@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from treetoric.classify import classify
-from treetoric.ideals import combined_from_classification, generators_text
 from treetoric.pipeline import verify_tree
 from treetoric.trees import load_tree
 
@@ -46,16 +45,18 @@ def main() -> int:
         if not report.applicable:
             print(f"{path.stem:24s} {report.theorem:22s} ({'; '.join(report.reasons)})")
             continue
-        gens, kind = combined_from_classification(report)
-        (outdir / f"{path.stem}.generators.txt").write_text(generators_text(gens))
         result = verify_tree(tree, trials=args.trials, seed=args.seed)
+        (outdir / f"{path.stem}.generators.txt").write_text(
+            "".join(line + "\n" for line in result.generators)
+        )
         (outdir / f"{path.stem}.verify.json").write_text(
             json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         status = "ok" if result.passed else "FAILED"
         print(
             f"{path.stem:24s} {report.theorem:22s} "
-            f"{len(gens):3d} generators ({kind})  verify: {status}"
+            f"{len(result.generators):3d} generators ({result.coordinates})  "
+            f"verify: {status}"
         )
         if not result.passed:
             failures += 1

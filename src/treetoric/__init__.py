@@ -21,20 +21,17 @@ from .graphs import (
     ColoredGraph,
     completion,
     derive_graph,
-    four_point_check,
     is_block_graph,
     is_vertex_regular,
     one_clique_separated_quadruples,
     star_decomposition,
-    vertex_regular_via_parents,
 )
 from .ideals import (
     block_minor_binomials,
     cherry_binomials,
     combined_generators,
     completion_binomials,
-    embed_to_p,
-    embed_to_q,
+    embed,
 )
 from .laplacians import (
     CoordinateMap,

@@ -115,19 +115,6 @@ def derive_graph(t: ColoredTree) -> ColoredGraph:
     )
 
 
-def vertex_regular_via_parents(t: ColoredTree) -> bool:
-    """Parent criterion: same-colored leaves share a parent.
-
-    Equivalent to vertex-regularity of the derived graph when no node is
-    zeroed and internal colors are distinct; serves as its independent
-    oracle in the tests.
-    """
-    by_color: dict[str, set[int]] = {}
-    for i in t.leaves():
-        by_color.setdefault(t.color[i], set()).add(t.parent[i])
-    return all(len(parents) == 1 for parents in by_color.values())
-
-
 # -------------------------------------------------------------------- #
 # predicates                                                             #
 # -------------------------------------------------------------------- #
@@ -211,45 +198,6 @@ def is_block_graph(g: ColoredGraph) -> bool:
     for comp in biconnected_components(g):
         for u, v in combinations(sorted(comp), 2):
             if edge(u, v) not in g.edges:
-                return False
-    return True
-
-
-def _distances(g: ColoredGraph) -> dict[int, dict[int, int]]:
-    dist: dict[int, dict[int, int]] = {}
-    for source in g.vertices():
-        d = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.neighbors(v):
-                    if u not in d:
-                        d[u] = d[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        dist[source] = d
-    return dist
-
-
-def four_point_check(g: ColoredGraph) -> bool:
-    """Distance characterization of block graphs.
-
-    For every vertex quadruple (within a connected component) the larger two
-    of d(u,v)+d(w,x), d(u,w)+d(v,x), d(u,x)+d(v,w) must agree.  Independent
-    of :func:`is_block_graph`; the two must coincide.
-    """
-    dist = _distances(g)
-    for comp in connected_components(g):
-        for u, v, w, x in combinations(sorted(comp), 4):
-            sums = sorted(
-                (
-                    dist[u][v] + dist[w][x],
-                    dist[u][w] + dist[v][x],
-                    dist[u][x] + dist[v][w],
-                )
-            )
-            if sums[1] != sums[2]:
                 return False
     return True
 

@@ -26,7 +26,7 @@ from itertools import combinations
 from .binomials import Binomial, Var, coord_var, monomial, var_name
 from .classify import ClassificationReport, classify
 from .errors import NotApplicableError
-from .graphs import ColoredGraph, derive_graph, one_clique_separated_quadruples
+from .graphs import ColoredGraph, one_clique_separated_quadruples
 from .laplacians import pq_index_pairs
 from .trees import ColoredTree
 
@@ -113,7 +113,13 @@ def completion_binomials(g: ColoredGraph) -> list[Binomial]:
     return sorted(out)
 
 
-def _embed_var(kind: str):
+def embed(b: Binomial, kind: str) -> Binomial:
+    """sigma_ij -> x_ij, sigma_ii -> x_0i for x = p or q.
+
+    Diagonal entries land on their reduced form x_0i; signs are
+    canonicalized away.
+    """
+
     def rename(v: Var) -> Var:
         s, i, j = v
         if s != "s":
@@ -122,21 +128,7 @@ def _embed_var(kind: str):
             return coord_var(kind, 0, i)
         return coord_var(kind, i, j)
 
-    return rename
-
-
-def embed_to_p(b: Binomial) -> Binomial:
-    """sigma_ij -> p_ij, sigma_ii -> p_0i (the reduced diagonal form)."""
-    return b.substitute(_embed_var("p"))
-
-
-def embed_to_q(b: Binomial) -> Binomial:
-    """sigma_ij -> q_ij, sigma_ii -> q_0i; signs canonicalized away."""
-    return b.substitute(_embed_var("q"))
-
-
-def _embed(b: Binomial, kind: str) -> Binomial:
-    return b.substitute(_embed_var(kind))
+    return b.substitute(rename)
 
 
 def combined_from_classification(
@@ -149,10 +141,10 @@ def combined_from_classification(
         )
     working = report.working_tree
     kind = report.coordinates
-    g = derive_graph(working)
+    g = report.graph
     gens: set[Binomial] = set(cherry_binomials(working, kind=kind))
-    gens.update(_embed(b, kind) for b in block_minor_binomials(g))
-    gens.update(_embed(b, kind) for b in completion_binomials(g))
+    gens.update(embed(b, kind) for b in block_minor_binomials(g))
+    gens.update(embed(b, kind) for b in completion_binomials(g))
     return sorted(gens), kind
 
 

@@ -1,16 +1,17 @@
 """Linear coordinate changes between matrix entries and edge weights.
 
-The reduced graph Laplacian sends a symmetric matrix (sigma-coordinates) to
-weights p_ij on the complete graph over {0,..,n}: p_ij = -sigma_ij off the
-root and p_0i = sum_j sigma_ij.  Its generalization for a graph G weights
-the complete graph Gamma(G) by q-variables whose signs and 0-row corrections
-depend on edge membership and vertex degrees; deleting row and column 0 of
-the Laplacian of Gamma(G) and reading the entries as linear forms in q gives
-an invertible linear system between sigma and q.
+Both coordinate changes are read off a reduced graph Laplacian.  Weight the
+complete graph on {0,..,n} by linear forms in x-variables, delete row and
+column 0 of its Laplacian, and read entry (i,j) as sigma_ij.  Unit weights
+give the reduced Laplacian map (x = p): p_ij = -sigma_ij off the root and
+p_0i = sum_j sigma_ij.  The weights of Gamma(G) give the G-derived map
+(x = q), whose signs and 0-row corrections depend on edge membership and
+vertex degrees; on a complete graph they reduce to unit weights.
 
-Both transformations are materialized as explicit N x N rational matrices
-(N = n(n+1)/2) over fixed variable orderings, so application, inversion and
-comparisons are uniform.
+Every off-diagonal entry is a single term -/+ x_ij, and the diagonal entry
+sigma_ii is x_0i plus terms in x_ab with a, b >= 1.  The system is therefore
+unitriangular and inverts in closed form by substitution.  Both directions
+are stored as sparse integer linear forms keyed by index pair.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import linalg
 from .binomials import Var, coord_var, var_name
-from .errors import SingularMatrixError
 from .graphs import ColoredGraph, edge
 from .matrices import SymMatrix
 
-LinForm = dict[tuple[int, int], int]  # q-variable index pair -> coefficient
+LinForm = dict[tuple[int, int], int]  # index pair -> coefficient
 
 
 def sigma_index_pairs(n: int) -> list[tuple[int, int]]:
@@ -88,117 +87,103 @@ def gamma_graph(g: ColoredGraph) -> dict[tuple[int, int], LinForm]:
     return weights
 
 
+def _laplacian_grid(
+    n: int, weights: Mapping[tuple[int, int], LinForm]
+) -> list[list[LinForm]]:
+    """Laplacian of weights on the complete graph over {0,..,n}."""
+    grid: list[list[LinForm]] = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
+    for (i, j), w in weights.items():
+        for a, b in ((i, j), (j, i)):
+            _add(grid[a][b], w, sign=-1)
+            _add(grid[a][a], w)
+    return grid
+
+
 def gamma_laplacian(g: ColoredGraph) -> list[list[LinForm]]:
     """Graph Laplacian of Gamma(G) as an (n+1) x (n+1) grid of linear forms."""
-    n = g.n
-    weights = gamma_graph(g)
-    grid: list[list[LinForm]] = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
-    for i in range(n + 1):
-        diag: LinForm = {}
-        for j in range(n + 1):
-            if i == j:
-                continue
-            w = weights[(min(i, j), max(i, j))]
-            _add(diag, w)
-            neg: LinForm = {}
-            _add(neg, w, sign=-1)
-            grid[i][j] = neg
-        grid[i][i] = diag
-    return grid
+    return _laplacian_grid(g.n, gamma_graph(g))
+
+
+def _dot(form: LinForm, values: Mapping[tuple[int, int], Fraction]) -> Fraction:
+    acc = Fraction(0)
+    for key, coeff in form.items():
+        # Almost every coefficient is +-1: add or subtract, no product.
+        if coeff == 1:
+            acc += values[key]
+        elif coeff == -1:
+            acc -= values[key]
+        else:
+            acc += values[key] * coeff
+    return acc
 
 
 @dataclass(frozen=True)
 class CoordinateMap:
     """Invertible linear map between sigma-coordinates and p/q-coordinates.
 
-    ``forward`` maps the sigma-vector (order :func:`sigma_index_pairs`) to
-    the coordinate vector (order :func:`pq_index_pairs`); ``backward`` is its
-    exact inverse.  Construction fails on a singular matrix.
+    ``forward`` holds one linear form in sigma-index pairs per coordinate
+    pair (order :func:`pq_index_pairs`); ``backward`` holds one linear form
+    in coordinate pairs per sigma pair (order :func:`sigma_index_pairs`) and
+    is the exact inverse of ``forward``.
     """
 
     n: int
     kind: str
-    forward: tuple[tuple[Fraction, ...], ...]
-    backward: tuple[tuple[Fraction, ...], ...]
-
-    def sigma_vars(self) -> list[Var]:
-        return [coord_var("s", i, j) for i, j in sigma_index_pairs(self.n)]
-
-    def coord_vars(self) -> list[Var]:
-        return [coord_var(self.kind, i, j) for i, j in pq_index_pairs(self.n)]
+    forward: dict[tuple[int, int], LinForm]
+    backward: dict[tuple[int, int], LinForm]
 
     def apply(self, m: SymMatrix) -> dict[Var, Fraction]:
         """Coordinate vector of a symmetric matrix, keyed by variable."""
         if m.n != self.n:
             raise ValueError("dimension mismatch")
-        vec = [m[i - 1, j - 1] for i, j in sigma_index_pairs(self.n)]
-        out = linalg.mat_vec(self.forward, vec)
-        return dict(zip(self.coord_vars(), out))
+        sigma = {(i, j): m[i - 1, j - 1] for i, j in self.backward}
+        return {
+            coord_var(self.kind, i, j): _dot(form, sigma)
+            for (i, j), form in self.forward.items()
+        }
 
     def unapply(self, point: Mapping[Var, Fraction]) -> SymMatrix:
         """Symmetric matrix whose coordinate vector is the given point."""
-        vec = [point[v] for v in self.coord_vars()]
-        sigma = linalg.mat_vec(self.backward, vec)
+        coords = {(i, j): point[coord_var(self.kind, i, j)] for i, j in self.forward}
         rows = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for (i, j), val in zip(sigma_index_pairs(self.n), sigma):
-            rows[i - 1][j - 1] = val
-            rows[j - 1][i - 1] = val
+        for (i, j), form in self.backward.items():
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = _dot(form, coords)
         return SymMatrix.from_rows(rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "sigma_order": [var_name(v) for v in self.sigma_vars()],
-            "coord_order": [var_name(v) for v in self.coord_vars()],
-            "forward": [[str(x) for x in row] for row in self.forward],
-        }
 
+def _laplacian_map(
+    n: int, kind: str, weights: Mapping[tuple[int, int], LinForm]
+) -> CoordinateMap:
+    """Coordinate map read off the reduced Laplacian of the given weights.
 
-def _freeze(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    ``backward`` is the reduced grid itself.  Each off-diagonal entry is
+    sigma_ij = c_ij x_ij with c_ij = +-1, so x_ij = c_ij sigma_ij; the
+    diagonal entry sigma_jj = x_0j + sum d_ab x_ab (a, b >= 1) then gives
+    x_0j = sigma_jj - sum d_ab c_ab sigma_ab by substitution.
+    """
+    grid = _laplacian_grid(n, weights)
+    backward = {(i, j): grid[i][j] for i, j in sigma_index_pairs(n)}
+    sign = {(i, j): grid[i][j][(i, j)] for i, j in pq_index_pairs(n) if i}
+    forward: dict[tuple[int, int], LinForm] = {}
+    for i, j in pq_index_pairs(n):
+        if i:
+            forward[(i, j)] = {(i, j): sign[(i, j)]}
+            continue
+        form: LinForm = {(j, j): 1}
+        for pair, coeff in grid[j][j].items():
+            if pair[0]:
+                _add(form, {pair: -coeff * sign[pair]})
+        forward[(0, j)] = form
+    return CoordinateMap(n=n, kind=kind, forward=forward, backward=backward)
 
 
 def reduced_laplacian_map(n: int) -> CoordinateMap:
     """p_ij = -sigma_ij for 1 <= i < j, p_0i = sum_j sigma_ij."""
     if n < 1:
         raise ValueError("need n >= 1")
-    sigma_pos = {pair: k for k, pair in enumerate(sigma_index_pairs(n))}
-    rows = []
-    for i, j in pq_index_pairs(n):
-        row = [Fraction(0)] * len(sigma_pos)
-        if i == 0:
-            for k in range(1, n + 1):
-                row[sigma_pos[(min(j, k), max(j, k))]] += 1
-        else:
-            row[sigma_pos[(i, j)]] = Fraction(-1)
-        rows.append(row)
-    backward = linalg.invert_fraction(rows)
-    return CoordinateMap(n=n, kind="p", forward=_freeze(rows), backward=_freeze(backward))
+    return _laplacian_map(n, "p", {pair: {pair: 1} for pair in pq_index_pairs(n)})
 
 
 def g_derived_laplacian_map(g: ColoredGraph) -> CoordinateMap:
-    """Coordinate change read off the reduced Laplacian of Gamma(G).
-
-    Entry (i,j) of the reduced Laplacian expresses sigma_ij as a linear form
-    in the q-variables; inverting that system yields the sigma -> q map.
-    """
-    n = g.n
-    grid = gamma_laplacian(g)
-    q_pos = {pair: k for k, pair in enumerate(pq_index_pairs(n))}
-    size = len(q_pos)
-    backward_rows = []
-    for i, j in sigma_index_pairs(n):
-        row = [Fraction(0)] * size
-        for q_pair, coeff in grid[i][j].items():
-            row[q_pos[q_pair]] = Fraction(coeff)
-        backward_rows.append(row)
-    try:
-        forward = linalg.invert_fraction(backward_rows)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "derived Laplacian system is singular; construction bug"
-        ) from exc
-    return CoordinateMap(
-        n=n, kind="q", forward=_freeze(forward), backward=_freeze(backward_rows)
-    )
+    """Coordinate change read off the reduced Laplacian of Gamma(G)."""
+    return _laplacian_map(g.n, "q", gamma_graph(g))

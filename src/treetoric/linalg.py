@@ -115,51 +115,3 @@ def invert_fraction(a_rows) -> list[list[Fraction]]:
     n = len(a_rows)
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return solve_fraction(a_rows, identity)
-
-
-def mat_vec(rows, vec) -> list[Fraction]:
-    out = []
-    for row in rows:
-        acc = Fraction(0)
-        for coeff, x in zip(row, vec):
-            if coeff:
-                acc += coeff * x
-        out.append(acc)
-    return out
-
-
-def adjugate_inverse(rows) -> list[list[Fraction]]:
-    """Inverse via cofactor expansion: adj(M)^T row formula.
-
-    O(n!) determinant recursion; kept only as an independent oracle for the
-    elimination-based inverse in the tests.
-    """
-    n = len(rows)
-    d = _det_cofactor(rows)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            inv[i][j] = (-1) ** (i + j) * _det_cofactor(minor) / d
-    return inv
-
-
-def _det_cofactor(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det_cofactor(minor)
-    return total

@@ -27,7 +27,7 @@ import random
 
 from .binomials import Binomial
 from .classify import ClassificationReport, classify
-from .graphs import ColoredGraph, derive_graph
+from .graphs import ColoredGraph
 from .ideals import combined_from_classification
 from .laplacians import CoordinateMap, g_derived_laplacian_map, reduced_laplacian_map
 from .matrices import (
@@ -68,7 +68,7 @@ def build_context(t: ColoredTree) -> VerificationContext:
     report = classify(t)
     generators, kind = combined_from_classification(report)
     working = report.working_tree
-    graph = derive_graph(working)
+    graph = report.graph
     if working.zeroed:
         cmap = g_derived_laplacian_map(graph)
     else:
@@ -89,20 +89,12 @@ def build_context(t: ColoredTree) -> VerificationContext:
 # -------------------------------------------------------------------- #
 # individual checks                                                      #
 # -------------------------------------------------------------------- #
-#
-# Each check accepts either a tree (context built on the fly) or a
-# prebuilt VerificationContext, so verify_tree can share one context.
-
-
-def _as_context(t: ColoredTree | VerificationContext) -> VerificationContext:
-    return t if isinstance(t, VerificationContext) else build_context(t)
 
 
 def kernel_membership(
-    t: ColoredTree | VerificationContext,
+    ctx: VerificationContext,
     generators: list[Binomial] | None = None,
 ) -> dict:
-    ctx = _as_context(t)
     gens = ctx.generators if generators is None else generators
     failing = [b.text() for b in gens if not ctx.mmap.in_kernel(b)]
     return {
@@ -114,13 +106,12 @@ def kernel_membership(
 
 
 def forward_vanishing(
-    t: ColoredTree | VerificationContext,
+    ctx: VerificationContext,
     trials: int,
     seed: int,
     generators: list[Binomial] | None = None,
 ) -> dict:
     """Sample K in the pattern, invert, map, and demand exact zeros."""
-    ctx = _as_context(t)
     gens = ctx.generators if generators is None else generators
     failures: list[dict] = []
     for k in range(trials):
@@ -140,15 +131,12 @@ def forward_vanishing(
     }
 
 
-def roundtrip_parametrization(
-    t: ColoredTree | VerificationContext, trials: int, seed: int
-) -> dict:
+def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) -> dict:
     """Push random positive parameters through the map and pull back.
 
     Singular pull-backs are legitimate boundary points of the closure and
     are counted as skips, never failures.
     """
-    ctx = _as_context(t)
     failures: list[int] = []
     skipped = 0
     for k in range(trials):
@@ -174,9 +162,8 @@ def roundtrip_parametrization(
     }
 
 
-def dimension_report(t: ColoredTree | VerificationContext) -> dict:
+def dimension_report(ctx: VerificationContext) -> dict:
     """Exponent-matrix rank against the occurring-parameter count."""
-    ctx = _as_context(t)
     rank = exponent_rank(ctx.mmap)
     occurring = len(ctx.mmap.occurring_params())
     return {

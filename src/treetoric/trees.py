@@ -212,7 +212,9 @@ class ColoredTree:
         if n < 1:
             raise TreeError("n_leaves must be at least 1")
         ids = set(self.parent)
-        if set(range(1, n + 1)) - ids:
+        # Compare sizes first: the leaf range must not be built from an
+        # unchecked n_leaves.
+        if n > len(ids) or set(range(1, n + 1)) - ids:
             raise TreeError("every leaf 1..n needs a parent entry")
         if any(i <= 0 for i in ids):
             raise TreeError("node ids must be positive")

@@ -26,11 +26,9 @@ from treetoric.errors import NotApplicableError
 from treetoric.graphs import (
     completion,
     derive_graph,
-    four_point_check,
     is_block_graph,
     is_vertex_regular,
     star_decomposition,
-    vertex_regular_via_parents,
 )
 from treetoric.ideals import cherry_binomials, combined_generators
 from treetoric.matrices import (
@@ -49,6 +47,7 @@ from treetoric.pipeline import (
 )
 
 from conftest import FIXTURES, TREE_FIXTURES, fixture_tree, random_tree
+from oracles import four_point_check, vertex_regular_via_parents
 
 SWEEP_SEED = 20240810
 SWEEP_SIZE = 500

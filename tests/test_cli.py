@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,8 @@ from treetoric.cli import (
     EXIT_OK,
     main,
 )
+from treetoric.errors import TreeError
+from treetoric.trees import parse_tree
 
 from conftest import FIXTURES, TREE_FIXTURES
 
@@ -190,6 +193,28 @@ class TestErrors:
                 }
             )
         )
+        assert main(["analyze", "--tree", str(bad)]) == EXIT_INPUT_ERROR
+
+    def test_oversized_leaf_count_rejected_before_allocating(self, tmp_path):
+        # n_leaves far beyond the parents map must fail on the size check,
+        # not after materializing the leaf range 1..n.
+        doc = json.dumps(
+            {
+                "n_leaves": 10**6,
+                "parents": {"1": 3, "2": 3, "3": 0},
+                "colors": {"1": "a", "2": "b", "3": "c"},
+            }
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(TreeError):
+                parse_tree(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        bad = tmp_path / "huge.json"
+        bad.write_text(doc)
         assert main(["analyze", "--tree", str(bad)]) == EXIT_INPUT_ERROR
 
 

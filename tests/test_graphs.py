@@ -14,16 +14,15 @@ from treetoric.graphs import (
     connected_components,
     derive_graph,
     edge,
-    four_point_check,
     is_block_graph,
     is_connected,
     is_vertex_regular,
     one_clique_separated_quadruples,
     star_decomposition,
-    vertex_regular_via_parents,
 )
 
 from conftest import fixture_tree, random_tree
+from oracles import four_point_check, vertex_regular_via_parents
 
 
 def make_graph(n, edges):

@@ -13,8 +13,7 @@ from treetoric.ideals import (
     cherry_binomials,
     combined_generators,
     completion_binomials,
-    embed_to_p,
-    embed_to_q,
+    embed,
     generators_json,
     generators_m2,
     generators_text,
@@ -173,18 +172,18 @@ class TestCompletionBinomials:
 
 class TestEmbeddings:
     def test_offdiagonal(self):
-        assert embed_to_p(B("s13 - s23")) == B("p13 - p23")
+        assert embed(B("s13 - s23"), "p") == B("p13 - p23")
 
     def test_diagonal_reduces(self):
-        assert embed_to_p(B("s11 - s22")) == B("p01 - p02")
-        assert embed_to_q(B("s11 - s22")) == B("q01 - q02")
+        assert embed(B("s11 - s22"), "p") == B("p01 - p02")
+        assert embed(B("s11 - s22"), "q") == B("q01 - q02")
 
     def test_diagonal_minor(self):
-        assert embed_to_q(B("s44*s13 - s14*s34")) == B("q04*q13 - q14*q34")
+        assert embed(B("s44*s13 - s14*s34"), "q") == B("q04*q13 - q14*q34")
 
     def test_rejects_non_sigma(self):
         with pytest.raises(ValueError):
-            embed_to_p(B("p01 - p02"))
+            embed(B("p01 - p02"), "p")
 
 
 class TestCombined:

@@ -132,16 +132,20 @@ class TestContraction:
 
 class TestChecks:
     def test_kernel_membership_combined(self):
-        result = kernel_membership(fixture_tree("colored_star"))
+        result = kernel_membership(build_context(fixture_tree("colored_star")))
         assert result["passed"] and result["generators"] >= 10
 
     def test_forward_vanishing_colored_star(self):
-        result = forward_vanishing(fixture_tree("colored_star"), trials=20, seed=0)
+        result = forward_vanishing(
+            build_context(fixture_tree("colored_star")), trials=20, seed=0
+        )
         assert result["passed"]
         assert result["trials"] == 20
 
     def test_forward_vanishing_uncolored(self):
-        result = forward_vanishing(fixture_tree("uncolored_binary"), trials=20, seed=1)
+        result = forward_vanishing(
+            build_context(fixture_tree("uncolored_binary")), trials=20, seed=1
+        )
         assert result["passed"]
 
     def test_fault_injected_generator_fails(self):
@@ -153,13 +157,15 @@ class TestChecks:
         assert result["failures"]
 
     def test_roundtrip_colored_star(self):
-        result = roundtrip_parametrization(fixture_tree("colored_star"), trials=20, seed=0)
+        result = roundtrip_parametrization(
+            build_context(fixture_tree("colored_star")), trials=20, seed=0
+        )
         assert result["passed"]
         assert result["trials"] == 20
 
     def test_roundtrip_uncolored(self):
         result = roundtrip_parametrization(
-            fixture_tree("uncolored_binary"), trials=20, seed=3
+            build_context(fixture_tree("uncolored_binary")), trials=20, seed=3
         )
         assert result["passed"]
 
@@ -167,12 +173,14 @@ class TestChecks:
         # force every sampled parameter to 1: the pullback is singular for
         # this tree, so every trial must be skipped, none failed
         monkeypatch.setattr(random.Random, "randint", lambda self, a, b: 1)
-        result = roundtrip_parametrization(SINGULAR_PULLBACK_TREE, trials=3, seed=0)
+        result = roundtrip_parametrization(
+            build_context(SINGULAR_PULLBACK_TREE), trials=3, seed=0
+        )
         assert result["skipped_singular"] == 3
         assert result["passed"]
 
     def test_dimension_report(self):
-        result = dimension_report(fixture_tree("uncolored_binary"))
+        result = dimension_report(build_context(fixture_tree("uncolored_binary")))
         assert result["rank"] == result["occurring_parameters"] == 7
         assert result["passed"]
 
