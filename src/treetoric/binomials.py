@@ -62,7 +62,7 @@ def monomial_name(m: Monomial) -> str:
 
 
 def evaluate_monomial(m: Monomial, point: Mapping[Var, Fraction]) -> Fraction:
-    acc = Fraction(1)
+    acc = 1
     for v, e in m:
         if v not in point:
             raise KeyError(f"no value for variable {var_name(v)}")
@@ -91,6 +91,10 @@ class Binomial:
         return max(
             sum(e for _, e in self.lead), sum(e for _, e in self.trail)
         )
+
+    def is_homogeneous(self) -> bool:
+        """Both monomials have the same degree, so b(c x) = c^d b(x)."""
+        return sum(e for _, e in self.lead) == sum(e for _, e in self.trail)
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
         """Exact value of lead - trail at the point."""

@@ -8,8 +8,11 @@ verify      run the exact verification suite, exit 0 iff everything passes
 laplacian   weighted complete graph and reduced Laplacian of the derived graph
 kernel      check a generator file for kernel membership under the tree's map
 
-Exit codes: 0 pass, 1 check failure, 2 tree outside the toric regimes,
-3 input error.  Identical configurations produce byte-identical artifacts.
+Exit codes: 0 pass, 1 check failure (including a check that could not be
+certified: no invertible sample in the pattern, or an exactly singular
+matrix), 2 tree outside the toric regimes, 3 input error (including a
+generator variable outside the tree's coordinates).  Identical
+configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 from .binomials import parse_binomial
 from .classify import classify
-from .errors import NotApplicableError, TreeError
+from .errors import NotApplicableError, SamplingError, SingularMatrixError, TreeError
 from .graphs import derive_graph
 from .ideals import (
     combined_from_classification,
@@ -118,7 +121,10 @@ def _cmd_kernel(config: CliConfig) -> int:
         lines = [ln.strip() for ln in fh if ln.strip()]
     gens = [parse_binomial(ln) for ln in lines]
     ctx = build_context(tree)
-    result = kernel_membership(ctx, gens)
+    try:
+        result = kernel_membership(ctx, gens)
+    except KeyError as exc:  # a variable the tree's map has no row for
+        raise ValueError(exc.args[0]) from None
     doc = {
         "tree": tree.to_dict(),
         "coordinates": ctx.kind,
@@ -151,6 +157,9 @@ def run(config: CliConfig) -> int:
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
+    except (SamplingError, SingularMatrixError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (TreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

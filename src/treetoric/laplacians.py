@@ -105,7 +105,8 @@ def gamma_laplacian(g: ColoredGraph) -> list[list[LinForm]]:
 
 
 def _dot(form: LinForm, values: Mapping[tuple[int, int], Fraction]) -> Fraction:
-    acc = Fraction(0)
+    # Integer values give an integer: the checks feed integer-scaled points.
+    acc = 0
     for key, coeff in form.items():
         # Almost every coefficient is +-1: add or subtract, no product.
         if coeff == 1:
@@ -143,12 +144,16 @@ class CoordinateMap:
         }
 
     def unapply(self, point: Mapping[Var, Fraction]) -> SymMatrix:
-        """Symmetric matrix whose coordinate vector is the given point."""
+        """Symmetric matrix whose coordinate vector is the given point.
+
+        Entries keep the type of the point's values: an integer point gives
+        an integer matrix.
+        """
         coords = {(i, j): point[coord_var(self.kind, i, j)] for i, j in self.forward}
-        rows = [[Fraction(0)] * self.n for _ in range(self.n)]
+        rows = [[0] * self.n for _ in range(self.n)]
         for (i, j), form in self.backward.items():
             rows[i - 1][j - 1] = rows[j - 1][i - 1] = _dot(form, coords)
-        return SymMatrix.from_rows(rows)
+        return SymMatrix(tuple(map(tuple, rows)))
 
 
 def _laplacian_map(

@@ -1,9 +1,11 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on integer matrices.
 
-Everything funnels through fraction-free Bareiss elimination on integer
-matrices: rational input rows are scaled to integers first (a row scaling,
-which preserves solution sets and rank and multiplies determinants by a
-known factor).  No floating point anywhere.
+Two fraction-free kernels (Bareiss, Math. Comp. 1968): forward elimination
+for rank and determinant, and one Gauss-Jordan pass on ``[A | I]`` that
+yields det(A) and adj(A) together.  Rational input is first scaled to an
+integer matrix by one scalar s, the lcm of all denominators; then
+det(A) = det(sA) / s^n and A^{-1} = s adj(sA) / det(sA), so a rational
+answer costs one division per entry at the end.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,33 +16,27 @@ from math import lcm
 from .errors import SingularMatrixError
 
 
-def _scaled_int_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Copy rows as integers, scaling each row by the lcm of denominators."""
-    out = []
-    scales = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-        scales.append(scale)
-    return out, scales
+def integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Integer matrix s*A and the scalar s = lcm of the denominators of A.
+
+    Entries are ``int`` or ``Fraction``.
+    """
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def bareiss_echelon(rows: list[list[int]], pivot_limit: int | None = None):
+def bareiss_echelon(rows: list[list[int]]):
     """Fraction-free forward elimination, in place.
 
-    Pivots are searched in the first ``pivot_limit`` columns only (the whole
-    width by default), so augmented systems can be eliminated against their
-    left block.  Returns (pivot_columns, sign) where sign tracks row swaps.
+    Returns (pivot_columns, sign) where sign tracks row swaps.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
-    limit = n_cols if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     sign = 1
     prev = 1
     r = 0
-    for c in range(limit):
+    for c in range(n_cols):
         piv = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -79,39 +75,68 @@ def det_fraction(rows) -> Fraction:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    work, scales = _scaled_int_rows(rows)
+    work, scale = integer_rows(rows)
     pivots, sign = bareiss_echelon(work)
     if len(pivots) < n:
         return Fraction(0)
-    det_scaled = sign * work[n - 1][n - 1]
-    denom = 1
-    for s in scales:
-        denom *= s
-    return Fraction(det_scaled, denom)
+    return Fraction(sign * work[n - 1][n - 1], scale**n)
 
 
-def solve_fraction(a_rows, b_rows) -> list[list[Fraction]]:
-    """Solve A X = B exactly for invertible square A; returns X (n x k)."""
-    n = len(a_rows)
-    k = len(b_rows[0]) if n else 0
-    aug = [list(a_rows[i]) + list(b_rows[i]) for i in range(n)]
-    work, _ = _scaled_int_rows(aug)
-    pivots, _ = bareiss_echelon(work, pivot_limit=n)
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular")
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for r in range(n - 1, -1, -1):
-        for col in range(k):
-            acc = Fraction(work[r][n + col])
-            for j in range(r + 1, n):
-                if work[r][j]:
-                    acc -= work[r][j] * x[j][col]
-            x[r][col] = acc / work[r][r]
-    return x
+def det_adjugate(int_rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """det(A) and adj(A) of a square integer matrix, from one elimination.
+
+    Fraction-free Gauss-Jordan on ``[A | I]``: at step k every row i != k
+    becomes ``(p_k row_i - a_ik row_k) // p_{k-1}``, an exact division, with
+    p_k the k-th pivot (p_{-1} = 1) and rows swapped in for zero pivots.  The
+    pass ends at ``[d I | d A^{-1}]`` with d = +-det(A), the sign set by the
+    swaps.  The adjugate comes as a tuple of row tuples.  A singular matrix
+    stops the pass at the first column without a pivot and returns
+    ``(0, None)``.
+
+    Only n of the 2n columns are stored.  Before step k the right block is
+    p_{k-1} times a permutation in every column it has not yet mixed, so
+    stored column k trades the left column it eliminates for the right
+    column with p_{k-1} in row k; ``label`` records which one that is.
+    """
+    n = len(int_rows)
+    work = [list(map(int, row)) for row in int_rows]
+    label = list(range(n))
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if work[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            work[k], work[piv] = work[piv], work[k]
+            label[k], label[piv] = label[piv], label[k]
+            sign = -sign
+        pivot_row = work[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = work[i]
+            a = row[k]
+            if a:
+                row = [(p * x - a * y) // prev for x, y in zip(row, pivot_row)]
+                row[k] = -a
+            else:
+                row = [p * x // prev for x in row]
+            work[i] = row
+        pivot_row[k] = prev
+        prev = p
+    adj = [[0] * n for _ in range(n)]
+    for out, row in zip(adj, work):
+        for j, x in zip(label, row):
+            out[j] = sign * x
+    return sign * prev, tuple(map(tuple, adj))
 
 
 def invert_fraction(a_rows) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix."""
-    n = len(a_rows)
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return solve_fraction(a_rows, identity)
+    """Exact inverse of a square rational matrix: s adj(sA) / det(sA)."""
+    work, scale = integer_rows(a_rows)
+    det, adj = det_adjugate(work)
+    if adj is None:
+        raise SingularMatrixError("matrix is singular")
+    return [[Fraction(scale * x, det) for x in row] for row in adj]

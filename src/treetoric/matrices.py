@@ -8,8 +8,11 @@ of a colored graph reads vertex and edge classes.  The two constructions
 agree on derived graphs.
 
 All numeric work happens on :class:`SymMatrix`, a symmetric matrix of exact
-rationals.  Sampling, inversion and the Jordan product are exact; there is
-no floating point and hence no tolerance anywhere.
+rationals (or of integers, for integer-scaled points).  Sampling, inversion
+and the Jordan product are exact; there is no floating point and hence no
+tolerance anywhere.  A sample comes with the adjugate of its integer-scaled
+copy, so one fraction-free elimination both certifies it invertible and
+gives its inverse up to a known scalar.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import linalg
 from .errors import SamplingError, SingularMatrixError
@@ -56,21 +60,24 @@ class MatrixPattern:
         seen = {c for row in self.classes for c in row if c is not None}
         return sorted(seen)
 
+    def rows(self, values: dict) -> list[list]:
+        """Grid with each token replaced by its value and zeros kept."""
+        return [
+            [0 if tok is None else values[tok] for tok in row] for row in self.classes
+        ]
+
     def instantiate(self, values: dict[str, Fraction]) -> "SymMatrix":
         """Matrix with each token replaced by its value and zeros kept."""
-        n = self.size
-        rows = [
-            [
-                Fraction(0) if self.classes[i][j] is None else values[self.classes[i][j]]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return SymMatrix.from_rows(rows)
+        return SymMatrix.from_rows(self.rows(values))
 
 
 class SymMatrix:
-    """Immutable symmetric matrix with exact rational entries."""
+    """Immutable symmetric matrix with exact entries.
+
+    :meth:`from_rows` stores ``Fraction`` entries; the constructor keeps the
+    entries it is given, so integer matrices (adjugates, integer-scaled
+    points) stay integer.
+    """
 
     __slots__ = ("entries",)
 
@@ -119,12 +126,6 @@ class SymMatrix:
         """Rows of "num/den" strings."""
         return [[str(x) for x in row] for row in self.entries]
 
-    def _int_scaled(self) -> tuple[list[list[int]], int]:
-        """Integer matrix M_int with self = M_int / scale."""
-        denoms = [x.denominator for row in self.entries for x in row]
-        scale = lcm(*denoms) if denoms else 1
-        return [[int(x * scale) for x in row] for row in self.entries], scale
-
 
 def pattern_from_tree(t: ColoredTree) -> MatrixPattern:
     """Pattern of the tree's linear space: entry (i,j) keyed by lca color."""
@@ -157,6 +158,46 @@ def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
     return MatrixPattern(size=n, classes=tuple(tuple(r) for r in grid))
 
 
+class ProjectiveSample(NamedTuple):
+    """An invertible K in a pattern, with its inverse up to a scalar.
+
+    K_int = scale * K has integer entries, and K^{-1} = scale * adjugate / det
+    with ``det`` and ``adjugate`` those of K_int.  Pattern membership and the
+    vanishing of homogeneous polynomials ignore nonzero scalars, so checks
+    can run on the integer ``adjugate`` alone.
+    """
+
+    values: dict[str, Fraction]  # token -> sampled entry of K
+    scale: int
+    det: int
+    adjugate: SymMatrix
+
+
+def _tries(pattern: MatrixPattern, seed: int):
+    """The seeded draws of the sampler, in order; raises once they run out.
+
+    Each try yields the token values, their scale (the lcm of their
+    denominators) and the rows of K_int = scale * K.
+    """
+    rng = random.Random(seed)
+    tokens = pattern.tokens()
+    for _ in range(SAMPLE_RETRIES):
+        values = {
+            tok: Fraction(
+                rng.randint(-SAMPLE_NUMERATOR_BOUND, SAMPLE_NUMERATOR_BOUND),
+                rng.randint(1, SAMPLE_DENOMINATOR_BOUND),
+            )
+            for tok in tokens
+        }
+        scale = lcm(*(v.denominator for v in values.values()))
+        yield values, scale, pattern.rows(
+            {tok: v.numerator * (scale // v.denominator) for tok, v in values.items()}
+        )
+    raise SamplingError(
+        f"no invertible matrix in the pattern after {SAMPLE_RETRIES} tries"
+    )
+
+
 def sample_point(pattern: MatrixPattern, seed: int) -> SymMatrix:
     """Deterministic invertible sample from the pattern.
 
@@ -169,22 +210,26 @@ def sample_point(pattern: MatrixPattern, seed: int) -> SymMatrix:
     SamplingError
         After 64 failed retries (the pattern forces singularity).
     """
-    rng = random.Random(seed)
-    tokens = pattern.tokens()
-    for _ in range(SAMPLE_RETRIES):
-        values = {
-            tok: Fraction(
-                rng.randint(-SAMPLE_NUMERATOR_BOUND, SAMPLE_NUMERATOR_BOUND),
-                rng.randint(1, SAMPLE_DENOMINATOR_BOUND),
-            )
-            for tok in tokens
-        }
-        m = pattern.instantiate(values)
-        if det_exact(m) != 0:
-            return m
-    raise SamplingError(
-        f"no invertible matrix in the pattern after {SAMPLE_RETRIES} tries"
-    )
+    for values, _, k_int in _tries(pattern, seed):
+        if linalg.rank_int(k_int) == pattern.size:
+            return pattern.instantiate(values)
+
+
+def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
+    """The sample :func:`sample_point` draws, with the adjugate of K_int.
+
+    Each try runs one fraction-free Gauss-Jordan pass on K_int, which both
+    decides invertibility and yields the adjugate.
+
+    Raises
+    ------
+    SamplingError
+        As :func:`sample_point`.
+    """
+    for values, scale, k_int in _tries(pattern, seed):
+        det, adj = linalg.det_adjugate(k_int)
+        if det:
+            return ProjectiveSample(values, scale, det, SymMatrix(adj))
 
 
 def pattern_contains(pattern: MatrixPattern, m: SymMatrix) -> bool:
@@ -212,7 +257,7 @@ def det_exact(m: SymMatrix) -> Fraction:
 
 
 def invert_exact(m: SymMatrix) -> SymMatrix:
-    """Exact inverse via fraction-free elimination.
+    """Exact inverse, as scale * adj(scale * m) / det(scale * m).
 
     Raises
     ------
@@ -235,8 +280,8 @@ def jordan_product(x: SymMatrix, y: SymMatrix) -> SymMatrix:
     if x.n != y.n:
         raise ValueError("size mismatch")
     n = x.n
-    a, sa = x._int_scaled()
-    b, sb = y._int_scaled()
+    a, sa = linalg.integer_rows(x.entries)
+    b, sb = linalg.integer_rows(y.entries)
     denom = 2 * sa * sb
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

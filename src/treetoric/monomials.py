@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from . import linalg
@@ -41,16 +42,26 @@ class MonomialMap:
     def coords(self) -> list[Var]:
         return [coord_var(self.kind, i, j) for i, j in pq_index_pairs(self.n)]
 
+    @cached_property
+    def _row_by_pair(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        return dict(zip(pq_index_pairs(self.n), self.rows))
+
+    @cached_property
+    def _terms(self) -> list[tuple[Var, list[tuple[str, int]]]]:
+        """Each coordinate with the (parameter, exponent) pairs of its row."""
+        return [
+            (v, [(tok, e) for tok, e in zip(self.params, row) if e])
+            for v, row in zip(self.coords(), self.rows)
+        ]
+
     def row_of(self, v: Var) -> tuple[int, ...]:
         kind, i, j = v
         if kind != self.kind:
             raise KeyError(f"variable {var_name(v)} has kind {kind!r}, map is {self.kind!r}")
-        pairs = pq_index_pairs(self.n)
         try:
-            idx = pairs.index((i, j))
-        except ValueError:
+            return self._row_by_pair[(i, j)]
+        except KeyError:
             raise KeyError(f"variable {var_name(v)} outside coordinate range") from None
-        return self.rows[idx]
 
     def image_exponents(self, m: Monomial) -> tuple[int, ...]:
         """Total parameter exponent vector of the image of a monomial."""
@@ -67,16 +78,18 @@ class MonomialMap:
         return self.image_exponents(b.lead) == self.image_exponents(b.trail)
 
     def evaluate(self, theta: Mapping[str, Fraction]) -> dict[Var, Fraction]:
-        """Point of the parametrized variety at the given parameter values."""
+        """Point of the parametrized variety at the given parameter values.
+
+        Integer parameters give an integer point.
+        """
         missing = [p for p in self.params if p not in theta]
         if missing:
             raise KeyError(f"no value for parameters {missing}")
         values = {}
-        for v, row in zip(self.coords(), self.rows):
-            acc = Fraction(1)
-            for tok, e in zip(self.params, row):
-                if e:
-                    acc *= Fraction(theta[tok]) ** e
+        for v, terms in self._terms:
+            acc = 1
+            for tok, e in terms:
+                acc *= theta[tok] ** e
             values[v] = acc
         return values
 

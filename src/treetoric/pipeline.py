@@ -14,17 +14,25 @@ three exact checks:
   skipped, not failed);
 
 plus a rank check of the exponent matrix against the number of occurring
-parameters.  All arithmetic is rational, so a pass is an identity, not an
-approximation.  Trials derive per-trial seeds from the master seed and are
-independent; reports are reproducible byte-for-byte.
+parameters.  All arithmetic is exact, so a pass is an identity, not an
+approximation.  The two sampling checks run on integers: a point is scaled
+by a nonzero scalar to clear its denominators, and matrices are inverted up
+to a scalar as adjugates, from one fraction-free Gauss-Jordan pass.  Neither
+scalar can change the outcome, since pattern membership and the vanishing
+of a homogeneous binomial are invariant under nonzero scaling; a failing
+binomial's value is scaled back to the exact rational value at K^{-1}.
+Trials derive per-trial seeds from the master seed and are independent;
+reports are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 import random
 
+from . import linalg
 from .binomials import Binomial
 from .classify import ClassificationReport, classify
 from .graphs import ColoredGraph
@@ -32,11 +40,11 @@ from .ideals import combined_from_classification
 from .laplacians import CoordinateMap, g_derived_laplacian_map, reduced_laplacian_map
 from .matrices import (
     MatrixPattern,
-    det_exact,
+    SymMatrix,
     invert_exact,
     pattern_contains,
     pattern_from_tree,
-    sample_point,
+    sample_projective,
 )
 from .monomials import MonomialMap, exponent_rank, path_map
 from .trees import ColoredTree
@@ -105,21 +113,43 @@ def kernel_membership(
     }
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def forward_vanishing(
     ctx: VerificationContext,
     trials: int,
     seed: int,
     generators: list[Binomial] | None = None,
 ) -> dict:
-    """Sample K in the pattern, invert, map, and demand exact zeros."""
+    """Sample K in the pattern, invert, map, and demand exact zeros.
+
+    A homogeneous binomial of degree d is evaluated at the integer point
+    x_int of adj(K_int), where K_int = s K: the point of K^{-1} is
+    (s / det K_int) x_int, so the value there is (s / det K_int)^d b(x_int)
+    and vanishes exactly when b(x_int) does.  Any other binomial (the
+    package emits none) is evaluated at the exact rational point of K^{-1}.
+    """
+    _require_trials(trials)
     gens = ctx.generators if generators is None else generators
+    homogeneous = [b.is_homogeneous() for b in gens]
     failures: list[dict] = []
     for k in range(trials):
-        m = sample_point(ctx.pattern, _trial_seed(seed, k))
-        sigma = invert_exact(m)
-        point = ctx.cmap.apply(sigma)
-        for b in gens:
-            value = b.evaluate(point)
+        sample = sample_projective(ctx.pattern, _trial_seed(seed, k))
+        point = ctx.cmap.apply(sample.adjugate)
+        exact_point = None
+        for b, is_homogeneous in zip(gens, homogeneous):
+            if is_homogeneous:
+                value = b.evaluate(point)
+                if value:
+                    value *= Fraction(sample.scale, sample.det) ** b.degree()
+            else:
+                if exact_point is None:
+                    k_exact = ctx.pattern.instantiate(sample.values)
+                    exact_point = ctx.cmap.apply(invert_exact(k_exact))
+                value = b.evaluate(exact_point)
             if value != 0:
                 failures.append({"trial": k, "generator": b.text(), "value": str(value)})
     return {
@@ -134,9 +164,16 @@ def forward_vanishing(
 def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) -> dict:
     """Push random positive parameters through the map and pull back.
 
-    Singular pull-backs are legitimate boundary points of the closure and
-    are counted as skips, never failures.
+    Parameters theta = a / b are drawn as rationals; the path-map point is
+    scaled by the lcm L of its denominators to the integer point
+    L x = L * N(a) / N(b), with N the path map on integers.  Its pull-back
+    L sigma is an integer matrix, invertible exactly when sigma is, and
+    adj(L sigma) is a nonzero multiple of sigma^{-1}, so it lies in the
+    pattern exactly when sigma^{-1} does.  Singular pull-backs are
+    legitimate boundary points of the closure and are counted as skips,
+    never failures.
     """
+    _require_trials(trials)
     failures: list[int] = []
     skipped = 0
     for k in range(trials):
@@ -145,13 +182,15 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
             tok: Fraction(rng.randint(1, 100), rng.randint(1, 40))
             for tok in ctx.mmap.params
         }
-        point = ctx.mmap.evaluate(theta)
-        sigma = ctx.cmap.unapply(point)
-        if det_exact(sigma) == 0:
+        num = ctx.mmap.evaluate({tok: t.numerator for tok, t in theta.items()})
+        den = ctx.mmap.evaluate({tok: t.denominator for tok, t in theta.items()})
+        scale = lcm(*den.values())
+        point = {v: num[v] * (scale // den[v]) for v in num}
+        det, adj = linalg.det_adjugate(ctx.cmap.unapply(point).entries)
+        if not det:
             skipped += 1
             continue
-        concentration = invert_exact(sigma)
-        if not pattern_contains(ctx.pattern, concentration):
+        if not pattern_contains(ctx.pattern, SymMatrix(adj)):
             failures.append(k)
     return {
         "check": "roundtrip_parametrization",
@@ -211,8 +250,6 @@ def verify_tree(t: ColoredTree, trials: int = 100, seed: int = 0) -> Verificatio
     NotApplicableError
         When the tree classifies as NONE.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     ctx = build_context(t)
     checks = [
         kernel_membership(ctx),

@@ -3,25 +3,31 @@ implementations that the package's own algorithms must agree with."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
-from treetoric.errors import SingularMatrixError
+from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import ColoredGraph, connected_components
+from treetoric.matrices import (
+    SAMPLE_DENOMINATOR_BOUND,
+    SAMPLE_NUMERATOR_BOUND,
+    SAMPLE_RETRIES,
+    MatrixPattern,
+    SymMatrix,
+    pattern_contains,
+)
+from treetoric.pipeline import VerificationContext, _trial_seed
 from treetoric.trees import ColoredTree
 
 
-def adjugate_inverse(rows) -> list[list[Fraction]]:
-    """Inverse via cofactor expansion: adj(M)^T row formula.
+def adjugate(rows) -> list[list[Fraction]]:
+    """Adjugate by cofactors: adj(M)[i][j] = (-1)^(i+j) det(M without row j, col i).
 
-    O(n!) determinant recursion; an independent oracle for the
-    elimination-based inverse.
+    O(n!) determinant recursion; defined for singular matrices too.
     """
     n = len(rows)
-    d = det_cofactor(rows)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    inv = [[Fraction(0)] * n for _ in range(n)]
+    adj = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [
@@ -29,8 +35,19 @@ def adjugate_inverse(rows) -> list[list[Fraction]]:
                 for r in range(n)
                 if r != j
             ]
-            inv[i][j] = (-1) ** (i + j) * det_cofactor(minor) / d
-    return inv
+            adj[i][j] = (-1) ** (i + j) * det_cofactor(minor)
+    return adj
+
+
+def adjugate_inverse(rows) -> list[list[Fraction]]:
+    """Inverse via cofactor expansion, adj(M) / det(M).
+
+    An independent oracle for the elimination-based inverse.
+    """
+    d = det_cofactor(rows)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    return [[x / d for x in row] for row in adjugate(rows)]
 
 
 def det_cofactor(rows) -> Fraction:
@@ -98,3 +115,97 @@ def vertex_regular_via_parents(t: ColoredTree) -> bool:
     for i in t.leaves():
         by_color.setdefault(t.color[i], set()).add(t.parent[i])
     return all(len(parents) == 1 for parents in by_color.values())
+
+
+# -------------------------------------------------------------------- #
+# the Fraction verification checks, the reference for the integer ones   #
+# -------------------------------------------------------------------- #
+
+
+def fraction_inverse(rows) -> list[list[Fraction]] | None:
+    """Inverse by textbook Gauss-Jordan over ``Fraction``; None if singular."""
+    n = len(rows)
+    work = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if piv is None:
+            return None
+        work[c], work[piv] = work[piv], work[c]
+        p = work[c][c]
+        work[c] = [x / p for x in work[c]]
+        for i in range(n):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return [row[n:] for row in work]
+
+
+def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
+    """``matrices.sample_point``'s seeded draws, redrawn until a ``Fraction``
+    elimination finds the matrix invertible."""
+    rng = random.Random(seed)
+    tokens = pattern.tokens()
+    for _ in range(SAMPLE_RETRIES):
+        values = {
+            tok: Fraction(
+                rng.randint(-SAMPLE_NUMERATOR_BOUND, SAMPLE_NUMERATOR_BOUND),
+                rng.randint(1, SAMPLE_DENOMINATOR_BOUND),
+            )
+            for tok in tokens
+        }
+        m = pattern.instantiate(values)
+        if fraction_inverse(m.entries) is not None:
+            return m
+    raise SamplingError("no invertible sample")
+
+
+def forward_vanishing_reference(
+    ctx: VerificationContext, trials: int, seed: int, generators=None
+) -> dict:
+    """``pipeline.forward_vanishing`` at the exact rational point of K^{-1}."""
+    gens = ctx.generators if generators is None else generators
+    failures: list[dict] = []
+    for k in range(trials):
+        m = sample_point_reference(ctx.pattern, _trial_seed(seed, k))
+        sigma = SymMatrix.from_rows(fraction_inverse(m.entries))
+        point = ctx.cmap.apply(sigma)
+        for b in gens:
+            value = b.evaluate(point)
+            if value != 0:
+                failures.append({"trial": k, "generator": b.text(), "value": str(value)})
+    return {
+        "check": "forward_vanishing",
+        "trials": trials,
+        "generators": len(gens),
+        "failures": failures,
+        "passed": not failures,
+    }
+
+
+def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dict:
+    """``pipeline.roundtrip_parametrization`` on the rational path-map point."""
+    failures: list[int] = []
+    skipped = 0
+    for k in range(trials):
+        rng = random.Random(_trial_seed(seed, k))
+        theta = {
+            tok: Fraction(rng.randint(1, 100), rng.randint(1, 40))
+            for tok in ctx.mmap.params
+        }
+        sigma = ctx.cmap.unapply(ctx.mmap.evaluate(theta))
+        inverse = fraction_inverse(sigma.entries)
+        if inverse is None:
+            skipped += 1
+            continue
+        if not pattern_contains(ctx.pattern, SymMatrix.from_rows(inverse)):
+            failures.append(k)
+    return {
+        "check": "roundtrip_parametrization",
+        "trials": trials,
+        "skipped_singular": skipped,
+        "failures": failures,
+        "passed": not failures,
+    }

@@ -12,7 +12,8 @@ from treetoric.cli import (
     EXIT_OK,
     main,
 )
-from treetoric.errors import TreeError
+from treetoric import pipeline
+from treetoric.errors import SamplingError, SingularMatrixError, TreeError
 from treetoric.trees import parse_tree
 
 from conftest import FIXTURES, TREE_FIXTURES
@@ -171,6 +172,24 @@ class TestKernel:
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"][0]["in_kernel"] is False
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("q01*q09 - q02*q19", "outside coordinate range"),
+            ("p01 - p12", "has kind 'p', map is 'q'"),
+        ],
+        ids=["out_of_range", "wrong_kind"],
+    )
+    def test_foreign_variable_is_input_error(self, tmp_path, capsys, line, message):
+        gens = tmp_path / "gens.txt"
+        gens.write_text(line + "\n")
+        code = main(
+            ["kernel", "--tree", tree_path("colored_star"), "--generators", str(gens)]
+        )
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestErrors:
     def test_missing_file(self):
@@ -216,6 +235,23 @@ class TestErrors:
         bad = tmp_path / "huge.json"
         bad.write_text(doc)
         assert main(["analyze", "--tree", str(bad)]) == EXIT_INPUT_ERROR
+
+
+    @pytest.mark.parametrize(
+        "exc",
+        [SamplingError("no sample"), SingularMatrixError("singular")],
+        ids=["sampling", "singular"],
+    )
+    def test_uncertifiable_check_exits_1(self, monkeypatch, capsys, exc):
+        def fail(pattern, seed):
+            raise exc
+
+        monkeypatch.setattr(pipeline, "sample_projective", fail)
+        code = main(["verify", "--tree", tree_path("colored_star"), "--trials", "1"])
+        assert code == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc}\n"
 
 
 class TestDeterminism:

@@ -20,11 +20,12 @@ from treetoric.matrices import (
     pattern_from_graph,
     pattern_from_tree,
     sample_point,
+    sample_projective,
 )
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
-from oracles import adjugate_inverse, det_cofactor
+from oracles import adjugate, adjugate_inverse, det_cofactor, sample_point_reference
 
 
 def rank_oracle(rows):
@@ -96,11 +97,29 @@ class TestSampling:
         assert sample_point(p, seed=3) == sample_point(p, seed=3)
         assert sample_point(p, seed=3) != sample_point(p, seed=4)
 
+    def test_same_points_as_reference_sampler(self):
+        # the integer retry loop draws exactly the Fraction sampler's points,
+        # and sample_projective's adjugate is the inverse up to det / scale
+        rng = random.Random(13)
+        for trial in range(60):
+            t = random_tree(rng)
+            for pat in (pattern_from_tree(t), pattern_from_graph(completion(derive_graph(t)))):
+                m = sample_point(pat, seed=trial)
+                assert m == sample_point_reference(pat, seed=trial)
+                sample = sample_projective(pat, seed=trial)
+                assert pat.instantiate(sample.values) == m
+                c = Fraction(sample.scale, sample.det)
+                assert invert_exact(m).entries == tuple(
+                    tuple(c * a for a in row) for row in sample.adjugate.entries
+                )
+
     def test_forced_singular_pattern(self):
         # every entry in one shared class: rank-1 matrices only
         allsame = MatrixPattern(2, (("a", "a"), ("a", "a")))
         with pytest.raises(SamplingError):
             sample_point(allsame, seed=0)
+        with pytest.raises(SamplingError):
+            sample_projective(allsame, seed=0)
 
 
 class TestInversion:
@@ -241,3 +260,39 @@ class TestLinalg:
                 for j in range(n):
                     acc = sum(rows[i][k] * inv[k][j] for k in range(n))
                     assert acc == (1 if i == j else 0)
+
+    def test_det_adjugate_matches_cofactor_oracle(self):
+        rng = random.Random(17)
+        cases = []
+        for n in range(1, 8):
+            for _ in range(4 if n < 7 else 2):
+                dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                sparse = [
+                    [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                cases += [dense, sparse]
+            # zero leading pivots force row swaps: a signed permutation with
+            # a_00 = 0, and the same matrix with its rows rotated
+            perm = list(range(n))
+            rng.shuffle(perm)
+            if n > 1 and perm[0] == 0:
+                perm[0], perm[1] = perm[1], perm[0]
+            signed = [[rng.choice((-3, 2)) * (perm[i] == j) for j in range(n)] for i in range(n)]
+            cases += [signed, signed[1:] + signed[:1]]
+            # singular: a zero column, and a row that doubles another
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            cases.append([[0] + row[1:] for row in rows])
+            if n > 1:
+                cases.append(rows[:-1] + [[2 * x for x in rows[0]]])
+        swapped = singular = 0
+        for rows in cases:
+            det, adj = linalg.det_adjugate(rows)
+            assert det == det_cofactor(rows), rows
+            if det == 0:
+                assert adj is None
+                singular += 1
+                continue
+            assert adj == tuple(map(tuple, adjugate(rows))), rows
+            swapped += rows[0][0] == 0
+        assert singular >= 13 and swapped >= 8

@@ -28,7 +28,8 @@ from treetoric.pipeline import (
 )
 from treetoric.trees import ColoredTree
 
-from conftest import fixture_tree
+from conftest import fixture_tree, random_tree
+from oracles import forward_vanishing_reference, roundtrip_reference
 
 
 EXPECTED_CLASSIFICATION = {
@@ -179,6 +180,12 @@ class TestChecks:
         assert result["skipped_singular"] == 3
         assert result["passed"]
 
+    @pytest.mark.parametrize("check", [forward_vanishing, roundtrip_parametrization])
+    def test_zero_trials_rejected(self, check):
+        ctx = build_context(fixture_tree("colored_star"))
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check(ctx, trials=0, seed=0)
+
     def test_dimension_report(self):
         result = dimension_report(build_context(fixture_tree("uncolored_binary")))
         assert result["rank"] == result["occurring_parameters"] == 7
@@ -209,3 +216,31 @@ class TestVerifyTree:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             verify_tree(fixture_tree("colored_star"), trials=0, seed=0)
+
+
+class TestIntegerChecksMatchReference:
+    """The integer-projective checks report exactly what the Fraction
+    checks report, failing binomials and their values included."""
+
+    @pytest.mark.parametrize("zero_mode", ["none", "chain", "random"])
+    def test_same_reports(self, zero_mode):
+        rng = random.Random(29)
+        applicable = 0
+        for idx in range(40):
+            t = random_tree(rng, zero_mode=zero_mode)
+            try:
+                ctx = build_context(t)
+            except NotApplicableError:
+                continue
+            applicable += 1
+            k = ctx.kind
+            # an injected x_0a - x_ab and a non-homogeneous binomial
+            extra = [parse_binomial(f"{k}01 - {k}12"), parse_binomial(f"{k}01 - {k}01*{k}12")]
+            gens = ctx.generators + extra
+            forward = forward_vanishing(ctx, trials=3, seed=idx, generators=gens)
+            assert forward == forward_vanishing_reference(ctx, 3, idx, gens), t.to_dict()
+            failing = {f["generator"] for f in forward["failures"]}
+            assert failing == {b.text() for b in extra}, t.to_dict()
+            roundtrip = roundtrip_parametrization(ctx, trials=3, seed=idx)
+            assert roundtrip == roundtrip_reference(ctx, 3, idx), t.to_dict()
+        assert applicable >= 10
