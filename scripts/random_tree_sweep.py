@@ -21,13 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import random_tree  # noqa: E402
 
 from treetoric.errors import NotApplicableError  # noqa: E402
-from treetoric.pipeline import (  # noqa: E402
-    build_context,
-    dimension_report,
-    forward_vanishing,
-    kernel_membership,
-    roundtrip_parametrization,
-)
+from treetoric.pipeline import verify_tree  # noqa: E402
 
 
 def main() -> int:
@@ -44,18 +38,12 @@ def main() -> int:
     for idx in range(args.count):
         t = random_tree(rng, n_max=args.n_max)
         try:
-            ctx = build_context(t)
+            result = verify_tree(t, trials=args.trials, seed=idx)
         except NotApplicableError:
             tally["NONE"] += 1
             continue
-        tally[ctx.report.theorem] += 1
-        checks = [
-            kernel_membership(ctx),
-            forward_vanishing(ctx, trials=args.trials, seed=idx),
-            roundtrip_parametrization(ctx, trials=args.trials, seed=idx),
-            dimension_report(ctx),
-        ]
-        for c in checks:
+        tally[result.theorem] += 1
+        for c in result.checks:
             if not c["passed"]:
                 bad += 1
                 print(f"FAIL {c['check']}: {t.to_dict()}")

@@ -131,15 +131,18 @@ def parse_binomial(text: str) -> Binomial:
         raise ValueError(f"expected 'monomial - monomial', got {text!r}")
     parsed = []
     for piece in pieces:
-        variables: list[Var] = []
+        exps: dict[Var, int] = {}
         for factor in piece.strip().split("*"):
             factor = factor.strip()
+            e = 1
             if "^" in factor:
-                base, exp = factor.split("^")
-                variables.extend([parse_var_name(base)] * int(exp))
-            else:
-                variables.append(parse_var_name(factor))
-        parsed.append(monomial(variables))
+                factor, exp = factor.split("^")
+                e = int(exp)
+                if e < 1:
+                    raise ValueError(f"exponent below 1 in {text!r}")
+            v = parse_var_name(factor)
+            exps[v] = exps.get(v, 0) + e
+        parsed.append(tuple(sorted(exps.items())))
     b = Binomial.make(parsed[0], parsed[1])
     if b is None:
         raise ValueError(f"degenerate binomial: {text!r}")

@@ -40,6 +40,11 @@ WARN_NON_ADJACENT_MERGE = "non_adjacent_internal_color_merge"
 WARN_NON_VERTEX_REGULAR = "non_vertex_regular_complete"
 
 
+def coordinate_kind(t: ColoredTree) -> str:
+    """Coordinate kind of a tree: q (G-derived Laplacian) with zeroed nodes, else p."""
+    return "q" if t.zeroed else "p"
+
+
 def _merged_class_is_adjacent(t: ColoredTree, members: list[int]) -> bool:
     """True when the class induces a connected set of parent edges."""
     if len(members) == 1:
@@ -161,9 +166,9 @@ class ClassificationReport:
 def classify(t: ColoredTree) -> ClassificationReport:
     """Classify a tree and select the coordinate system.
 
-    Coordinates: reduced Laplacian (p) when no node is zeroed, G-derived
-    Laplacian (q) otherwise.  Adjacent internal color merges are contracted
-    before classification.
+    Coordinates (:func:`coordinate_kind`): reduced Laplacian (p) when no
+    node is zeroed, G-derived Laplacian (q) otherwise.  Adjacent internal
+    color merges are contracted before classification.
     """
     warnings: list[str] = []
     reasons: list[str] = []
@@ -220,7 +225,7 @@ def classify(t: ColoredTree) -> ClassificationReport:
 
     return ClassificationReport(
         theorem=theorem,
-        coordinates="p" if not t.zeroed else "q",
+        coordinates=coordinate_kind(t),
         connected=connected,
         complete=complete,
         vertex_regular=vertex_regular,

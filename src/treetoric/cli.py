@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .binomials import parse_binomial
 from .classify import classify
@@ -42,17 +41,6 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_INPUT_ERROR = 3
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    tree: str
-    out: str | None = None
-    trials: int = 100
-    seed: int = 0
-    fmt: str = "text"
-    generators: str | None = None
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -65,35 +53,36 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_analyze(config: CliConfig) -> int:
-    tree = load_tree(config.tree)
-    _emit(_json(classify(tree).to_dict()), config.out)
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    tree = load_tree(args.tree)
+    _emit(_json(classify(tree).to_dict()), args.out)
     return EXIT_OK
 
 
-def _cmd_generators(config: CliConfig) -> int:
-    tree = load_tree(config.tree)
+def _cmd_generators(args: argparse.Namespace) -> int:
+    tree = load_tree(args.tree)
     gens, kind = combined_from_classification(classify(tree))
-    if config.fmt == "text":
-        _emit(generators_text(gens), config.out)
-    elif config.fmt == "json":
-        _emit(_json(generators_json(gens, kind)), config.out)
-    elif config.fmt == "m2-script":
-        _emit(generators_m2(gens, kind, tree.n_leaves), config.out)
+    if args.fmt == "text":
+        _emit(generators_text(gens), args.out)
+    elif args.fmt == "json":
+        _emit(_json(generators_json(gens, kind)), args.out)
     else:
-        raise ValueError(f"unknown format {config.fmt!r}")
+        _emit(generators_m2(gens, kind, tree.n_leaves), args.out)
     return EXIT_OK
 
 
-def _cmd_verify(config: CliConfig) -> int:
-    tree = load_tree(config.tree)
-    report = verify_tree(tree, trials=config.trials, seed=config.seed)
-    _emit(_json(report.to_dict()), config.out)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    tree = load_tree(args.tree)
+    report = verify_tree(tree, trials=args.trials, seed=args.seed)
+    _emit(_json(report.to_dict()), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_laplacian(config: CliConfig) -> int:
-    tree = load_tree(config.tree)
+def _cmd_laplacian(args: argparse.Namespace) -> int:
+    tree = load_tree(args.tree)
     g = derive_graph(tree)
     weights = gamma_graph(g)
     grid = gamma_laplacian(g)
@@ -109,15 +98,13 @@ def _cmd_laplacian(config: CliConfig) -> int:
             for i in range(1, g.n + 1)
         ],
     }
-    _emit(_json(doc), config.out)
+    _emit(_json(doc), args.out)
     return EXIT_OK
 
 
-def _cmd_kernel(config: CliConfig) -> int:
-    tree = load_tree(config.tree)
-    if config.generators is None:
-        raise ValueError("kernel needs --generators FILE")
-    with open(config.generators, "r", encoding="utf-8") as fh:
+def _cmd_kernel(args: argparse.Namespace) -> int:
+    tree = load_tree(args.tree)
+    with open(args.generators, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     gens = [parse_binomial(ln) for ln in lines]
     ctx = build_context(tree)
@@ -127,14 +114,14 @@ def _cmd_kernel(config: CliConfig) -> int:
         raise ValueError(exc.args[0]) from None
     doc = {
         "tree": tree.to_dict(),
-        "coordinates": ctx.kind,
+        "coordinates": ctx.report.coordinates,
         "results": [
             {"generator": b.text(), "in_kernel": b.text() not in result["failing"]}
             for b in gens
         ],
         "all_in_kernel": result["passed"],
     }
-    _emit(_json(doc), config.out)
+    _emit(_json(doc), args.out)
     return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
@@ -147,13 +134,10 @@ _COMMANDS = {
 }
 
 
-def run(config: CliConfig) -> int:
-    """Execute one subcommand; maps exceptions to documented exit codes."""
-    if config.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; maps exceptions to documented exit codes."""
     try:
-        return _COMMANDS[config.subcommand](config)
+        return _COMMANDS[args.subcommand](args)
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
@@ -191,17 +175,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    config = CliConfig(
-        subcommand=args.subcommand,
-        tree=args.tree,
-        out=args.out,
-        trials=getattr(args, "trials", 100),
-        seed=getattr(args, "seed", 0),
-        fmt=getattr(args, "fmt", "text"),
-        generators=getattr(args, "generators", None),
-    )
-    return run(config)
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -158,38 +158,49 @@ def is_connected(g: ColoredGraph) -> bool:
 
 
 def biconnected_components(g: ColoredGraph) -> list[set[int]]:
-    """Vertex sets of the biconnected components (Hopcroft-Tarjan)."""
-    index = {}
-    low = {}
-    counter = [0]
+    """Vertex sets of the biconnected components (Hopcroft-Tarjan).
+
+    The depth-first search keeps its own stack of (vertex, parent,
+    neighbor iterator) frames, so path-like graphs of any size stay within
+    the interpreter's recursion limit.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
     edge_stack: list[tuple[int, int]] = []
     comps: list[set[int]] = []
 
-    def dfs(v: int, parent: int | None) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        for u in g.neighbors(v):
-            if u == parent:
-                continue
-            if u not in index:
-                edge_stack.append((v, u))
-                dfs(u, v)
-                low[v] = min(low[v], low[u])
-                if low[u] >= index[v]:
+    for start in g.vertices():
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        frames = [(start, None, iter(g.neighbors(start)))]
+        while frames:
+            v, parent, nbrs = frames[-1]
+            for u in nbrs:
+                if u == parent:
+                    continue
+                if u not in index:
+                    edge_stack.append((v, u))
+                    index[u] = low[u] = len(index)
+                    frames.append((u, v, iter(g.neighbors(u))))
+                    break
+                if index[u] < index[v]:
+                    edge_stack.append((v, u))
+                    low[v] = min(low[v], index[u])
+            else:
+                # v is finished: fold its low point into the parent's
+                frames.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= index[parent]:
                     comp: set[int] = set()
                     while True:
                         e = edge_stack.pop()
                         comp.update(e)
-                        if e == (v, u):
+                        if e == (parent, v):
                             break
                     comps.append(comp)
-            elif index[u] < index[v]:
-                edge_stack.append((v, u))
-                low[v] = min(low[v], index[u])
-
-    for start in g.vertices():
-        if start not in index:
-            dfs(start, None)
     return comps
 
 

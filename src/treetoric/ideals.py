@@ -24,21 +24,23 @@ from __future__ import annotations
 from itertools import combinations
 
 from .binomials import Binomial, Var, coord_var, monomial, var_name
-from .classify import ClassificationReport, classify
+from .classify import ClassificationReport, classify, coordinate_kind
 from .errors import NotApplicableError
 from .graphs import ColoredGraph, one_clique_separated_quadruples
 from .laplacians import pq_index_pairs
 from .trees import ColoredTree
 
 
-def cherry_binomials(t: ColoredTree, kind: str = "p") -> list[Binomial]:
+def cherry_binomials(t: ColoredTree) -> list[Binomial]:
     """Quartet quadrics of the tree over {0} and the leaves.
 
     For each quadruple, the pairing with strictly minimal distance sum is
     the cherry pairing {i,j},{k,l} and contributes x_ik x_jl - x_il x_jk;
     if all three sums agree (star quartet) all three pairings contribute.
-    Colors and zeroed nodes play no role here.
+    Colors play no role.  Zeroed nodes only pick the coordinate kind
+    (:func:`classify.coordinate_kind`); the quartet split ignores them.
     """
+    kind = coordinate_kind(t)
     universe = [0] + t.leaves()
     out: set[Binomial] = set()
     for quad in combinations(universe, 4):
@@ -139,10 +141,9 @@ def combined_from_classification(
         raise NotApplicableError(
             "; ".join(report.reasons) or "no applicable theorem", report
         )
-    working = report.working_tree
     kind = report.coordinates
     g = report.graph
-    gens: set[Binomial] = set(cherry_binomials(working, kind=kind))
+    gens: set[Binomial] = set(cherry_binomials(report.working_tree))
     gens.update(embed(b, kind) for b in block_minor_binomials(g))
     gens.update(embed(b, kind) for b in completion_binomials(g))
     return sorted(gens), kind

@@ -1,11 +1,11 @@
 """Exact linear algebra on integer matrices.
 
 Two fraction-free kernels (Bareiss, Math. Comp. 1968): forward elimination
-for rank and determinant, and one Gauss-Jordan pass on ``[A | I]`` that
-yields det(A) and adj(A) together.  Rational input is first scaled to an
-integer matrix by one scalar s, the lcm of all denominators; then
-det(A) = det(sA) / s^n and A^{-1} = s adj(sA) / det(sA), so a rational
-answer costs one division per entry at the end.  No floating point anywhere.
+for rank, and one Gauss-Jordan pass on ``[A | I]`` that yields det(A) and
+adj(A) together.  Rational input is first scaled to an integer matrix by one
+scalar s, the lcm of all denominators; then det(A) = det(sA) / s^n and
+A^{-1} = s adj(sA) / det(sA), so a rational answer costs one division per
+entry at the end.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -25,15 +25,11 @@ def integer_rows(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def bareiss_echelon(rows: list[list[int]]):
-    """Fraction-free forward elimination, in place.
-
-    Returns (pivot_columns, sign) where sign tracks row swaps.
-    """
+def bareiss_echelon(rows: list[list[int]]) -> list[int]:
+    """Fraction-free forward elimination, in place; returns the pivot columns."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    sign = 1
     prev = 1
     r = 0
     for c in range(n_cols):
@@ -42,7 +38,6 @@ def bareiss_echelon(rows: list[list[int]]):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
         p = rows[r][c]
         for i in range(r + 1, n_rows):
             factor = rows[i][c]
@@ -58,7 +53,7 @@ def bareiss_echelon(rows: list[list[int]]):
         prev = p
         pivots.append(c)
         r += 1
-    return pivots, sign
+    return pivots
 
 
 def rank_int(rows) -> int:
@@ -66,20 +61,7 @@ def rank_int(rows) -> int:
     work = [list(map(int, row)) for row in rows]
     if not work:
         return 0
-    pivots, _ = bareiss_echelon(work)
-    return len(pivots)
-
-
-def det_fraction(rows) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    work, scale = integer_rows(rows)
-    pivots, sign = bareiss_echelon(work)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * work[n - 1][n - 1], scale**n)
+    return len(bareiss_echelon(work))
 
 
 def det_adjugate(int_rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
@@ -131,6 +113,12 @@ def det_adjugate(int_rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
         for j, x in zip(label, row):
             out[j] = sign * x
     return sign * prev, tuple(map(tuple, adj))
+
+
+def det_fraction(rows) -> Fraction:
+    """Exact determinant of a square rational matrix: det(sA) / s^n."""
+    work, scale = integer_rows(rows)
+    return Fraction(det_adjugate(work)[0], scale ** len(rows))
 
 
 def invert_fraction(a_rows) -> list[list[Fraction]]:

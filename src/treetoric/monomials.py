@@ -24,6 +24,7 @@ from typing import Mapping
 
 from . import linalg
 from .binomials import Binomial, Monomial, Var, coord_var, var_name
+from .classify import coordinate_kind
 from .errors import GraphError
 from .graphs import derive_graph, is_block_graph, is_connected, star_decomposition
 from .laplacians import pq_index_pairs
@@ -107,11 +108,12 @@ def exponent_rank(m: MonomialMap) -> int:
     return linalg.rank_int(m.rows)
 
 
-def path_map(t: ColoredTree, kind: str | None = None) -> MonomialMap:
+def path_map(t: ColoredTree) -> MonomialMap:
     """Path map of a colored tree with zeroed nodes.
 
-    Coordinates default to p-variables, switching to q-variables (and the
-    squared-center override) when zeroed nodes are present.
+    Coordinates are of the tree's kind (:func:`classify.coordinate_kind`):
+    p-variables, or q-variables with the squared-center override when
+    zeroed nodes are present.
 
     Raises
     ------
@@ -119,8 +121,6 @@ def path_map(t: ColoredTree, kind: str | None = None) -> MonomialMap:
         With zeroed nodes, when the derived graph is not a connected star
         block graph (the center coordinate would be ill-defined).
     """
-    if kind is None:
-        kind = "q" if t.zeroed else "p"
     n = t.n_leaves
     tokens = sorted(
         {t.color[i] for i in t.nodes() if i not in t.zeroed}
@@ -148,4 +148,6 @@ def path_map(t: ColoredTree, kind: str | None = None) -> MonomialMap:
                 if child not in t.zeroed:
                     row[pos[t.color[child]]] += 1
         rows.append(tuple(row))
-    return MonomialMap(kind=kind, n=n, params=tuple(tokens), rows=tuple(rows))
+    return MonomialMap(
+        kind=coordinate_kind(t), n=n, params=tuple(tokens), rows=tuple(rows)
+    )

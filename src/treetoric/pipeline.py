@@ -27,7 +27,7 @@ reports are reproducible byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 import random
@@ -35,7 +35,6 @@ import random
 from . import linalg
 from .binomials import Binomial
 from .classify import ClassificationReport, classify
-from .graphs import ColoredGraph
 from .ideals import combined_from_classification
 from .laplacians import CoordinateMap, g_derived_laplacian_map, reduced_laplacian_map
 from .matrices import (
@@ -58,39 +57,34 @@ def _trial_seed(seed: int, index: int) -> int:
 
 @dataclass
 class VerificationContext:
-    """Everything needed to run checks on one theorem-applicable tree."""
+    """Everything the checks need for one theorem-applicable tree.
 
-    tree: ColoredTree
+    The tree, its contraction, its derived graph and its coordinate kind
+    are read from ``report`` (``tree``, ``working_tree``, ``graph`` and
+    ``coordinates``); the context keeps no copies of them.
+    """
+
     report: ClassificationReport
-    working: ColoredTree
-    graph: ColoredGraph
     pattern: MatrixPattern
     cmap: CoordinateMap
     mmap: MonomialMap
     generators: list[Binomial]
-    kind: str
 
 
 def build_context(t: ColoredTree) -> VerificationContext:
     """Classify and assemble maps and generators; raises when NONE."""
     report = classify(t)
     generators, kind = combined_from_classification(report)
-    working = report.working_tree
-    graph = report.graph
-    if working.zeroed:
-        cmap = g_derived_laplacian_map(graph)
+    if kind == "q":
+        cmap = g_derived_laplacian_map(report.graph)
     else:
         cmap = reduced_laplacian_map(t.n_leaves)
     return VerificationContext(
-        tree=t,
         report=report,
-        working=working,
-        graph=graph,
         pattern=pattern_from_tree(t),
         cmap=cmap,
-        mmap=path_map(working, kind=kind),
+        mmap=path_map(report.working_tree),
         generators=generators,
-        kind=kind,
     )
 
 
@@ -230,16 +224,7 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "tree": self.tree,
-            "theorem": self.theorem,
-            "coordinates": self.coordinates,
-            "seed": self.seed,
-            "trials": self.trials,
-            "generators": self.generators,
-            "checks": self.checks,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_tree(t: ColoredTree, trials: int = 100, seed: int = 0) -> VerificationReport:
@@ -260,7 +245,7 @@ def verify_tree(t: ColoredTree, trials: int = 100, seed: int = 0) -> Verificatio
     return VerificationReport(
         tree=t.to_dict(),
         theorem=ctx.report.theorem,
-        coordinates=ctx.kind,
+        coordinates=ctx.report.coordinates,
         seed=seed,
         trials=trials,
         generators=[b.text() for b in ctx.generators],

@@ -272,6 +272,18 @@ class ColoredTree:
             raise TreeError(f"leaves and internal nodes share colors: {sorted(shared)}")
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TreeError(f"{what} must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TreeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def parse_tree(text: str) -> ColoredTree:
     """Parse and validate a JSON tree document.
 
@@ -282,28 +294,40 @@ def parse_tree(text: str) -> ColoredTree:
          "colors": {"<id>": "token", ...},
          "zeroed": [int, ...]}
 
+    Values must have exactly these JSON types (booleans are not integers).
     Beyond the :class:`ColoredTree` invariants, documents must label internal
     nodes contiguously as n+1..m.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise TreeError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise TreeError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise TreeError("tree document must be a JSON object")
     for key in ("n_leaves", "parents"):
         if key not in doc:
             raise TreeError(f"missing required key {key!r}")
+    n_leaves = _json_int(doc["n_leaves"], "n_leaves")
+    parents = _json_object(doc["parents"], "parents")
+    colors = _json_object(doc.get("colors", {}), "colors")
+    zeroed = doc.get("zeroed", [])
+    if not isinstance(zeroed, list):
+        raise TreeError(f"zeroed must be a JSON list, got {type(zeroed).__name__}")
+    for value in parents.values():
+        _json_int(value, "each parent id")
+    for z in zeroed:
+        _json_int(z, "each zeroed id")
+    if not all(isinstance(c, str) for c in colors.values()):
+        raise TreeError("each color must be a JSON string")
     try:
         tree = ColoredTree(
-            n_leaves=doc["n_leaves"],
-            parent=doc["parents"],
-            color=doc.get("colors", {}),
-            zeroed=doc.get("zeroed", []),
+            n_leaves=n_leaves, parent=parents, color=colors, zeroed=zeroed
         )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, TreeError):
-            raise
+    except TreeError:
+        raise
+    except ValueError as exc:  # a node id key that is not an integer
         raise TreeError(f"malformed tree document: {exc}") from exc
     internal = tree.internal_nodes()
     n = tree.n_leaves

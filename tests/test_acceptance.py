@@ -40,10 +40,9 @@ from treetoric.matrices import (
 from treetoric.monomials import path_map
 from treetoric.pipeline import (
     build_context,
-    dimension_report,
     forward_vanishing,
     kernel_membership,
-    roundtrip_parametrization,
+    verify_tree,
 )
 
 from conftest import FIXTURES, TREE_FIXTURES, fixture_tree, random_tree
@@ -226,15 +225,13 @@ def test_criterion_6_structural_sweep():
 
         # (e) theorem-classified trees pass the full exact suite
         try:
-            ctx = build_context(t)
+            result = verify_tree(t, trials=25, seed=idx)
         except NotApplicableError:
             stats["none"] += 1
             continue
-        stats[ctx.report.theorem] += 1
-        assert kernel_membership(ctx)["passed"], t.to_dict()
-        assert forward_vanishing(ctx, trials=25, seed=idx)["passed"], t.to_dict()
-        assert roundtrip_parametrization(ctx, trials=25, seed=idx)["passed"], t.to_dict()
-        assert dimension_report(ctx)["passed"], t.to_dict()
+        stats[result.theorem] += 1
+        failing = [c["check"] for c in result.checks if not c["passed"]]
+        assert result.passed, (t.to_dict(), failing)
 
     # the sweep must actually exercise each regime
     assert stats["star_cases"] >= 20

@@ -1,5 +1,6 @@
 """Canonical binomial representation, evaluation, parsing."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,24 @@ def test_parse_rejects_garbage():
         parse_binomial("q01 + q02")
     with pytest.raises(ValueError):
         parse_binomial("q01 - q01")
+
+
+def test_parse_rejects_exponent_below_one():
+    for text in ("q01^0 - q02", "q01^0*q03 - q02", "q01 - q02^0*q03"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_binomial(text)
+
+
+def test_parse_large_exponent_without_expanding():
+    tracemalloc.start()
+    try:
+        b = parse_binomial("q01^1000000 - q02*q01^3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.lead == ((("q", 0, 1), 1000000),)
+    assert b.trail == ((("q", 0, 1), 3), (("q", 0, 2), 1))
+    assert peak < 2**20
 
 
 def test_substitute_merges_exponents():

@@ -190,6 +190,25 @@ class TestKernel:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_exponent_below_one_is_input_error(self, tmp_path, capsys):
+        gens = tmp_path / "gens.txt"
+        gens.write_text("q14 - q24\nq01^0 - q02\n")
+        code = main(
+            ["kernel", "--tree", tree_path("colored_star"), "--generators", str(gens)]
+        )
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: exponent below 1")
+
+
+TWO_LEAVES = {
+    "n_leaves": 2,
+    "parents": {"1": 3, "2": 3, "3": 0},
+    "colors": {"1": "a", "2": "b", "3": "c"},
+}
+COLORED_STAR = json.loads((FIXTURES / "colored_star.json").read_text())
+
 
 class TestErrors:
     def test_missing_file(self):
@@ -236,6 +255,34 @@ class TestErrors:
         bad.write_text(doc)
         assert main(["analyze", "--tree", str(bad)]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n_leaves": 2, "parents": []}',
+            '{"n_leaves": 2, "parents": {"1": 3, "2": 3, "3": 0}, "colors": []}',
+            '{"n_leaves": 1e400, "parents": {"1": 3, "2": 3, "3": 0}}',
+            "[" * 100_000,
+            json.dumps({**COLORED_STAR, "zeroed": "6"}),
+            json.dumps({**TWO_LEAVES, "n_leaves": 2.9}),
+            json.dumps({"n_leaves": True, "parents": {"1": 0}, "colors": {"1": "a"}}),
+            json.dumps({**TWO_LEAVES, "colors": {"1": None, "2": "b", "3": "c"}}),
+            json.dumps({**TWO_LEAVES, "parents": {"1": 3, "2": 3, "3": False}}),
+            json.dumps({**COLORED_STAR, "zeroed": [6.0]}),
+        ],
+        ids=[
+            "parents_list", "colors_list", "n_leaves_overflow", "deep_nesting",
+            "zeroed_string", "n_leaves_float", "n_leaves_bool", "color_null",
+            "parent_bool", "zeroed_float",
+        ],
+    )
+    def test_malformed_schema_is_input_error(self, tmp_path, capsys, text):
+        # each document is misread or crashes without the schema checks
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["analyze", "--tree", str(bad)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "exc",

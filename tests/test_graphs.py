@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from treetoric.errors import GraphError
 from treetoric.graphs import (
     ColoredGraph,
+    biconnected_components,
     completion,
     connected_components,
     derive_graph,
@@ -166,6 +167,15 @@ class TestBlock:
     def test_complete_graphs(self):
         for n in range(1, 6):
             assert is_block_graph(complete_graph(n))
+
+    def test_long_path_beyond_recursion_limit(self):
+        # a DFS path of 1200 vertices: one frame per vertex would exceed
+        # the default recursion limit of 1000
+        n = 1200
+        g = make_graph(n, [(i, i + 1) for i in range(1, n)])
+        comps = biconnected_components(g)
+        assert sorted(map(sorted, comps)) == [[i, i + 1] for i in range(1, n)]
+        assert is_block_graph(g)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 10**6))

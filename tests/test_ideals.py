@@ -6,6 +6,7 @@ import random
 import pytest
 
 from treetoric.binomials import Binomial, coord_var, monomial, parse_binomial
+from treetoric.classify import coordinate_kind
 from treetoric.errors import NotApplicableError
 from treetoric.graphs import connected_components, derive_graph, is_block_graph
 from treetoric.ideals import (
@@ -58,9 +59,12 @@ class TestCherryBinomials:
         assert cherry_binomials(t) == []
         assert cherry_binomials(ColoredTree(1, {1: 0}, {1: "a"})) == []
 
-    def test_kind_switch(self):
-        gens = cherry_binomials(fixture_tree("uncolored_binary"), kind="q")
-        assert all(v[0] == "q" for b in gens for v in b.variables())
+    def test_kind_follows_zeroing(self):
+        for name, kind in (("uncolored_binary", "p"), ("colored_star", "q")):
+            t = fixture_tree(name)
+            assert coordinate_kind(t) == kind
+            gens = cherry_binomials(t)
+            assert gens and all(v[0] == kind for b in gens for v in b.variables())
 
     def test_split_agrees_with_deepest_lca_pairing(self):
         # independent oracle: the cherry pairing maximizes the sum of the

@@ -131,7 +131,8 @@ class TestEvaluate:
             gens, kind = combined_generators(t)
             from treetoric.classify import classify
 
-            mm = path_map(classify(t).working_tree, kind=kind)
+            mm = path_map(classify(t).working_tree)
+            assert mm.kind == kind
             rng = random.Random(hash(name) % 10**6)
             for _ in range(5):
                 theta = {

@@ -233,7 +233,7 @@ class TestIntegerChecksMatchReference:
             except NotApplicableError:
                 continue
             applicable += 1
-            k = ctx.kind
+            k = ctx.report.coordinates
             # an injected x_0a - x_ab and a non-homogeneous binomial
             extra = [parse_binomial(f"{k}01 - {k}12"), parse_binomial(f"{k}01 - {k}01*{k}12")]
             gens = ctx.generators + extra

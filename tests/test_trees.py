@@ -65,6 +65,27 @@ def bfs_path_oracle(t: ColoredTree, i: int, j: int) -> list[int]:
 # parsing and validation                                               #
 # ------------------------------------------------------------------ #
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+_node_keys = st.integers(-1, 12).map(str) | st.text(max_size=3)
+# Near-miss tree documents: every key optional, each value usually of the
+# schema's shape but any JSON value at all some of the time.
+_tree_documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "n_leaves": st.integers(-1, 6) | _json_values,
+        "parents": st.dictionaries(_node_keys, st.integers(-1, 12) | _json_values, max_size=8)
+        | _json_values,
+        "colors": st.dictionaries(_node_keys, st.sampled_from("abc") | _json_values, max_size=8)
+        | _json_values,
+        "zeroed": st.lists(st.integers(-1, 12) | _json_values, max_size=3) | _json_values,
+    },
+)
+
 
 class TestParse:
     def test_colored_star_document(self, colored_star):
@@ -147,6 +168,15 @@ class TestParse:
         }
         with pytest.raises(TreeError, match="contiguous"):
             parse_tree(json.dumps(doc))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tree_documents.map(json.dumps) | _json_values.map(json.dumps) | st.text(max_size=20))
+    def test_fuzzed_document_parses_or_raises_tree_error(self, text):
+        try:
+            tree = parse_tree(text)
+        except TreeError:
+            return
+        assert isinstance(tree, ColoredTree)
 
     def test_single_leaf_tree(self):
         t = ColoredTree(1, {1: 0}, {1: "a"})
