@@ -5,16 +5,16 @@ A coordinate variable is a tuple ``(kind, i, j)`` with ``i <= j``:
 and ``("q", i, j)`` for Laplacian coordinates with ``0 <= i < j``.  A
 monomial is a sorted tuple of (variable, exponent) pairs; a binomial is the
 difference of two distinct monomials in canonical form (larger monomial
-first, coefficient +1).  Degenerate differences of equal monomials are never
-represented.
+first, coefficient +1), stored as the tuple ``(lead, trail)``, so binomials
+order, compare and hash as tuples.  Degenerate differences of equal
+monomials are never represented.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Var = tuple[str, int, int]
 Monomial = tuple[tuple[Var, int], ...]
@@ -70,8 +70,7 @@ def evaluate_monomial(m: Monomial, point: Mapping[Var, Fraction]) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True, order=True)
-class Binomial:
+class Binomial(NamedTuple):
     """lead - trail with lead > trail in the monomial order."""
 
     lead: Monomial
@@ -101,15 +100,6 @@ class Binomial:
         return evaluate_monomial(self.lead, point) - evaluate_monomial(
             self.trail, point
         )
-
-    def substitute(self, rename: Callable[[Var], Var]) -> "Binomial":
-        """Apply a variable renaming; must stay non-degenerate."""
-        lead = monomial(rename(v) for v, e in self.lead for _ in range(e))
-        trail = monomial(rename(v) for v, e in self.trail for _ in range(e))
-        out = Binomial.make(lead, trail)
-        if out is None:
-            raise ValueError("substitution degenerates the binomial")
-        return out
 
     def text(self) -> str:
         return f"{monomial_name(self.lead)} - {monomial_name(self.trail)}"

@@ -174,8 +174,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    return run(_parser().parse_args(argv))
+    return run(_PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -29,19 +29,21 @@ class ColoredGraph:
         self.vertex_color = {int(v): str(c) for v, c in vertex_color.items()}
         self.edge_color = {edge(*e): str(c) for e, c in edge_color.items()}
         self._validate()
+        adj: dict[int, list[int]] = {v: [] for v in self.vertices()}
+        for i, j in sorted(self.edges):  # lists each vertex's neighbors in order
+            adj[i].append(j)
+            adj[j].append(i)
+        self._adj = {v: tuple(us) for v, us in adj.items()}
 
     def vertices(self) -> list[int]:
         return list(range(1, self.n + 1))
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(
-            u
-            for u in self.vertices()
-            if u != v and edge(u, v) in self.edges
-        )
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbors of v in increasing order."""
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self._adj[v])
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -49,7 +51,7 @@ class ColoredGraph:
     def incident_edge_colors(self, v: int) -> list[str]:
         """Multiset (sorted) of colors on edges incident to v."""
         return sorted(
-            self.edge_color[edge(v, u)] for u in self.neighbors(v)
+            self.edge_color[edge(v, u)] for u in self._adj[v]
         )
 
     def vertex_color_classes(self) -> dict[str, list[int]]:
@@ -204,13 +206,15 @@ def biconnected_components(g: ColoredGraph) -> list[set[int]]:
     return comps
 
 
+def _all_cliques(g: ColoredGraph, comps: list[set[int]]) -> bool:
+    return all(
+        edge(u, v) in g.edges for comp in comps for u, v in combinations(sorted(comp), 2)
+    )
+
+
 def is_block_graph(g: ColoredGraph) -> bool:
     """Every biconnected component is a clique (per connected component)."""
-    for comp in biconnected_components(g):
-        for u, v in combinations(sorted(comp), 2):
-            if edge(u, v) not in g.edges:
-                return False
-    return True
+    return _all_cliques(g, biconnected_components(g))
 
 
 def star_decomposition(
@@ -229,12 +233,12 @@ def star_decomposition(
     """
     if not is_connected(g):
         raise GraphError("star decomposition needs a connected graph")
-    if not is_block_graph(g):
+    comps = biconnected_components(g)
+    if not _all_cliques(g, comps):
         raise GraphError("not a block graph")
     if g.n == 1:
         return 1, [(1,)]
-    cliques = [tuple(sorted(c)) for c in biconnected_components(g)]
-    cliques.sort()
+    cliques = sorted(tuple(sorted(c)) for c in comps)
     common = set(cliques[0])
     for c in cliques[1:]:
         common &= set(c)

@@ -12,23 +12,31 @@ out the model:
 * completion linears: sigma_ik - sigma_jk and sigma_ii - sigma_jj for
   same-colored vertex pairs.
 
-The sigma-level families embed into p- or q-coordinates by the variable
-substitution sigma_ij -> x_ij, sigma_ii -> x_0i.  Signs that the honest
-Laplacian image would carry are dropped: the canonical +1 form generates
-the same ideal.  The diagonal completion relation lands directly on its
-reduced form x_0i - x_0j under this substitution.
+The sigma-level families embed into p- or q-coordinates by the injective
+variable renaming sigma_ij -> x_ij, sigma_ii -> x_0i.  Signs that the
+honest Laplacian image would carry are dropped: the canonical +1 form
+generates the same ideal.  The diagonal completion relation lands directly
+on its reduced form x_0i - x_0j under this renaming.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .binomials import Binomial, Var, coord_var, monomial, var_name
+from .binomials import Binomial, Monomial, coord_var, monomial, var_name
 from .classify import ClassificationReport, classify, coordinate_kind
 from .errors import NotApplicableError
 from .graphs import ColoredGraph, one_clique_separated_quadruples
 from .laplacians import pq_index_pairs
 from .trees import ColoredTree
+
+
+def _minor(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
+    """x_ik x_jl - x_il x_jk; with i < j and k < l the monomials never coincide."""
+    return Binomial.make(
+        monomial([coord_var(kind, i, k), coord_var(kind, j, l)]),
+        monomial([coord_var(kind, i, l), coord_var(kind, j, k)]),
+    )
 
 
 def cherry_binomials(t: ColoredTree) -> list[Binomial]:
@@ -42,30 +50,18 @@ def cherry_binomials(t: ColoredTree) -> list[Binomial]:
     """
     kind = coordinate_kind(t)
     universe = [0] + t.leaves()
+    dist = {pair: t.tree_distance(*pair) for pair in combinations(universe, 2)}
     out: set[Binomial] = set()
-    for quad in combinations(universe, 4):
-        a, b, c, d = quad
-        pairings = (
-            ((a, b), (c, d)),
-            ((a, c), (b, d)),
-            ((a, d), (b, c)),
-        )
-        sums = [
-            t.tree_distance(*p1) + t.tree_distance(*p2) for p1, p2 in pairings
-        ]
+    for a, b, c, d in combinations(universe, 4):
+        pairings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+        sums = [dist[p1] + dist[p2] for p1, p2 in pairings]
         low = min(sums)
         chosen = [pr for pr, s in zip(pairings, sums) if s == low]
         if len(chosen) == 2:
             raise AssertionError(
                 "two minimal quartet sums: four-point condition violated"
             )
-        for (i, j), (k, l) in chosen:
-            bino = Binomial.make(
-                monomial([coord_var(kind, i, k), coord_var(kind, j, l)]),
-                monomial([coord_var(kind, i, l), coord_var(kind, j, k)]),
-            )
-            if bino is not None:
-                out.add(bino)
+        out.update(_minor(kind, i, j, k, l) for (i, j), (k, l) in chosen)
     return sorted(out)
 
 
@@ -77,15 +73,9 @@ def block_minor_binomials(g: ColoredGraph) -> list[Binomial]:
     pairs, producing the diagonal minors sigma_cc sigma_jl - sigma_cl
     sigma_jc.  Empty for complete graphs.
     """
-    out: set[Binomial] = set()
-    for (i, j), (k, l) in one_clique_separated_quadruples(g):
-        bino = Binomial.make(
-            monomial([coord_var("s", i, k), coord_var("s", j, l)]),
-            monomial([coord_var("s", i, l), coord_var("s", j, k)]),
-        )
-        if bino is not None:
-            out.add(bino)
-    return sorted(out)
+    return sorted(
+        {_minor("s", i, j, k, l) for (i, j), (k, l) in one_clique_separated_quadruples(g)}
+    )
 
 
 def completion_binomials(g: ColoredGraph) -> list[Binomial]:
@@ -119,18 +109,20 @@ def embed(b: Binomial, kind: str) -> Binomial:
     """sigma_ij -> x_ij, sigma_ii -> x_0i for x = p or q.
 
     Diagonal entries land on their reduced form x_0i; signs are
-    canonicalized away.
+    canonicalized away.  The renaming is injective, so each variable keeps
+    its exponent and the binomial cannot degenerate.
     """
 
-    def rename(v: Var) -> Var:
-        s, i, j = v
-        if s != "s":
-            raise ValueError(f"variable {var_name(v)} is not a sigma-variable")
-        if i == j:
-            return coord_var(kind, 0, i)
-        return coord_var(kind, i, j)
+    def rename(m: Monomial) -> Monomial:
+        out = []
+        for v, e in m:
+            s, i, j = v
+            if s != "s":
+                raise ValueError(f"variable {var_name(v)} is not a sigma-variable")
+            out.append((coord_var(kind, 0 if i == j else i, j), e))
+        return tuple(sorted(out))
 
-    return b.substitute(rename)
+    return Binomial.make(rename(b.lead), rename(b.trail))
 
 
 def combined_from_classification(

@@ -2,10 +2,10 @@
 
 A :class:`MatrixPattern` records, for each entry of a symmetric n x n
 matrix, either a color token (entries sharing a token must be equal) or
-``None`` for a structural zero.  The pattern of a tree keys entry (i,j) by
-the color of lca(i,j), with zeroed lcas giving structural zeros; the pattern
-of a colored graph reads vertex and edge classes.  The two constructions
-agree on derived graphs.
+``None`` for a structural zero.  There is one construction: a pattern reads
+the vertex and edge classes of a colored graph.  The pattern of a tree is
+that of its derived graph, which keys entry (i,j) by the color of lca(i,j)
+and gives zeroed lcas structural zeros.
 
 All numeric work happens on :class:`SymMatrix`, a symmetric matrix of exact
 rationals (or of integers, for integer-scaled points).  Sampling, inversion
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import SamplingError, SingularMatrixError
-from .graphs import ColoredGraph, edge
+from .graphs import ColoredGraph, derive_graph, edge
 from .trees import ColoredTree
 
 SAMPLE_NUMERATOR_BOUND = 10**6
@@ -128,34 +128,23 @@ class SymMatrix:
 
 
 def pattern_from_tree(t: ColoredTree) -> MatrixPattern:
-    """Pattern of the tree's linear space: entry (i,j) keyed by lca color."""
-    n = t.n_leaves
-    grid = [[None] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            anc = t.lca(i, j)
-            token = None if anc in t.zeroed else t.color[anc]
-            grid[i - 1][j - 1] = token
-            grid[j - 1][i - 1] = token
-    return MatrixPattern(size=n, classes=tuple(tuple(r) for r in grid))
+    """Pattern of the tree's linear space: the pattern of its derived graph,
+    whose construction is the one place that reads entries off lca(i,j)."""
+    return pattern_from_graph(derive_graph(t))
 
 
 def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
     """Pattern of the colored graph's linear space.
 
     Diagonal entries carry vertex classes, off-diagonal entries edge classes,
-    and non-edges are structural zeros.  Equals :func:`pattern_from_tree` on
-    the tree's derived graph.
+    and non-edges are structural zeros.
     """
-    n = g.n
-    grid = [[None] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        grid[i - 1][i - 1] = g.vertex_color[i]
-        for j in range(i + 1, n + 1):
-            token = g.edge_color.get(edge(i, j))
-            grid[i - 1][j - 1] = token
-            grid[j - 1][i - 1] = token
-    return MatrixPattern(size=n, classes=tuple(tuple(r) for r in grid))
+    vs = g.vertices()
+    classes = tuple(
+        tuple(g.vertex_color[i] if i == j else g.edge_color.get(edge(i, j)) for j in vs)
+        for i in vs
+    )
+    return MatrixPattern(size=g.n, classes=classes)
 
 
 class ProjectiveSample(NamedTuple):

@@ -42,7 +42,7 @@ from .matrices import (
     SymMatrix,
     invert_exact,
     pattern_contains,
-    pattern_from_tree,
+    pattern_from_graph,
     sample_projective,
 )
 from .monomials import MonomialMap, exponent_rank, path_map
@@ -81,7 +81,7 @@ def build_context(t: ColoredTree) -> VerificationContext:
         cmap = reduced_laplacian_map(t.n_leaves)
     return VerificationContext(
         report=report,
-        pattern=pattern_from_tree(t),
+        pattern=pattern_from_graph(report.graph),
         cmap=cmap,
         mmap=path_map(report.working_tree),
         generators=generators,

@@ -294,9 +294,10 @@ def parse_tree(text: str) -> ColoredTree:
          "colors": {"<id>": "token", ...},
          "zeroed": [int, ...]}
 
-    Values must have exactly these JSON types (booleans are not integers).
-    Beyond the :class:`ColoredTree` invariants, documents must label internal
-    nodes contiguously as n+1..m.
+    Values must have exactly these JSON types (booleans are not integers),
+    and each node id key must be an integer in its plain decimal form, so no
+    two keys name the same node.  Beyond the :class:`ColoredTree`
+    invariants, documents must label internal nodes contiguously as n+1..m.
     """
     try:
         doc = json.loads(text)
@@ -322,6 +323,9 @@ def parse_tree(text: str) -> ColoredTree:
     if not all(isinstance(c, str) for c in colors.values()):
         raise TreeError("each color must be a JSON string")
     try:
+        for key in (*parents, *colors):
+            if key != str(int(key)):  # "03", "+3", " 3" or "0_3" would alias 3
+                raise TreeError(f"node id {key!r} is not written as a plain integer")
         tree = ColoredTree(
             n_leaves=n_leaves, parent=parents, color=colors, zeroed=zeroed
         )

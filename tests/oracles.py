@@ -105,6 +105,20 @@ def four_point_check(g: ColoredGraph) -> bool:
     return True
 
 
+def pattern_from_lca(t: ColoredTree) -> MatrixPattern:
+    """The tree's pattern read straight off the tree, as L_T is defined:
+    entry (i,j) keyed by the color of lca(i,j), zero when that lca is zeroed."""
+    n = t.n_leaves
+    grid = [[None] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            anc = t.lca(i, j)
+            token = None if anc in t.zeroed else t.color[anc]
+            grid[i - 1][j - 1] = token
+            grid[j - 1][i - 1] = token
+    return MatrixPattern(size=n, classes=tuple(tuple(r) for r in grid))
+
+
 def vertex_regular_via_parents(t: ColoredTree) -> bool:
     """Parent criterion: same-colored leaves share a parent.
 

@@ -101,11 +101,3 @@ def test_parse_large_exponent_without_expanding():
     assert b.trail == ((("q", 0, 1), 3), (("q", 0, 2), 1))
     assert peak < 2**20
 
-
-def test_substitute_merges_exponents():
-    b = Binomial.make(
-        monomial([("s", 1, 1), ("s", 2, 2)]),
-        monomial([("s", 1, 2), ("s", 1, 2)]),
-    )
-    collapsed = b.substitute(lambda v: ("q", 0, 1) if v[1] == v[2] else v)
-    assert collapsed.lead == ((("q", 0, 1), 2),) or collapsed.trail == ((("q", 0, 1), 2),)

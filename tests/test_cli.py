@@ -268,11 +268,23 @@ class TestErrors:
             json.dumps({**TWO_LEAVES, "colors": {"1": None, "2": "b", "3": "c"}}),
             json.dumps({**TWO_LEAVES, "parents": {"1": 3, "2": 3, "3": False}}),
             json.dumps({**COLORED_STAR, "zeroed": [6.0]}),
+            # node id keys that int() reads as another key's node
+            json.dumps(
+                {
+                    "n_leaves": 4,
+                    "parents": {"1": 5, "2": 5, "3": 5, "4": 6, "5": 6, "6": 0, "03": 6},
+                    "colors": {"1": "a", "2": "b", "3": "c", "4": "d", "5": "e", "6": "f"},
+                }
+            ),
+            json.dumps({**TWO_LEAVES, "colors": {**TWO_LEAVES["colors"], "0_3": "z"}}),
+            json.dumps({**TWO_LEAVES, "parents": {"1": 3, "+2": 3, "3": 0}}),
+            json.dumps({**TWO_LEAVES, "colors": {" 1": "a", "2": "b", "3": "c"}}),
         ],
         ids=[
             "parents_list", "colors_list", "n_leaves_overflow", "deep_nesting",
             "zeroed_string", "n_leaves_float", "n_leaves_bool", "color_null",
-            "parent_bool", "zeroed_float",
+            "parent_bool", "zeroed_float", "key_leading_zero", "key_underscore",
+            "key_plus_sign", "key_space",
         ],
     )
     def test_malformed_schema_is_input_error(self, tmp_path, capsys, text):

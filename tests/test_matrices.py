@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetoric import linalg
+from treetoric.classify import classify
 from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import completion, derive_graph
 from treetoric.matrices import (
@@ -25,7 +26,13 @@ from treetoric.matrices import (
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
-from oracles import adjugate, adjugate_inverse, det_cofactor, sample_point_reference
+from oracles import (
+    adjugate,
+    adjugate_inverse,
+    det_cofactor,
+    pattern_from_lca,
+    sample_point_reference,
+)
 
 
 def rank_oracle(rows):
@@ -71,10 +78,21 @@ class TestPatterns:
         assert p.classes == (("a",),)
 
     def test_tree_and_graph_constructions_agree(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            t = random_tree(rng)
-            assert pattern_from_tree(t) == pattern_from_graph(derive_graph(t))
+        # the pattern built from the (contracted) derived graph is L_T read
+        # straight off the tree, under each zeroing mode; every other tree
+        # gets an adjacent merge
+        for zero_mode in ("none", "chain", "random"):
+            rng = random.Random(5)
+            contracted = 0
+            for k in range(100):
+                internal_mode = "adjacent" if k % 2 else None
+                t = random_tree(rng, zero_mode=zero_mode, internal_mode=internal_mode)
+                report = classify(t)
+                contracted += report.contracted
+                expected = pattern_from_lca(t)
+                assert pattern_from_graph(report.graph) == expected, t.to_dict()
+                assert pattern_from_tree(t) == expected, t.to_dict()
+            assert contracted > 0, zero_mode
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
