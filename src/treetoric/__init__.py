@@ -43,13 +43,11 @@ from .laplacians import (
 from .matrices import (
     MatrixPattern,
     SymMatrix,
-    det_exact,
     invert_exact,
-    jordan_product,
+    jordan_closed,
     pattern_contains,
     pattern_from_graph,
     pattern_from_tree,
-    sample_point,
 )
 from .monomials import MonomialMap, exponent_rank, path_map
 from .pipeline import (

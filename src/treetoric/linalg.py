@@ -3,9 +3,9 @@
 Two fraction-free kernels (Bareiss, Math. Comp. 1968): forward elimination
 for rank, and one Gauss-Jordan pass on ``[A | I]`` that yields det(A) and
 adj(A) together.  Rational input is first scaled to an integer matrix by one
-scalar s, the lcm of all denominators; then det(A) = det(sA) / s^n and
-A^{-1} = s adj(sA) / det(sA), so a rational answer costs one division per
-entry at the end.  No floating point anywhere.
+scalar s, the lcm of all denominators; then A^{-1} = s adj(sA) / det(sA), so
+a rational inverse costs one division per entry at the end.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -113,12 +113,6 @@ def det_adjugate(int_rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
         for j, x in zip(label, row):
             out[j] = sign * x
     return sign * prev, tuple(map(tuple, adj))
-
-
-def det_fraction(rows) -> Fraction:
-    """Exact determinant of a square rational matrix: det(sA) / s^n."""
-    work, scale = integer_rows(rows)
-    return Fraction(det_adjugate(work)[0], scale ** len(rows))
 
 
 def invert_fraction(a_rows) -> list[list[Fraction]]:

@@ -8,16 +8,18 @@ that of its derived graph, which keys entry (i,j) by the color of lca(i,j)
 and gives zeroed lcas structural zeros.
 
 All numeric work happens on :class:`SymMatrix`, a symmetric matrix of exact
-rationals (or of integers, for integer-scaled points).  Sampling, inversion
-and the Jordan product are exact; there is no floating point and hence no
-tolerance anywhere.  A sample comes with the adjugate of its integer-scaled
-copy, so one fraction-free elimination both certifies it invertible and
-gives its inverse up to a known scalar.
+rationals (or of integers, for integer-scaled points).  Sampling and
+inversion are exact; there is no floating point and hence no tolerance
+anywhere.  A sample comes with the adjugate of its integer-scaled copy, so
+one fraction-free elimination both certifies it invertible and gives its
+inverse up to a known scalar.  Closure of a pattern's space under the Jordan
+product is decided symbolically, from the pattern alone.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -99,12 +101,6 @@ class SymMatrix:
     def from_rows(cls, rows) -> "SymMatrix":
         return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -121,10 +117,6 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix({[[str(x) for x in row] for row in self.entries]})"
-
-    def to_json(self) -> list[list[str]]:
-        """Rows of "num/den" strings."""
-        return [[str(x) for x in row] for row in self.entries]
 
 
 def pattern_from_tree(t: ColoredTree) -> MatrixPattern:
@@ -148,7 +140,8 @@ def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
 
 
 class ProjectiveSample(NamedTuple):
-    """An invertible K in a pattern, with its inverse up to a scalar.
+    """An invertible K that :func:`sample_projective` draws from a pattern,
+    with its inverse up to a scalar.
 
     K_int = scale * K has integer entries, and K^{-1} = scale * adjugate / det
     with ``det`` and ``adjugate`` those of K_int.  Pattern membership and the
@@ -162,11 +155,20 @@ class ProjectiveSample(NamedTuple):
     adjugate: SymMatrix
 
 
-def _tries(pattern: MatrixPattern, seed: int):
-    """The seeded draws of the sampler, in order; raises once they run out.
+def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
+    """Deterministic invertible sample from the pattern, with the adjugate of
+    K_int.
 
-    Each try yields the token values, their scale (the lcm of their
-    denominators) and the rows of K_int = scale * K.
+    Each color token independently gets a rational with numerator uniform in
+    [-10^6, 10^6] and denominator uniform in [1, 10^3]; resampled until the
+    exact determinant is nonzero.  Positive definiteness is not required.
+    Each try runs one fraction-free Gauss-Jordan pass on K_int, which both
+    decides invertibility and yields the adjugate.
+
+    Raises
+    ------
+    SamplingError
+        After 64 failed tries (the pattern forces singularity).
     """
     rng = random.Random(seed)
     tokens = pattern.tokens()
@@ -179,46 +181,14 @@ def _tries(pattern: MatrixPattern, seed: int):
             for tok in tokens
         }
         scale = lcm(*(v.denominator for v in values.values()))
-        yield values, scale, pattern.rows(
+        det, adj = linalg.det_adjugate(pattern.rows(
             {tok: v.numerator * (scale // v.denominator) for tok, v in values.items()}
-        )
+        ))
+        if det:
+            return ProjectiveSample(values, scale, det, SymMatrix(adj))
     raise SamplingError(
         f"no invertible matrix in the pattern after {SAMPLE_RETRIES} tries"
     )
-
-
-def sample_point(pattern: MatrixPattern, seed: int) -> SymMatrix:
-    """Deterministic invertible sample from the pattern.
-
-    Each color token independently gets a rational with numerator uniform in
-    [-10^6, 10^6] and denominator uniform in [1, 10^3]; resampled until the
-    exact determinant is nonzero.  Positive definiteness is not required.
-
-    Raises
-    ------
-    SamplingError
-        After 64 failed retries (the pattern forces singularity).
-    """
-    for values, _, k_int in _tries(pattern, seed):
-        if linalg.rank_int(k_int) == pattern.size:
-            return pattern.instantiate(values)
-
-
-def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
-    """The sample :func:`sample_point` draws, with the adjugate of K_int.
-
-    Each try runs one fraction-free Gauss-Jordan pass on K_int, which both
-    decides invertibility and yields the adjugate.
-
-    Raises
-    ------
-    SamplingError
-        As :func:`sample_point`.
-    """
-    for values, scale, k_int in _tries(pattern, seed):
-        det, adj = linalg.det_adjugate(k_int)
-        if det:
-            return ProjectiveSample(values, scale, det, SymMatrix(adj))
 
 
 def pattern_contains(pattern: MatrixPattern, m: SymMatrix) -> bool:
@@ -241,10 +211,6 @@ def pattern_contains(pattern: MatrixPattern, m: SymMatrix) -> bool:
     return True
 
 
-def det_exact(m: SymMatrix) -> Fraction:
-    return linalg.det_fraction(m.entries)
-
-
 def invert_exact(m: SymMatrix) -> SymMatrix:
     """Exact inverse, as scale * adj(scale * m) / det(scale * m).
 
@@ -260,25 +226,29 @@ def invert_exact(m: SymMatrix) -> SymMatrix:
     return SymMatrix.from_rows(inv)
 
 
-def jordan_product(x: SymMatrix, y: SymMatrix) -> SymMatrix:
-    """Symmetrized product (XY + YX)/2, exact.
+def jordan_closed(pattern: MatrixPattern) -> bool:
+    """Whether the pattern's space is closed under X o Y = (XY + YX)/2.
 
-    Computed on integer-scaled copies so the inner products run on machine
-    integers; a single rational division per entry restores the scale.
+    The product is bilinear, so by polarization the space is closed iff X^2
+    lies in it for the generic X = sum_c t_c E_c.  Entry (i,j) of X^2 is
+    sum_k t_c(i,k) t_c(k,j), a multiset of unordered token pairs with no
+    cancellation; X^2 lies in the space iff that multiset is empty at every
+    structural zero and the same on all entries of one class.
     """
-    if x.n != y.n:
-        raise ValueError("size mismatch")
-    n = x.n
-    a, sa = linalg.integer_rows(x.entries)
-    b, sb = linalg.integer_rows(y.entries)
-    denom = 2 * sa * sb
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = 0
-            for k in range(n):
-                acc += a[i][k] * b[k][j] + b[i][k] * a[k][j]
-            val = Fraction(acc, denom)
-            rows[i][j] = val
-            rows[j][i] = val
-    return SymMatrix.from_rows(rows)
+    classes = pattern.classes
+    support = [[k for k, tok in enumerate(row) if tok is not None] for row in classes]
+    square_of: dict[str, Counter] = {}
+    for i, row in enumerate(classes):
+        for j in range(i, pattern.size):
+            square = Counter(
+                tuple(sorted((row[k], classes[k][j])))
+                for k in support[i]
+                if classes[k][j] is not None
+            )
+            token = row[j]
+            if token is None:
+                if square:
+                    return False
+            elif square_of.setdefault(token, square) != square:
+                return False
+    return True

@@ -26,7 +26,7 @@ from . import linalg
 from .binomials import Binomial, Monomial, Var, coord_var, var_name
 from .classify import coordinate_kind
 from .errors import GraphError
-from .graphs import derive_graph, is_block_graph, is_connected, star_decomposition
+from .graphs import derive_graph, star_decomposition
 from .laplacians import pq_index_pairs
 from .trees import ColoredTree
 
@@ -129,12 +129,7 @@ def path_map(t: ColoredTree) -> MonomialMap:
 
     center = None
     if t.zeroed:
-        g = derive_graph(t)
-        if not is_connected(g) or not is_block_graph(g):
-            raise GraphError(
-                "zeroed nodes need a connected block derived graph for the path map"
-            )
-        if star_decomposition(g) is None or t.center_leaf() is None:
+        if star_decomposition(derive_graph(t)) is None or t.center_leaf() is None:
             raise GraphError("derived graph is not a star; no center coordinate")
         center = t.center_leaf()
 

@@ -119,6 +119,35 @@ def pattern_from_lca(t: ColoredTree) -> MatrixPattern:
     return MatrixPattern(size=n, classes=tuple(tuple(r) for r in grid))
 
 
+def jordan_closed_by_basis(pattern: MatrixPattern) -> bool:
+    """Jordan closure from the class indicator matrices E_c.
+
+    The product is bilinear and the E_c span the space, so the space is
+    closed iff E_a E_b + E_b E_a lies in it for every pair of classes a <= b.
+    Independent of ``matrices.jordan_closed``; the two must coincide.
+    """
+    n = pattern.size
+    tokens = pattern.tokens()
+    # positions[c][i]: the columns k with class c in row i
+    positions = {c: [[] for _ in range(n)] for c in tokens}
+    for i, row in enumerate(pattern.classes):
+        for k, c in enumerate(row):
+            if c is not None:
+                positions[c][i].append(k)
+    for ia, a in enumerate(tokens):
+        for b in tokens[ia:]:
+            # E_b E_a is the transpose of P = E_a E_b: accumulate P + P^T
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for k in positions[a][i]:
+                    for j in positions[b][k]:
+                        rows[i][j] += 1
+                        rows[j][i] += 1
+            if not pattern_contains(pattern, SymMatrix(tuple(map(tuple, rows)))):
+                return False
+    return True
+
+
 def vertex_regular_via_parents(t: ColoredTree) -> bool:
     """Parent criterion: same-colored leaves share a parent.
 
@@ -158,8 +187,8 @@ def fraction_inverse(rows) -> list[list[Fraction]] | None:
 
 
 def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
-    """``matrices.sample_point``'s seeded draws, redrawn until a ``Fraction``
-    elimination finds the matrix invertible."""
+    """The point K of ``matrices.sample_projective``: its seeded draws,
+    redrawn until a ``Fraction`` elimination finds the matrix invertible."""
     rng = random.Random(seed)
     tokens = pattern.tokens()
     for _ in range(SAMPLE_RETRIES):

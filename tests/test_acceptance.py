@@ -31,12 +31,7 @@ from treetoric.graphs import (
     star_decomposition,
 )
 from treetoric.ideals import cherry_binomials, combined_generators
-from treetoric.matrices import (
-    jordan_product,
-    pattern_contains,
-    pattern_from_graph,
-    sample_point,
-)
+from treetoric.matrices import jordan_closed, pattern_from_graph
 from treetoric.monomials import path_map
 from treetoric.pipeline import (
     build_context,
@@ -215,13 +210,10 @@ def test_criterion_6_structural_sweep():
             assert is_vertex_regular(g) == vertex_regular_via_parents(t2), t.to_dict()
             stats["vr_cases"] += 1
 
-        # (d) completion patterns are Jordan-closed
-        pat = pattern_from_graph(completion(g))
-        for pair in range(20):
-            a = sample_point(pat, seed=idx * 1000 + pair)
-            b = sample_point(pat, seed=idx * 1000 + 500 + pair)
-            assert pattern_contains(pat, jordan_product(a, b)), t.to_dict()
-        stats["jordan_pairs"] += 20
+        # (d) completion patterns are Jordan-closed, decided exactly; the raw
+        # derived-graph pattern often is not, so the decision discriminates
+        assert jordan_closed(pattern_from_graph(completion(g))), t.to_dict()
+        stats["raw_not_closed"] += not jordan_closed(pattern_from_graph(g))
 
         # (e) theorem-classified trees pass the full exact suite
         try:
@@ -236,6 +228,7 @@ def test_criterion_6_structural_sweep():
     # the sweep must actually exercise each regime
     assert stats["star_cases"] >= 20
     assert stats["vr_cases"] >= 100
+    assert stats["raw_not_closed"] >= 300
     assert stats[THM_MAIN] >= 10
     assert stats[THM_BLOCK_UNCOLORED] >= 20
     assert stats[THM_COLORED_COMPLETE] >= 50
