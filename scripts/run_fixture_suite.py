@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from treetoric.classify import classify
+from treetoric.cli import _json
 from treetoric.pipeline import verify_tree
 from treetoric.trees import load_tree
 
@@ -39,9 +40,7 @@ def main() -> int:
             continue  # data-only fixtures (e.g. the stored 10x10 transform)
         tree = load_tree(path)
         report = classify(tree)
-        (outdir / f"{path.stem}.analyze.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        (outdir / f"{path.stem}.analyze.json").write_text(_json(report.to_dict()))
         if not report.applicable:
             print(f"{path.stem:24s} {report.theorem:22s} ({'; '.join(report.reasons)})")
             continue
@@ -49,9 +48,7 @@ def main() -> int:
         (outdir / f"{path.stem}.generators.txt").write_text(
             "".join(line + "\n" for line in result.generators)
         )
-        (outdir / f"{path.stem}.verify.json").write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        (outdir / f"{path.stem}.verify.json").write_text(_json(result.to_dict()))
         status = "ok" if result.passed else "FAILED"
         print(
             f"{path.stem:24s} {report.theorem:22s} "

@@ -106,8 +106,8 @@ class Binomial(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "plus": [[var_name(v), e] for v, e in self.lead],
-            "minus": [[var_name(v), e] for v, e in self.trail],
+            "plus": [(var_name(v), e) for v, e in self.lead],
+            "minus": [(var_name(v), e) for v, e in self.trail],
         }
 
     def __str__(self) -> str:

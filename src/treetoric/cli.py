@@ -13,13 +13,22 @@ certified: no invertible sample in the pattern, or an exactly singular
 matrix), 2 tree outside the toric regimes, 3 input error (including a
 generator variable outside the tree's coordinates).  Identical
 configurations produce byte-identical artifacts.
+
+JSON artifacts are written by :func:`_json`, which reproduces the layout of
+``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte without the
+standard library's pure-Python indented encoder: containers are joined with
+``str.join``, strings are escaped by the C ``encode_basestring_ascii``, and
+each array of strings, ints, bools and nulls is rendered once per call and
+indent level.  Dict keys must be strings; any other key raises
+``TypeError`` (the standard library converts int, float, bool and None
+keys to strings).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .binomials import parse_binomial
 from .classify import classify
@@ -49,8 +58,68 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+# element types of the arrays _write memoizes; floats are left out because
+# 0.0 == -0.0 would share a key but render differently
+_MEMO_TYPES = frozenset((str, int, bool, type(None)))
+
+
+def _scalar(o) -> str:
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if abs(o) == float("inf"):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _write(o, nl: str, memo: dict) -> str:
+    """``o`` as the indented encoder lays it out; ``nl`` is the newline and
+    indent of the line ``o`` starts on."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        body = ("," + inner).join(
+            [
+                encode_basestring_ascii(k) + ": " + _write(v, inner, memo)
+                for k, v in sorted(o.items())
+            ]
+        )
+        return "{" + inner + body + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        types = tuple(map(type, o))
+        if not _MEMO_TYPES.issuperset(types):
+            return _array(o, nl, memo)
+        # the types are part of the key: True == 1 render differently
+        key = (nl, tuple(o), types)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _array(o, nl, memo)
+        return text
+    return _scalar(o)
+
+
+def _array(o, nl: str, memo: dict) -> str:
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([_write(v, inner, memo) for v in o]) + nl + "]"
+
+
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _write(obj, "\n", {}) + "\n"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -256,26 +256,42 @@ def one_clique_separated_quadruples(
     {i,j}\\{c} and {k,l}\\{c} in different components of g - c; c itself may
     occur in either pair.  These index the 2x2 minors generating the block
     graph's vanishing ideal.
+
+    One biconnected pass finds the blocks, and with them connectivity, the
+    block test and the cut vertices.  For each cut vertex c, the vertex
+    pairs are grouped by the components of g - c they meet, and every two
+    groups meeting disjoint components contribute their whole product.
+
+    Raises
+    ------
+    GraphError
+        If the graph is disconnected or not a block graph.
     """
-    if not is_connected(g):
+    blocks = biconnected_components(g)
+    # spanning trees of the blocks make up a spanning forest of g, which has
+    # n - (number of components) edges: g is connected iff they add to n - 1
+    if sum(len(b) - 1 for b in blocks) != max(g.n - 1, 0):
         raise GraphError("separation analysis needs a connected graph")
-    if not is_block_graph(g):
+    if not _all_cliques(g, blocks):
         raise GraphError("not a block graph")
+    in_blocks = dict.fromkeys(g.vertices(), 0)
+    for b in blocks:
+        for v in b:
+            in_blocks[v] += 1
     result: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    all_pairs = list(combinations(g.vertices(), 2))
     for c in g.vertices():
-        comps = connected_components(g, removed=c)
-        if len(comps) < 2:
+        if in_blocks[c] < 2:
             continue
-        comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
-        for p1, p2 in combinations(all_pairs, 2):
-            overlap = set(p1) & set(p2)
-            if overlap - {c}:
-                continue
-            rows = [v for v in p1 if v != c]
-            cols = [v for v in p2 if v != c]
-            if all(comp_of[x] != comp_of[y] for x in rows for y in cols):
-                result.add((min(p1, p2), max(p1, p2)))
+        comps = [sorted(comp) for comp in connected_components(g, removed=c)]
+        # every vertex pair, keyed by the components of g - c it meets
+        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for a, comp in enumerate(comps):
+            groups[(a,)] = [edge(c, v) for v in comp] + list(combinations(comp, 2))
+            for b in range(a + 1, len(comps)):
+                groups[(a, b)] = [edge(u, v) for u in comp for v in comps[b]]
+        for (s1, rows), (s2, cols) in combinations(groups.items(), 2):
+            if set(s1).isdisjoint(s2):
+                result.update((min(p, q), max(p, q)) for p in rows for q in cols)
     return result
 
 

@@ -32,11 +32,21 @@ from .trees import ColoredTree
 
 
 def _minor(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
-    """x_ik x_jl - x_il x_jk; with i < j and k < l the monomials never coincide."""
-    return Binomial.make(
-        monomial([coord_var(kind, i, k), coord_var(kind, j, l)]),
-        monomial([coord_var(kind, i, l), coord_var(kind, j, k)]),
-    )
+    """x_ik x_jl - x_il x_jk; with i < j and k < l the monomials never coincide.
+
+    Both monomials and their order are built directly: x_ik and x_jl are
+    distinct variables, and x_il = x_jk only when (i, j) = (k, l).
+    """
+    a = (kind, i, k) if i < k else (kind, k, i)
+    b = (kind, j, l) if j < l else (kind, l, j)
+    c = (kind, i, l) if i < l else (kind, l, i)
+    d = (kind, j, k) if j < k else (kind, k, j)
+    plus = ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
+    if c == d:
+        minus = ((c, 2),)
+    else:
+        minus = ((c, 1), (d, 1)) if c < d else ((d, 1), (c, 1))
+    return Binomial(plus, minus) if plus > minus else Binomial(minus, plus)
 
 
 def cherry_binomials(t: ColoredTree) -> list[Binomial]:
@@ -51,17 +61,22 @@ def cherry_binomials(t: ColoredTree) -> list[Binomial]:
     kind = coordinate_kind(t)
     universe = [0] + t.leaves()
     dist = {pair: t.tree_distance(*pair) for pair in combinations(universe, 2)}
-    out: set[Binomial] = set()
+    out: list[Binomial] = []  # a minor's indices are its quadruple: no repeats
     for a, b, c, d in combinations(universe, 4):
-        pairings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-        sums = [dist[p1] + dist[p2] for p1, p2 in pairings]
-        low = min(sums)
-        chosen = [pr for pr, s in zip(pairings, sums) if s == low]
-        if len(chosen) == 2:
+        ab_cd = dist[a, b] + dist[c, d]
+        ac_bd = dist[a, c] + dist[b, d]
+        ad_bc = dist[a, d] + dist[b, c]
+        low = min(ab_cd, ac_bd, ad_bc)
+        if (ab_cd, ac_bd, ad_bc).count(low) == 2:
             raise AssertionError(
                 "two minimal quartet sums: four-point condition violated"
             )
-        out.update(_minor(kind, i, j, k, l) for (i, j), (k, l) in chosen)
+        if ab_cd == low:
+            out.append(_minor(kind, a, b, c, d))
+        if ac_bd == low:
+            out.append(_minor(kind, a, c, b, d))
+        if ad_bc == low:
+            out.append(_minor(kind, a, d, b, c))
     return sorted(out)
 
 

@@ -26,7 +26,7 @@ from . import linalg
 from .binomials import Binomial, Monomial, Var, coord_var, var_name
 from .classify import coordinate_kind
 from .errors import GraphError
-from .graphs import derive_graph, star_decomposition
+from .graphs import ColoredGraph, star_decomposition
 from .laplacians import pq_index_pairs
 from .trees import ColoredTree
 
@@ -108,12 +108,14 @@ def exponent_rank(m: MonomialMap) -> int:
     return linalg.rank_int(m.rows)
 
 
-def path_map(t: ColoredTree) -> MonomialMap:
+def path_map(t: ColoredTree, g: ColoredGraph) -> MonomialMap:
     """Path map of a colored tree with zeroed nodes.
 
     Coordinates are of the tree's kind (:func:`classify.coordinate_kind`):
     p-variables, or q-variables with the squared-center override when
-    zeroed nodes are present.
+    zeroed nodes are present.  ``g`` is the tree's derived graph
+    (:func:`graphs.derive_graph`, or the ``graph`` of its classification
+    report); only zeroed trees read it.
 
     Raises
     ------
@@ -129,7 +131,7 @@ def path_map(t: ColoredTree) -> MonomialMap:
 
     center = None
     if t.zeroed:
-        if star_decomposition(derive_graph(t)) is None or t.center_leaf() is None:
+        if star_decomposition(g) is None or t.center_leaf() is None:
             raise GraphError("derived graph is not a star; no center coordinate")
         center = t.center_leaf()
 

@@ -83,7 +83,7 @@ def build_context(t: ColoredTree) -> VerificationContext:
         report=report,
         pattern=pattern_from_graph(report.graph),
         cmap=cmap,
-        mmap=path_map(report.working_tree),
+        mmap=path_map(report.working_tree, report.graph),
         generators=generators,
     )
 

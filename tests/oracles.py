@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from treetoric.binomials import Binomial, coord_var, monomial
 from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import ColoredGraph, connected_components
 from treetoric.matrices import (
@@ -64,6 +65,15 @@ def det_cofactor(rows) -> Fraction:
         minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def minor_by_make(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
+    """x_ik x_jl - x_il x_jk from variable lists, via ``monomial`` (which
+    sorts and merges repeats) and ``Binomial.make`` (which orders the two)."""
+    return Binomial.make(
+        monomial([coord_var(kind, i, k), coord_var(kind, j, l)]),
+        monomial([coord_var(kind, i, l), coord_var(kind, j, k)]),
+    )
 
 
 def _distances(g: ColoredGraph) -> dict[int, dict[int, int]]:

@@ -92,7 +92,7 @@ def test_criterion_2_uncolored_regression():
         B("p04*p13 - p03*p14"),
         B("p02*p13 - p01*p23"),
     }
-    mm = path_map(t)
+    mm = path_map(t, derive_graph(t))
 
     def image(i, j):
         return {
@@ -121,7 +121,7 @@ def test_criterion_3_leaf_coloring_regressions():
 
     # G2: the five reference linear generators lie in the kernel of its map
     t2 = fixture_tree("leafcolor_g2")
-    mm2 = path_map(t2)
+    mm2 = path_map(t2, derive_graph(t2))
     reference = [
         B("p23 - p24"),
         B("p14 - p24"),

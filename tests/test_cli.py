@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treetoric import cli, pipeline
 from treetoric.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -12,7 +16,6 @@ from treetoric.cli import (
     EXIT_OK,
     main,
 )
-from treetoric import pipeline
 from treetoric.errors import SamplingError, SingularMatrixError, TreeError
 from treetoric.trees import parse_tree
 
@@ -344,3 +347,200 @@ class TestDeterminism:
             )
             paths.append((rep.read_bytes(), gen.read_bytes()))
         assert paths[0] == paths[1]
+
+
+def stdlib_json(obj) -> str:
+    """The layout ``cli._json`` reproduces, from the standard library."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# Strings built from JSON's structural characters, escapes, control
+# characters and non-ASCII text, besides arbitrary text.
+_strings = st.text(
+    st.sampled_from('"\\[]{},: /') | st.characters(max_codepoint=0x1F)
+    | st.characters(min_codepoint=0x80),
+    max_size=6,
+) | st.text(max_size=6)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1, 0.0, -0.0, 1.0, True, False, None])
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | st.floats()
+    | _strings
+)
+# Short arrays over a few scalars that compare equal but render
+# differently, so that equal arrays recur at one depth and at several.
+_colliding = st.sampled_from([0, 1, True, False, None, 0.0, -0.0, 1.0, "a"])
+_leaf_arrays = st.lists(_colliding, max_size=2) | st.lists(_colliding, max_size=2).map(tuple)
+_values = st.recursive(
+    _scalars | _leaf_arrays,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(_values)
+    def test_matches_stdlib(self, value):
+        assert cli._json(value) == stdlib_json(value)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(_leaf_arrays, min_size=2, max_size=10))
+    def test_recurring_arrays_match_stdlib(self, value):
+        # one depth: the memo must tell [1] from [True] and [0.0] from [-0.0]
+        assert cli._json(value) == stdlib_json(value)
+
+    def test_empty_containers_at_every_depth(self):
+        value = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [{}], "f": ({"g": []},)}}
+        assert cli._json(value) == stdlib_json(value)
+        for empty in ([], {}, ()):
+            assert cli._json(empty) == stdlib_json(empty)
+
+    def test_equal_scalars_that_render_differently(self):
+        # one call memoizes arrays: 1 == True and 0 == False == -0.0
+        value = [[1, True], [True, 1], [0, False, None], (1,), (True,), [0.0], [-0.0], [1.0]]
+        assert cli._json(value) == stdlib_json(value)
+        assert cli._json({"x": (1, "a"), "y": [(True, "a")]}) == stdlib_json(
+            {"x": (1, "a"), "y": [(True, "a")]}
+        )
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+    def test_non_string_key_raises(self, key):
+        # the standard library converts int, float, bool and None keys; the
+        # writer accepts only strings, which every artifact uses
+        with pytest.raises(TypeError):
+            cli._json({key: "value"})
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json({"a": [{1, 2}]})
+
+    def test_every_fixture_document(self, monkeypatch, tmp_path, capsys):
+        """Each JSON document the subcommands write, checked as it is written."""
+        real, written = cli._json, []
+
+        def checked(obj):
+            text = real(obj)
+            assert text == stdlib_json(obj)
+            written.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "_json", checked)
+        expected = 0
+        for name in TREE_FIXTURES:
+            tree = tree_path(name)
+            gens = tmp_path / f"{name}.txt"
+            main(["analyze", "--tree", tree])
+            main(["laplacian", "--tree", tree])
+            expected += 2
+            if main(["generators", "--tree", tree, "--out", str(gens)]) != EXIT_OK:
+                continue
+            main(["generators", "--tree", tree, "--format", "json"])
+            main(["verify", "--tree", tree, "--trials", "2"])
+            main(["kernel", "--tree", tree, "--generators", str(gens)])
+            expected += 3
+        capsys.readouterr()
+        assert len(written) == expected
+
+
+# SHA-256 of stdout from analyze and from generators in text, json and
+# m2-script format, with the exit codes, for every tree fixture.  Perf
+# changes must leave every artifact byte-identical; a deliberate format
+# change updates these digests and says so in CHANGES.md.
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+GOLDEN = {
+    "colored_star": [
+        (0, "0955d2ab0af1dbf790213ecaf7b67f94df3636c810c0f54788c5631a4c4582c2"),
+        (0, "1ade543e7d2c407c5043bf432cf3b01ce5a3402541cf2a25ea976149577efbc3"),
+        (0, "24e933c026186763b4759a3c08538ae85d44ac77193dc72343d4c46591a08ac7"),
+        (0, "7ad6d40ed3e34aeba1efff10615c102d51b0fd6a0f64ee545035fe8a09ce5d72"),
+    ],
+    "uncolored_binary": [
+        (0, "9b0994e71c782d1111ec8e8e4f1485bf01635a312d7fe0b3f02f51853896d5cf"),
+        (0, "cffcf8b6e62b0b751b9280849a3f4d107de1b4ffc5e03ea3d2de8f9d2ee6f537"),
+        (0, "4a4ba099a7c852e2a6d0f6729e5f7978a36d0c75656575fa9a4366f10a74ba86"),
+        (0, "c412fd1661ef2ee1a124eff76c3937ac9e9cf07d0c69a4daa4f28de6ff3dbf5b"),
+    ],
+    "leafcolor_g1": [
+        (0, "82fc685c1e868d2106d2a419c025279d9b2a9725149692fd2b93e5af93011f12"),
+        (0, "32c811da43d37570a450e4c4a398862164c8d9015a21a2e9139fffc67c264f8a"),
+        (0, "30d62a3e99c8d49923fe5d83f4e636e1b4f1f3e721a150365dfe71530af0e676"),
+        (0, "a4dd6edf2d53b96dd5ebb43688f05fa32b99e4ccc997633d0e38f02b9634d12e"),
+    ],
+    "leafcolor_g2": [
+        (0, "edf803d9df6452c41774aaca9af4554346e85e56ed5f969ccc0a2e20eb87d6ca"),
+        (0, "00ba951575a62358a23a810ea4d755b101ee58673d97f492d2dc9ac230c57b10"),
+        (0, "30f4f9c950f1699cbdbc22663f7b8f56e940a8f212d168e02b972dec366eb6e9"),
+        (0, "e406db15e719887c058641a175ac5937f9855cb1d12eacb308620beaf94878f5"),
+    ],
+    "leafcolor_g3": [
+        (0, "b3f350645536d8eca9a9f7b37fb8e124439cc70733bd547638d9fb67327678e5"),
+        (2, _EMPTY),
+        (2, _EMPTY),
+        (2, _EMPTY),
+    ],
+    "merge_adjacent": [
+        (0, "456725df9d8e8d2c5dde75bbaea1456525c87f1c9fc5ec490bd476d4e34f49e4"),
+        (0, "c4d100efe13b65d3106d3b20a7f81ce52fe93575ba43d1179735ba526170fd90"),
+        (0, "7875d7b545bc4e4a8af598b3d948790f5e1dcdef50ce0fe39ee8e1e18b453f7d"),
+        (0, "829046b230bdfa18d7a10af516b431afe8916514ba32c42421afe0d3487c3a6b"),
+    ],
+    "merge_nonadjacent": [
+        (0, "68108c8c4e26831ec608360839d83d87f0c8d22ee72a9e8b32e6dc22a91539ad"),
+        (2, _EMPTY),
+        (2, _EMPTY),
+        (2, _EMPTY),
+    ],
+    "zeroed_block_g1": [
+        (0, "efa2c9d07f4ed3b3e7e104d69fe08ee9c79b38ee5ef1de5351c2342e42e7e619"),
+        (0, "95beb62eb0c85501fc9fdafde191f8456504f42853a67ab641b98ddd6e4c66ea"),
+        (0, "be12dc0e14b460502608b3ba5b27b5ec8e8d402a6660be454bf4b4f1d1108128"),
+        (0, "793f6badf954614a1ea0be0d5c4f6ba285bccbd1ab8105fdaab80bc325ca5b3e"),
+    ],
+    "zeroed_block_g2": [
+        (0, "48736c06163125445173b2f545f9edd4f848060f84ba039acb321962e5a43e07"),
+        (0, "4ad466734a25796830a65d33ef6bdceac902fe43602539d5ec97f48dbdb8cc22"),
+        (0, "64d46578936944639a1c4ae9a1690f0a81c8232cc88e1639942e034b12c99646"),
+        (0, "3e4b8fa3e3dd464ecc07abd397d956c68bc04d9cfc22ab8e099be45f208b24cd"),
+    ],
+    "zeroed_block_g3": [
+        (0, "5fc0493268702066f1863cf598fd892863596d8bdcff1021172ca9f286879f3d"),
+        (2, _EMPTY),
+        (2, _EMPTY),
+        (2, _EMPTY),
+    ],
+    "path_star": [
+        (0, "c7dfeceb32d38236ca5113ec4d64ca46e4e250b8dabb6480125b0c5718c044bc"),
+        (0, "affdf3321cd83d16a950ce80b7d6bc60233d7308c1b042adfd9dbc8a64783967"),
+        (0, "9d55c9a8633bec77a191b010df48431b488f0d47b6feea30a6b60d42976af8d7"),
+        (0, "6a38f4d7baf22a953b5f876d820ae7784d5a974b92b6ddd9e9b66f0b293f27bf"),
+    ],
+    "nonblock_toric_tree": [
+        (0, "b96969944b646cb500da87581478f4147e772538d73102b8959394316538581a"),
+        (2, _EMPTY),
+        (2, _EMPTY),
+        (2, _EMPTY),
+    ],
+}
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("name", TREE_FIXTURES)
+    def test_stdout_digests(self, capsys, name):
+        got = []
+        for argv in (
+            ["analyze"],
+            ["generators", "--format", "text"],
+            ["generators", "--format", "json"],
+            ["generators", "--format", "m2-script"],
+        ):
+            code = main([argv[0], "--tree", tree_path(name), *argv[1:]])
+            out = capsys.readouterr().out
+            got.append((code, hashlib.sha256(out.encode()).hexdigest()))
+        assert got == GOLDEN[name]

@@ -290,6 +290,38 @@ class TestSeparatedQuadruples:
         with pytest.raises(GraphError):
             one_clique_separated_quadruples(cycle)
 
+    def test_requires_connected(self):
+        with pytest.raises(GraphError, match="connected"):
+            one_clique_separated_quadruples(make_graph(4, [(1, 2), (3, 4)]))
+        with pytest.raises(GraphError, match="connected"):
+            one_clique_separated_quadruples(make_graph(3, [(1, 2)]))  # isolated 3
+        assert one_clique_separated_quadruples(make_graph(1, [])) == set()
+
+    def test_glued_cliques_match_bipartition_oracle(self):
+        # block graphs with several cut vertices: each new clique shares one
+        # vertex with the graph built so far
+        rng = random.Random(12)
+        for _ in range(80):
+            n, edges = 1, []
+            for _ in range(rng.randint(1, 5)):
+                anchor = rng.randint(1, n)
+                size = rng.randint(1, 3)
+                clique = [anchor] + list(range(n + 1, n + 1 + size))
+                edges += combinations(clique, 2)
+                n += size
+            g = make_graph(n, edges)
+            assert one_clique_separated_quadruples(g) == minor_quadruples_oracle(g)
+
+    def test_random_graphs_raise_or_match_oracle(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            g = random_graph(rng, n_max=7)
+            if is_connected(g) and is_block_graph(g):
+                assert one_clique_separated_quadruples(g) == minor_quadruples_oracle(g)
+            else:
+                with pytest.raises(GraphError):
+                    one_clique_separated_quadruples(g)
+
 
 class TestValidation:
     def test_shared_vertex_edge_tokens_rejected(self):

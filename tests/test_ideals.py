@@ -2,6 +2,7 @@
 embeddings, and the combined construction."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from treetoric.classify import coordinate_kind
 from treetoric.errors import NotApplicableError
 from treetoric.graphs import connected_components, derive_graph, is_block_graph
 from treetoric.ideals import (
+    _minor,
     block_minor_binomials,
     cherry_binomials,
     combined_generators,
@@ -23,11 +25,25 @@ from treetoric.monomials import path_map
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
+from oracles import minor_by_make
 from test_graphs import complete_graph, make_graph
 
 
 def B(text: str) -> Binomial:
     return parse_binomial(text)
+
+
+class TestMinor:
+    @pytest.mark.parametrize("kind", ["p", "q", "s"])
+    def test_matches_monomial_construction(self, kind):
+        # every (i<j, k<l) over 0..6: shared indices (the cut vertex in both
+        # pairs), diagonal sigma variables, and (i,j) = (k,l), which gives
+        # x_ii x_jj - x_ij^2
+        pairs = list(combinations(range(7), 2))
+        for i, j in pairs:
+            for k, l in pairs:
+                assert _minor(kind, i, j, k, l) == minor_by_make(kind, i, j, k, l), (i, j, k, l)
+        assert ((coord_var(kind, 1, 2), 2),) in _minor(kind, 1, 2, 1, 2)
 
 
 class TestCherryBinomials:
@@ -50,7 +66,7 @@ class TestCherryBinomials:
             {1: "a", 2: "b", 3: "c", 4: "d", 5: "e"},
         )
         gens = cherry_binomials(t)
-        mm = path_map(t)
+        mm = path_map(t, derive_graph(t))
         assert len(gens) == 15  # five quadruples x three pairings
         assert all(mm.in_kernel(b) for b in gens)
 

@@ -7,12 +7,17 @@ import pytest
 
 from treetoric.binomials import coord_var, parse_binomial
 from treetoric.errors import GraphError
+from treetoric.graphs import derive_graph
 from treetoric.ideals import combined_generators
 from treetoric.monomials import MonomialMap, exponent_rank, path_map
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree
 from test_matrices import rank_oracle
+
+
+def tree_map(t):
+    return path_map(t, derive_graph(t))
 
 
 def images(mm, i, j):
@@ -22,14 +27,14 @@ def images(mm, i, j):
 
 class TestPathMap:
     def test_uncolored_binary_images(self):
-        mm = path_map(fixture_tree("uncolored_binary"))
+        mm = tree_map(fixture_tree("uncolored_binary"))
         assert mm.kind == "p"
         assert images(mm, 0, 1) == {"1": 1, "5": 1, "7": 1}
         assert images(mm, 2, 4) == {"2": 1, "4": 1, "5": 1, "6": 1}
         assert images(mm, 3, 4) == {"3": 1, "4": 1}
 
     def test_colored_star_images(self):
-        mm = path_map(fixture_tree("colored_star"))
+        mm = tree_map(fixture_tree("colored_star"))
         assert mm.kind == "q"
         assert images(mm, 0, 4) == {"green": 2}  # squared center
         assert images(mm, 1, 2) == {"cyan": 2}  # shared leaf color
@@ -38,35 +43,35 @@ class TestPathMap:
 
     def test_two_leaf_tree(self):
         t = ColoredTree(2, {1: 3, 2: 3, 3: 0}, {1: "1", 2: "2", 3: "3"})
-        mm = path_map(t)
+        mm = tree_map(t)
         assert images(mm, 1, 2) == {"1": 1, "2": 1}
         assert images(mm, 0, 1) == {"1": 1, "3": 1}
         assert images(mm, 0, 2) == {"2": 1, "3": 1}
 
     def test_zeroed_non_star_rejected(self):
         with pytest.raises(GraphError):
-            path_map(fixture_tree("zeroed_block_g3"))
+            tree_map(fixture_tree("zeroed_block_g3"))
 
     def test_zeroed_nodes_have_no_parameter(self):
-        mm = path_map(fixture_tree("colored_star"))
+        mm = tree_map(fixture_tree("colored_star"))
         assert set(mm.params) == {"blue", "cyan", "green", "red", "yellow"}
 
 
 class TestInKernel:
     def test_classical_quadric(self):
-        mm = path_map(fixture_tree("uncolored_binary"))
+        mm = tree_map(fixture_tree("uncolored_binary"))
         assert mm.in_kernel(parse_binomial("p02*p13 - p01*p23"))
 
     def test_shared_color_linear(self):
-        mm = path_map(fixture_tree("leafcolor_g1"))
+        mm = tree_map(fixture_tree("leafcolor_g1"))
         assert mm.in_kernel(parse_binomial("p01 - p02"))
 
     def test_distinct_colors_reject_linear(self):
-        mm = path_map(fixture_tree("uncolored_binary"))
+        mm = tree_map(fixture_tree("uncolored_binary"))
         assert not mm.in_kernel(parse_binomial("p01 - p02"))
 
     def test_unknown_variable(self):
-        mm = path_map(fixture_tree("uncolored_binary"))
+        mm = tree_map(fixture_tree("uncolored_binary"))
         with pytest.raises(KeyError):
             mm.in_kernel(parse_binomial("q01 - q02"))
         with pytest.raises(KeyError):
@@ -75,12 +80,12 @@ class TestInKernel:
 
 class TestRank:
     def test_uncolored_binary_rank(self):
-        mm = path_map(fixture_tree("uncolored_binary"))
+        mm = tree_map(fixture_tree("uncolored_binary"))
         assert exponent_rank(mm) == 7
         assert rank_oracle(mm.rows) == 7
 
     def test_colored_star_rank_equals_occurring(self):
-        mm = path_map(fixture_tree("colored_star"))
+        mm = tree_map(fixture_tree("colored_star"))
         assert exponent_rank(mm) == len(mm.occurring_params()) == 5
         assert exponent_rank(mm) == rank_oracle(mm.rows)
 
@@ -102,25 +107,25 @@ class TestRank:
 
 class TestEvaluate:
     def test_all_ones(self):
-        mm = path_map(fixture_tree("uncolored_binary"))
+        mm = tree_map(fixture_tree("uncolored_binary"))
         point = mm.evaluate({tok: Fraction(1) for tok in mm.params})
         assert all(v == 1 for v in point.values())
 
     def test_prime_assignment(self):
-        mm = path_map(fixture_tree("uncolored_binary"))
+        mm = tree_map(fixture_tree("uncolored_binary"))
         theta = dict(zip(mm.params, map(Fraction, [2, 3, 5, 7, 11, 13, 17])))
         point = mm.evaluate(theta)
         # p34 -> theta3 * theta4 = 5 * 7
         assert point[coord_var("p", 3, 4)] == 35
 
     def test_squared_center(self):
-        mm = path_map(fixture_tree("colored_star"))
+        mm = tree_map(fixture_tree("colored_star"))
         theta = {tok: Fraction(1) for tok in mm.params}
         theta["green"] = Fraction(3)
         assert mm.evaluate(theta)[coord_var("q", 0, 4)] == 9
 
     def test_missing_parameter(self):
-        mm = path_map(fixture_tree("colored_star"))
+        mm = tree_map(fixture_tree("colored_star"))
         with pytest.raises(KeyError):
             mm.evaluate({"green": Fraction(1)})
 
@@ -131,7 +136,8 @@ class TestEvaluate:
             gens, kind = combined_generators(t)
             from treetoric.classify import classify
 
-            mm = path_map(classify(t).working_tree)
+            report = classify(t)
+            mm = path_map(report.working_tree, report.graph)
             assert mm.kind == kind
             rng = random.Random(hash(name) % 10**6)
             for _ in range(5):
