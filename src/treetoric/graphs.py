@@ -9,6 +9,7 @@ applies downstream.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .errors import GraphError
@@ -274,10 +275,7 @@ def one_clique_separated_quadruples(
         raise GraphError("separation analysis needs a connected graph")
     if not _all_cliques(g, blocks):
         raise GraphError("not a block graph")
-    in_blocks = dict.fromkeys(g.vertices(), 0)
-    for b in blocks:
-        for v in b:
-            in_blocks[v] += 1
+    in_blocks = Counter(v for b in blocks for v in b)
     result: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     for c in g.vertices():
         if in_blocks[c] < 2:
