@@ -1,6 +1,6 @@
 """Toric vanishing ideals of tree-derived Gaussian models, over exact rationals."""
 
-from .binomials import Binomial, coord_var, monomial, parse_binomial, var_name
+from .binomials import Binomial, coord_var, parse_binomial, var_name
 from .classify import (
     NONE,
     THM_BLOCK_UNCOLORED,
@@ -31,7 +31,6 @@ from .ideals import (
     cherry_binomials,
     combined_generators,
     completion_binomials,
-    embed,
 )
 from .laplacians import (
     CoordinateMap,

@@ -1,9 +1,10 @@
 """Binomials over indexed coordinate variables.
 
-A coordinate variable is a tuple ``(kind, i, j)`` with ``i <= j``:
-``("s", i, j)`` for entries of a symmetric matrix (1-based), ``("p", i, j)``
-and ``("q", i, j)`` for Laplacian coordinates with ``0 <= i < j``.  A
-monomial is a sorted tuple of (variable, exponent) pairs; a binomial is the
+A coordinate variable is a tuple ``(kind, i, j)`` with ``i <= j``.  The
+package emits only ``("p", i, j)`` and ``("q", i, j)``, the Laplacian
+coordinates with ``0 <= i < j``.  :func:`parse_var_name` still reads any
+lower-case kind; the ``kernel`` command rejects a variable outside the
+tree's coordinates with exit code 3.  A monomial is a sorted tuple of (variable, exponent) pairs; a binomial is the
 difference of two distinct monomials in canonical form (larger monomial
 first, coefficient +1), stored as the tuple ``(lead, trail)``, so binomials
 order, compare and hash as tuples.  Degenerate differences of equal

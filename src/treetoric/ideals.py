@@ -12,18 +12,21 @@ out the model:
 * completion linears: sigma_ik - sigma_jk and sigma_ii - sigma_jj for
   same-colored vertex pairs.
 
-The sigma-level families embed into p- or q-coordinates by the injective
-variable renaming sigma_ij -> x_ij, sigma_ii -> x_0i.  Signs that the
-honest Laplacian image would carry are dropped: the canonical +1 form
-generates the same ideal.  The diagonal completion relation lands directly
-on its reduced form x_0i - x_0j under this renaming.
+The block minors and completion linears are stated in sigma but built
+directly in the tree's p- or q-coordinates, through the single injective
+variable rule sigma_ij -> x_ij, sigma_ii -> x_0i (:func:`_var`); no
+sigma-variable is ever constructed.  Signs that the honest Laplacian image
+would carry are dropped: the canonical +1 form generates the same ideal.
+The diagonal completion relation lands directly on its reduced form
+x_0i - x_0j under this rule.  The families come out in construction
+order; :func:`combined_from_classification` dedupes and sorts once.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .binomials import Binomial, Monomial, coord_var, monomial, var_name
+from .binomials import Binomial, Var, coord_var, var_name
 from .classify import ClassificationReport, classify, coordinate_kind
 from .errors import NotApplicableError
 from .graphs import ColoredGraph, one_clique_separated_quadruples
@@ -31,22 +34,40 @@ from .laplacians import pq_index_pairs
 from .trees import ColoredTree
 
 
+def _var(kind: str, i: int, j: int) -> Var:
+    """The coordinate of sigma_ij: x_ij for i != j, x_0i on the diagonal."""
+    if i < j:
+        return (kind, i, j)
+    return (kind, j, i) if j < i else (kind, 0, i)
+
+
 def _minor(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
     """x_ik x_jl - x_il x_jk; with i < j and k < l the monomials never coincide.
 
-    Both monomials and their order are built directly: x_ik and x_jl are
-    distinct variables, and x_il = x_jk only when (i, j) = (k, l).
+    Each index pair goes through :func:`_var`, so a diagonal pair (the cut
+    vertex of a block minor) lands on x_0c; the indices are then 1-based
+    vertices, and the rule is injective on them.  Both monomials and their
+    order are built directly: x_ik and x_jl are distinct variables, and
+    x_il = x_jk only when (i, j) = (k, l).
     """
-    a = (kind, i, k) if i < k else (kind, k, i)
-    b = (kind, j, l) if j < l else (kind, l, j)
-    c = (kind, i, l) if i < l else (kind, l, i)
-    d = (kind, j, k) if j < k else (kind, k, j)
+    a = _var(kind, i, k)
+    b = _var(kind, j, l)
+    c = _var(kind, i, l)
+    d = _var(kind, j, k)
     plus = ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
     if c == d:
         minus = ((c, 2),)
     else:
         minus = ((c, 1), (d, 1)) if c < d else ((d, 1), (c, 1))
     return Binomial(plus, minus) if plus > minus else Binomial(minus, plus)
+
+
+def _linear(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
+    """x_ij - x_kl for distinct index pairs, each through :func:`_var`."""
+    a, b = _var(kind, i, j), _var(kind, k, l)
+    if a < b:
+        a, b = b, a
+    return Binomial(((a, 1),), ((b, 1),))
 
 
 def cherry_binomials(t: ColoredTree) -> list[Binomial]:
@@ -77,83 +98,57 @@ def cherry_binomials(t: ColoredTree) -> list[Binomial]:
             out.append(_minor(kind, a, c, b, d))
         if ad_bc == low:
             out.append(_minor(kind, a, d, b, c))
-    return sorted(out)
+    return out
 
 
-def block_minor_binomials(g: ColoredGraph) -> list[Binomial]:
-    """2x2 minors (in sigma-variables) from one-clique separations.
+def block_minor_binomials(g: ColoredGraph, kind: str) -> list[Binomial]:
+    """2x2 minors from one-clique separations, in x = p or q.
 
     For a separated pairing ((i,j),(k,l)) the minor is
     sigma_ik sigma_jl - sigma_il sigma_jk; the cut vertex may occur in both
     pairs, producing the diagonal minors sigma_cc sigma_jl - sigma_cl
-    sigma_jc.  Empty for complete graphs.
+    sigma_jc, which land on x_0c x_jl - x_cl x_jc.  One minor per separated
+    pairing, in the order the separations are found; empty for complete
+    graphs.
     """
-    return sorted(
-        {_minor("s", i, j, k, l) for (i, j), (k, l) in one_clique_separated_quadruples(g)}
-    )
+    return [
+        _minor(kind, i, j, k, l) for (i, j), (k, l) in one_clique_separated_quadruples(g)
+    ]
 
 
-def completion_binomials(g: ColoredGraph) -> list[Binomial]:
-    """Linear relations (in sigma-variables) of the vertex-regular completion.
+def completion_binomials(g: ColoredGraph, kind: str) -> list[Binomial]:
+    """Linear relations of the vertex-regular completion, in x = p or q.
 
     For every same-colored vertex pair i,j: sigma_ik - sigma_jk for all
-    k outside the pair, and the raw diagonal relation sigma_ii - sigma_jj.
+    k outside the pair, and the diagonal relation sigma_ii - sigma_jj,
+    which lands on its reduced form x_0i - x_0j.
     """
-    out: set[Binomial] = set()
+    out: list[Binomial] = []
     for verts in g.vertex_color_classes().values():
         for i, j in combinations(verts, 2):
             for k in g.vertices():
-                if k in (i, j):
-                    continue
-                bino = Binomial.make(
-                    monomial([coord_var("s", i, k)]),
-                    monomial([coord_var("s", j, k)]),
-                )
-                if bino is not None:
-                    out.add(bino)
-            diag = Binomial.make(
-                monomial([coord_var("s", i, i)]),
-                monomial([coord_var("s", j, j)]),
-            )
-            if diag is not None:
-                out.add(diag)
-    return sorted(out)
-
-
-def embed(b: Binomial, kind: str) -> Binomial:
-    """sigma_ij -> x_ij, sigma_ii -> x_0i for x = p or q.
-
-    Diagonal entries land on their reduced form x_0i; signs are
-    canonicalized away.  The renaming is injective, so each variable keeps
-    its exponent and the binomial cannot degenerate.
-    """
-
-    def rename(m: Monomial) -> Monomial:
-        out = []
-        for v, e in m:
-            s, i, j = v
-            if s != "s":
-                raise ValueError(f"variable {var_name(v)} is not a sigma-variable")
-            out.append((coord_var(kind, 0 if i == j else i, j), e))
-        return tuple(sorted(out))
-
-    return Binomial.make(rename(b.lead), rename(b.trail))
+                if k not in (i, j):
+                    out.append(_linear(kind, i, k, j, k))
+            out.append(_linear(kind, i, i, j, j))
+    return out
 
 
 def combined_from_classification(
     report: ClassificationReport,
 ) -> tuple[list[Binomial], str]:
-    """Union of the three embedded families for a theorem-applicable tree."""
+    """Sorted union of the three families for a theorem-applicable tree.
+
+    The only place the generators are deduplicated and ordered.
+    """
     if not report.applicable:
         raise NotApplicableError(
             "; ".join(report.reasons) or "no applicable theorem", report
         )
     kind = report.coordinates
-    g = report.graph
-    gens: set[Binomial] = set(cherry_binomials(report.working_tree))
-    gens.update(embed(b, kind) for b in block_minor_binomials(g))
-    gens.update(embed(b, kind) for b in completion_binomials(g))
-    return sorted(gens), kind
+    cherry = cherry_binomials(report.working_tree)
+    block = block_minor_binomials(report.graph, kind)
+    completion = completion_binomials(report.graph, kind)
+    return sorted({*cherry, *block, *completion}), kind
 
 
 def combined_generators(t: ColoredTree) -> tuple[list[Binomial], str]:

@@ -43,21 +43,17 @@ class ColoredTree:
         self.parent = {int(k): int(v) for k, v in parent.items()}
         self.color = {int(k): str(v) for k, v in color.items()}
         self.zeroed = frozenset(int(z) for z in zeroed)
-        self._validate()
+        order = self._validate()
 
-        self.children: dict[int, list[int]] = {i: [] for i in self.nodes()}
-        self.children[0] = []
-        for child, par in sorted(self.parent.items()):
-            self.children[par].append(child)
-
-        # Depth from the root leaf 0 (0 itself has depth 0).
+        # Depth from the root leaf 0 (0 itself has depth 0), parents first.
         self._depth = {0: 0}
-        for node in self._toposort():
+        for node in order:
             self._depth[node] = self._depth[self.parent[node]] + 1
 
+        # Height bottom-up: children before parents, leaves have none.
         self._height = {i: 0 for i in self.leaves()}
-        for node in reversed(self._toposort()):
-            if node in self.internal_nodes():
+        for node in reversed(order):
+            if self.children[node]:
                 self._height[node] = 1 + min(
                     self._height[c] for c in self.children[node]
                 )
@@ -196,18 +192,9 @@ class ColoredTree:
         if i not in self.parent:
             raise TreeError(f"unknown node id: {i}")
 
-    def _toposort(self) -> list[int]:
-        """Non-root nodes ordered root-down (parents before children)."""
-        return sorted(self.parent, key=lambda v: self._depth_unchecked(v))
-
-    def _depth_unchecked(self, node: int) -> int:
-        d = 0
-        while node != 0:
-            node = self.parent[node]
-            d += 1
-        return d
-
-    def _validate(self) -> None:
+    def _validate(self) -> list[int]:
+        """Check every invariant, build ``children``, and return the non-root
+        nodes top-down (parents before children)."""
         n = self.n_leaves
         if n < 1:
             raise TreeError("n_leaves must be at least 1")
@@ -221,18 +208,30 @@ class ColoredTree:
         if sum(1 for p in self.parent.values() if p == 0) != 1:
             raise TreeError("exactly one node must have parent 0")
 
-        # Acyclicity and connectivity: every node must reach 0 without
-        # revisiting and without leaving the id set.
-        for start in ids:
+        # Children lists, then one walk from the root 0 over them: it reaches
+        # every node exactly when every parent chain ends at 0 inside the id
+        # set.  Parents outside the id set get no list, so the walk stays
+        # within it.
+        self.children: dict[int, list[int]] = {
+            i: [] for i in [*range(1, n + 1), *sorted(i for i in ids if i > n)]
+        }
+        self.children[0] = []
+        for child, par in sorted(self.parent.items()):
+            if par in self.children:
+                self.children[par].append(child)
+        order = [0]
+        for node in order:
+            order.extend(self.children[node])
+        if len(order) <= len(ids):
+            reached = set(order)
+            node = next(i for i in ids if i not in reached)
             seen = set()
-            node = start
-            while node != 0:
+            while node in self.parent:
                 if node in seen:
                     raise TreeError("parent map contains a cycle")
                 seen.add(node)
-                if node not in self.parent:
-                    raise TreeError(f"parent chain leaves the node set at {node}")
                 node = self.parent[node]
+            raise TreeError(f"parent chain leaves the node set at {node}")
 
         internal = {i for i in ids if i > n}
         leaves = set(range(1, n + 1))
@@ -242,11 +241,8 @@ class ColoredTree:
         if bad_parents:
             raise TreeError(f"leaves cannot be parents: {sorted(bad_parents)}")
 
-        n_children: dict[int, int] = {}
-        for p in self.parent.values():
-            n_children[p] = n_children.get(p, 0) + 1
         for i in internal:
-            if n_children.get(i, 0) < 2:
+            if len(self.children[i]) < 2:
                 raise TreeError(f"internal node {i} has fewer than 2 children")
 
         if not self.zeroed <= internal:
@@ -270,6 +266,7 @@ class ColoredTree:
         shared = leaf_colors & internal_colors
         if shared:
             raise TreeError(f"leaves and internal nodes share colors: {sorted(shared)}")
+        return order[1:]
 
 
 def _json_int(value, what: str) -> int:

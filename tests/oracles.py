@@ -7,9 +7,15 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from treetoric.binomials import Binomial, coord_var, monomial
+from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_name
+from treetoric.classify import ClassificationReport
 from treetoric.errors import SamplingError, SingularMatrixError
-from treetoric.graphs import ColoredGraph, connected_components
+from treetoric.graphs import (
+    ColoredGraph,
+    connected_components,
+    one_clique_separated_quadruples,
+)
+from treetoric.ideals import cherry_binomials
 from treetoric.matrices import (
     SAMPLE_DENOMINATOR_BOUND,
     SAMPLE_NUMERATOR_BOUND,
@@ -74,6 +80,66 @@ def minor_by_make(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
         monomial([coord_var(kind, i, k), coord_var(kind, j, l)]),
         monomial([coord_var(kind, i, l), coord_var(kind, j, k)]),
     )
+
+
+# -------------------------------------------------------------------- #
+# the sigma-variable construction, the reference for the p/q families    #
+# -------------------------------------------------------------------- #
+
+
+def embed(b: Binomial, kind: str) -> Binomial:
+    """sigma_ij -> x_ij, sigma_ii -> x_0i for x = p or q.
+
+    Renames every variable, re-sorts each monomial and re-orders the two
+    with ``Binomial.make``.  The renaming is injective on sigma-variables
+    over the 1-based vertices, so the binomial cannot degenerate.
+    """
+
+    def rename(m: Monomial) -> Monomial:
+        out = []
+        for v, e in m:
+            s, i, j = v
+            if s != "s":
+                raise ValueError(f"variable {var_name(v)} is not a sigma-variable")
+            out.append((coord_var(kind, 0 if i == j else i, j), e))
+        return tuple(sorted(out))
+
+    return Binomial.make(rename(b.lead), rename(b.trail))
+
+
+def sigma_block_minors(g: ColoredGraph) -> set[Binomial]:
+    """sigma_ik sigma_jl - sigma_il sigma_jk for every separated pairing."""
+    return {
+        minor_by_make("s", i, j, k, l)
+        for (i, j), (k, l) in one_clique_separated_quadruples(g)
+    }
+
+
+def sigma_completion_linears(g: ColoredGraph) -> set[Binomial]:
+    """sigma_ik - sigma_jk and sigma_ii - sigma_jj for same-colored i, j."""
+    out: set[Binomial] = set()
+    for verts in g.vertex_color_classes().values():
+        for i, j in combinations(verts, 2):
+            for k in g.vertices():
+                if k not in (i, j):
+                    out.add(Binomial.make(
+                        monomial([coord_var("s", i, k)]),
+                        monomial([coord_var("s", j, k)]),
+                    ))
+            out.add(Binomial.make(
+                monomial([coord_var("s", i, i)]),
+                monomial([coord_var("s", j, j)]),
+            ))
+    return out
+
+
+def combined_via_sigma(report: ClassificationReport) -> list[Binomial]:
+    """The generators as first built: the block minors and completion
+    linears in sigma-variables, each embedded into the report's coordinate
+    kind, united with the cherry quadrics and sorted."""
+    kind = report.coordinates
+    sigma = sigma_block_minors(report.graph) | sigma_completion_linears(report.graph)
+    return sorted(set(cherry_binomials(report.working_tree)) | {embed(b, kind) for b in sigma})
 
 
 def _distances(g: ColoredGraph) -> dict[int, dict[int, int]]:

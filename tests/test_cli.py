@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -16,10 +17,17 @@ from treetoric.cli import (
     EXIT_OK,
     main,
 )
+from treetoric.classify import (
+    NONE,
+    THM_BLOCK_UNCOLORED,
+    THM_COLORED_COMPLETE,
+    THM_MAIN,
+    classify,
+)
 from treetoric.errors import SamplingError, SingularMatrixError, TreeError
 from treetoric.trees import parse_tree
 
-from conftest import FIXTURES, TREE_FIXTURES
+from conftest import FIXTURES, TREE_FIXTURES, random_tree
 
 
 def tree_path(name: str) -> str:
@@ -530,6 +538,15 @@ GOLDEN = {
 }
 
 
+# Seeds of conftest.random_tree draws (n 8-14) and the SHA-256 over each
+# draw's seed, `generators --format json` exit code and stdout: three
+# THM_COLORED_COMPLETE trees (two with completion linears), four
+# THM_BLOCK_UNCOLORED, four THM_MAIN (block minors and completion linears)
+# and one NONE.
+GOLDEN_RANDOM_SEEDS = (0, 2, 36, 3, 54, 82, 140, 12, 41, 99, 144, 1)
+GOLDEN_RANDOM = "39dba340d675ebdfdc6560cf222412543c3bfbbadcfda15e224e457402794e9c"
+
+
 class TestGoldenArtifacts:
     @pytest.mark.parametrize("name", TREE_FIXTURES)
     def test_stdout_digests(self, capsys, name):
@@ -544,3 +561,19 @@ class TestGoldenArtifacts:
             out = capsys.readouterr().out
             got.append((code, hashlib.sha256(out.encode()).hexdigest()))
         assert got == GOLDEN[name]
+
+    def test_random_tree_generators_digest(self, capsys, tmp_path):
+        # beyond n = 4: block minors through cut vertices, with their
+        # diagonal variables, and completion linears on larger trees
+        digest = hashlib.sha256()
+        theorems = set()
+        for seed in GOLDEN_RANDOM_SEEDS:
+            t = random_tree(random.Random(seed), n_min=8, n_max=14)
+            theorems.add(classify(t).theorem)
+            path = tmp_path / f"{seed}.json"
+            path.write_text(json.dumps(t.to_dict()))
+            code = main(["generators", "--tree", str(path), "--format", "json"])
+            digest.update(f"{seed} {code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+        assert theorems == {THM_BLOCK_UNCOLORED, THM_MAIN, THM_COLORED_COMPLETE, NONE}
+        assert digest.hexdigest() == GOLDEN_RANDOM

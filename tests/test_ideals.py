@@ -1,5 +1,5 @@
 """Generator families: cherry quadrics, block minors, completion linears,
-embeddings, and the combined construction."""
+the sigma -> p/q variable rule, and the combined construction."""
 
 import random
 from itertools import combinations
@@ -7,16 +7,17 @@ from itertools import combinations
 import pytest
 
 from treetoric.binomials import Binomial, coord_var, monomial, parse_binomial
-from treetoric.classify import coordinate_kind
+from treetoric.classify import classify, coordinate_kind
 from treetoric.errors import NotApplicableError
 from treetoric.graphs import connected_components, derive_graph, is_block_graph
 from treetoric.ideals import (
+    _linear,
     _minor,
     block_minor_binomials,
     cherry_binomials,
+    combined_from_classification,
     combined_generators,
     completion_binomials,
-    embed,
     generators_json,
     generators_m2,
     generators_text,
@@ -24,8 +25,8 @@ from treetoric.ideals import (
 from treetoric.monomials import path_map
 from treetoric.trees import ColoredTree
 
-from conftest import fixture_tree, random_tree
-from oracles import minor_by_make
+from conftest import TREE_FIXTURES, fixture_tree, random_tree
+from oracles import combined_via_sigma, embed, minor_by_make
 from test_graphs import complete_graph, make_graph
 
 
@@ -34,16 +35,22 @@ def B(text: str) -> Binomial:
 
 
 class TestMinor:
-    @pytest.mark.parametrize("kind", ["p", "q", "s"])
+    @pytest.mark.parametrize("kind", ["p", "q"])
     def test_matches_monomial_construction(self, kind):
-        # every (i<j, k<l) over 0..6: shared indices (the cut vertex in both
-        # pairs), diagonal sigma variables, and (i,j) = (k,l), which gives
-        # x_ii x_jj - x_ij^2
-        pairs = list(combinations(range(7), 2))
+        # every (i<j, k<l) over the vertices 1..7: shared indices (the cut
+        # vertex in both pairs), diagonal pairs sigma_cc -> x_0c, and
+        # (i,j) = (k,l), which gives x_0i x_0j - x_ij^2
+        pairs = list(combinations(range(1, 8), 2))
         for i, j in pairs:
             for k, l in pairs:
-                assert _minor(kind, i, j, k, l) == minor_by_make(kind, i, j, k, l), (i, j, k, l)
-        assert ((coord_var(kind, 1, 2), 2),) in _minor(kind, 1, 2, 1, 2)
+                want = embed(minor_by_make("s", i, j, k, l), kind)
+                assert _minor(kind, i, j, k, l) == want, (i, j, k, l)
+        assert _minor(kind, 1, 2, 1, 2) == B(f"{kind}01*{kind}02 - {kind}12^2")
+        # four distinct indices over 0..6, as the cherry quadrics use them
+        # (root leaf 0 included): no diagonal pair, so no renaming at all
+        for i, j, k, l in combinations(range(7), 4):
+            for a, b, c, d in ((i, j, k, l), (i, k, j, l), (i, l, j, k)):
+                assert _minor(kind, a, b, c, d) == minor_by_make(kind, a, b, c, d)
 
 
 class TestCherryBinomials:
@@ -109,25 +116,29 @@ class TestCherryBinomials:
 
 class TestBlockMinors:
     def test_complete_graph_empty(self):
-        assert block_minor_binomials(complete_graph(4)) == []
+        assert block_minor_binomials(complete_graph(4), "p") == []
 
     def test_star_graph(self):
         g = make_graph(4, [(1, 2), (1, 4), (2, 4), (3, 4)])
-        got = set(block_minor_binomials(g))
-        assert got == {
-            B("s13*s24 - s14*s23"),
-            B("s44*s13 - s14*s34"),
-            B("s44*s23 - s24*s34"),
+        assert set(block_minor_binomials(g, "q")) == {
+            B("q13*q24 - q14*q23"),
+            B("q04*q13 - q14*q34"),
+            B("q04*q23 - q24*q34"),
+        }
+        assert set(block_minor_binomials(g, "p")) == {
+            embed(B("s13*s24 - s14*s23"), "p"),
+            embed(B("s44*s13 - s14*s34"), "p"),
+            embed(B("s44*s23 - s24*s34"), "p"),
         }
 
     def test_path_graph_diagonal_minor(self):
         g = make_graph(3, [(1, 3), (2, 3)])
-        assert set(block_minor_binomials(g)) == {B("s33*s12 - s13*s23")}
+        assert block_minor_binomials(g, "p") == [B("p03*p12 - p13*p23")]
+        assert block_minor_binomials(g, "q") == [embed(B("s33*s12 - s13*s23"), "q")]
 
     def test_matches_bipartition_minor_oracle(self):
-        # oracle: all 2x2 minors of every Sigma_{A u C, B u C} block
-        from itertools import combinations
-
+        # oracle: all 2x2 minors of every Sigma_{A u C, B u C} block, in
+        # sigma-variables, then embedded into the tree's coordinates
         rng = random.Random(13)
         checked = 0
         while checked < 40:
@@ -154,21 +165,25 @@ class TestBlockMinors:
                             )
                             if bino:
                                 oracle.add(bino)
-            assert set(block_minor_binomials(g)) == oracle
+            kind = coordinate_kind(t)
+            assert set(block_minor_binomials(g, kind)) == {embed(b, kind) for b in oracle}
             checked += 1
 
 
 class TestCompletionBinomials:
     def test_all_distinct_empty(self):
-        assert completion_binomials(derive_graph(fixture_tree("uncolored_binary"))) == []
+        g = derive_graph(fixture_tree("uncolored_binary"))
+        assert completion_binomials(g, "p") == []
 
     def test_one_shared_pair(self):
         g = derive_graph(fixture_tree("leafcolor_g1"))  # 1,2 share a color
-        assert set(completion_binomials(g)) == {
-            B("s13 - s23"),
-            B("s14 - s24"),
-            B("s11 - s22"),
+        sigma = {B("s13 - s23"), B("s14 - s24"), B("s11 - s22")}
+        assert set(completion_binomials(g, "p")) == {
+            B("p13 - p23"),
+            B("p14 - p24"),
+            B("p01 - p02"),
         }
+        assert set(completion_binomials(g, "q")) == {embed(b, "q") for b in sigma}
 
     def test_three_shared_vertices(self):
         g = make_graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -178,9 +193,8 @@ class TestCompletionBinomials:
             vertex_color={1: "a", 2: "a", 3: "a"},
             edge_color=g.edge_color,
         )
-        got = set(completion_binomials(g))
         # 3 off-diagonal differences + 3 diagonal relations
-        assert got == {
+        sigma = {
             B("s13 - s23"),
             B("s12 - s23"),
             B("s12 - s13"),
@@ -188,22 +202,32 @@ class TestCompletionBinomials:
             B("s11 - s33"),
             B("s22 - s33"),
         }
+        assert set(completion_binomials(g, "q")) == {
+            B("q13 - q23"),
+            B("q12 - q23"),
+            B("q12 - q13"),
+            B("q01 - q02"),
+            B("q01 - q03"),
+            B("q02 - q03"),
+        }
+        assert set(completion_binomials(g, "p")) == {embed(b, "p") for b in sigma}
 
 
 class TestEmbeddings:
+    """The rule sigma_ij -> x_ij, sigma_ii -> x_0i, applied as each
+    variable is built; checked against the old sigma literals embedded."""
+
     def test_offdiagonal(self):
-        assert embed(B("s13 - s23"), "p") == B("p13 - p23")
+        assert _linear("p", 1, 3, 2, 3) == B("p13 - p23") == embed(B("s13 - s23"), "p")
 
     def test_diagonal_reduces(self):
-        assert embed(B("s11 - s22"), "p") == B("p01 - p02")
-        assert embed(B("s11 - s22"), "q") == B("q01 - q02")
+        for kind in ("p", "q"):
+            got = _linear(kind, 1, 1, 2, 2)
+            assert got == B(f"{kind}01 - {kind}02") == embed(B("s11 - s22"), kind)
 
     def test_diagonal_minor(self):
-        assert embed(B("s44*s13 - s14*s34"), "q") == B("q04*q13 - q14*q34")
-
-    def test_rejects_non_sigma(self):
-        with pytest.raises(ValueError):
-            embed(B("p01 - p02"), "p")
+        got = _minor("q", 1, 4, 3, 4)
+        assert got == B("q04*q13 - q14*q34") == embed(B("s44*s13 - s14*s34"), "q")
 
 
 class TestCombined:
@@ -252,6 +276,23 @@ class TestCombined:
     def test_deterministic_order(self):
         t = fixture_tree("colored_star")
         assert combined_generators(t) == combined_generators(t)
+
+    def test_matches_sigma_construction_oracle(self):
+        # the p/q families, deduped and sorted once, equal the sigma
+        # families embedded one binomial at a time, as an ordered list
+        rng = random.Random(2718)
+        trees = [fixture_tree(name) for name in TREE_FIXTURES]
+        trees += [random_tree(rng, n_max=14) for _ in range(300)]
+        applicable = 0
+        for t in trees:
+            report = classify(t)
+            if not report.applicable:
+                continue
+            applicable += 1
+            gens, kind = combined_from_classification(report)
+            assert kind == report.coordinates
+            assert gens == combined_via_sigma(report), t.to_dict()
+        assert applicable >= 100
 
 
 class TestExports:

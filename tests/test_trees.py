@@ -199,6 +199,31 @@ COLORED_STAR_LCA = {
 }
 
 
+def depth_oracle(t: ColoredTree, i: int) -> int:
+    """Edges from i up to the root 0."""
+    return len(ancestors(t, i)) - 1
+
+
+def height_oracle(t: ColoredTree, i: int) -> int:
+    """Edges down to the nearest non-root leaf, by BFS over the children."""
+    frontier, h = [i], 0
+    while not any(1 <= v <= t.n_leaves for v in frontier):
+        frontier = [c for v in frontier for c in t.children[v]]
+        h += 1
+    return h
+
+
+def caterpillar(n: int) -> ColoredTree:
+    """Leaves 1..n on a spine: internal node n+1 holds 1 and 2, and each
+    next spine node holds one more leaf and the previous spine node."""
+    parent = {1: n + 1, 2: n + 1}
+    for k in range(3, n + 1):
+        parent[k] = n + k - 1
+        parent[n + k - 2] = n + k - 1
+    parent[2 * n - 1] = 0
+    return ColoredTree(n, parent, {i: f"c{i}" for i in parent})
+
+
 class TestLca:
     def test_colored_star_cherry(self, colored_star):
         assert colored_star.lca(1, 2) == 5
@@ -280,6 +305,18 @@ class TestMetrics:
             assert colored_star.height(i) == 1 + min(
                 colored_star.height(c) for c in colored_star.children[i]
             )
+
+    def test_depth_and_height_match_naive_oracle(self):
+        rng = random.Random(41)
+        trees = [random_tree(rng, n_max=12) for _ in range(60)] + [caterpillar(300)]
+        for t in trees:
+            assert t.depth(0) == 0
+            for i in t.nodes():
+                assert t.depth(i) == depth_oracle(t, i), i
+                assert t.height(i) == height_oracle(t, i), i
+        spine = caterpillar(300)
+        assert spine.depth(1) == spine.depth(2) == 300  # below 299 spine nodes
+        assert spine.height(599) == 1
 
     def test_descendants(self, uncolored_binary):
         desc = uncolored_binary.descendants(7)
