@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from conftest import random_tree  # noqa: E402
+from random_trees import random_tree  # noqa: E402
 
 from treetoric.errors import NotApplicableError  # noqa: E402
 from treetoric.pipeline import verify_tree  # noqa: E402

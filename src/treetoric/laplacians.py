@@ -105,7 +105,7 @@ def gamma_laplacian(g: ColoredGraph) -> list[list[LinForm]]:
 
 
 def _dot(form: LinForm, values: Mapping[tuple[int, int], Fraction]) -> Fraction:
-    # Integer values give an integer: the checks feed integer-scaled points.
+    # Integer values give an integer: the checks feed integer points.
     acc = 0
     for key, coeff in form.items():
         # Almost every coefficient is +-1: add or subtract, no product.

@@ -8,12 +8,13 @@ that of its derived graph, which keys entry (i,j) by the color of lca(i,j)
 and gives zeroed lcas structural zeros.
 
 All numeric work happens on :class:`SymMatrix`, a symmetric matrix of exact
-rationals (or of integers, for integer-scaled points).  Sampling and
-inversion are exact; there is no floating point and hence no tolerance
-anywhere.  A sample comes with the adjugate of its integer-scaled copy, so
-one fraction-free elimination both certifies it invertible and gives its
-inverse up to a known scalar.  Closure of a pattern's space under the Jordan
-product is decided symbolically, from the pattern alone.
+rationals (or of integers, for sampled matrices and their adjugates).
+Sampling and inversion are exact; there is no floating point and hence no
+tolerance anywhere.  A sample has integer entries and comes with its
+determinant and adjugate, so one fraction-free elimination both certifies
+it invertible and gives its inverse as adj / det.  Closure of a pattern's
+space under the Jordan product is decided symbolically, from the pattern
+alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -30,8 +30,7 @@ from .errors import SamplingError, SingularMatrixError
 from .graphs import ColoredGraph, derive_graph, edge
 from .trees import ColoredTree
 
-SAMPLE_NUMERATOR_BOUND = 10**6
-SAMPLE_DENOMINATOR_BOUND = 10**3
+SAMPLE_BOUND = 10**6
 SAMPLE_RETRIES = 64
 
 
@@ -77,8 +76,8 @@ class SymMatrix:
     """Immutable symmetric matrix with exact entries.
 
     :meth:`from_rows` stores ``Fraction`` entries; the constructor keeps the
-    entries it is given, so integer matrices (adjugates, integer-scaled
-    points) stay integer.
+    entries it is given, so integer matrices (adjugates, integer points)
+    stay integer.
     """
 
     __slots__ = ("entries",)
@@ -140,30 +139,28 @@ def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
 
 
 class ProjectiveSample(NamedTuple):
-    """An invertible K that :func:`sample_projective` draws from a pattern,
-    with its inverse up to a scalar.
+    """An invertible integer K that :func:`sample_projective` draws from a
+    pattern, with its determinant and adjugate.
 
-    K_int = scale * K has integer entries, and K^{-1} = scale * adjugate / det
-    with ``det`` and ``adjugate`` those of K_int.  Pattern membership and the
-    vanishing of homogeneous polynomials ignore nonzero scalars, so checks
-    can run on the integer ``adjugate`` alone.
+    K^{-1} = adjugate / det.  Pattern membership and the vanishing of
+    homogeneous polynomials ignore nonzero scalars, so checks can run on the
+    integer ``adjugate`` alone.
     """
 
-    values: dict[str, Fraction]  # token -> sampled entry of K
-    scale: int
+    values: dict[str, int]  # token -> sampled entry of K
     det: int
     adjugate: SymMatrix
 
 
 def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
-    """Deterministic invertible sample from the pattern, with the adjugate of
-    K_int.
+    """Deterministic invertible integer sample from the pattern, with its
+    determinant and adjugate.
 
-    Each color token independently gets a rational with numerator uniform in
-    [-10^6, 10^6] and denominator uniform in [1, 10^3]; resampled until the
-    exact determinant is nonzero.  Positive definiteness is not required.
-    Each try runs one fraction-free Gauss-Jordan pass on K_int, which both
-    decides invertibility and yields the adjugate.
+    Each color token independently gets an integer uniform in
+    [-10^6, 10^6]; resampled until the exact determinant is nonzero.
+    Positive definiteness is not required.  Each try runs one fraction-free
+    Gauss-Jordan pass on K, which both decides invertibility and yields the
+    adjugate.
 
     Raises
     ------
@@ -173,19 +170,10 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
     rng = random.Random(seed)
     tokens = pattern.tokens()
     for _ in range(SAMPLE_RETRIES):
-        values = {
-            tok: Fraction(
-                rng.randint(-SAMPLE_NUMERATOR_BOUND, SAMPLE_NUMERATOR_BOUND),
-                rng.randint(1, SAMPLE_DENOMINATOR_BOUND),
-            )
-            for tok in tokens
-        }
-        scale = lcm(*(v.denominator for v in values.values()))
-        det, adj = linalg.det_adjugate(pattern.rows(
-            {tok: v.numerator * (scale // v.denominator) for tok, v in values.items()}
-        ))
+        values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
+        det, adj = linalg.det_adjugate(pattern.rows(values))
         if det:
-            return ProjectiveSample(values, scale, det, SymMatrix(adj))
+            return ProjectiveSample(values, det, SymMatrix(adj))
     raise SamplingError(
         f"no invertible matrix in the pattern after {SAMPLE_RETRIES} tries"
     )

@@ -15,12 +15,14 @@ three exact checks:
 
 plus a rank check of the exponent matrix against the number of occurring
 parameters.  All arithmetic is exact, so a pass is an identity, not an
-approximation.  The two sampling checks run on integers: a point is scaled
-by a nonzero scalar to clear its denominators, and matrices are inverted up
-to a scalar as adjugates, from one fraction-free Gauss-Jordan pass.  Neither
-scalar can change the outcome, since pattern membership and the vanishing
-of a homogeneous binomial are invariant under nonzero scaling; a failing
-binomial's value is scaled back to the exact rational value at K^{-1}.
+approximation.  The two sampling checks run on integers: both draw
+integer points (matrix entries and positive path-map parameters), and
+matrices are inverted up to the scalar det as adjugates, from one
+fraction-free Gauss-Jordan pass.  That scalar cannot change the outcome,
+since pattern membership and the vanishing of a homogeneous binomial are
+invariant under nonzero scaling; a failing binomial's value is scaled back
+to the exact rational value at K^{-1}.  Each trial is a Schwartz-Zippel
+identity test, as sound with integer draws as with rational ones.
 Trials derive per-trial seeds from the master seed and are independent;
 reports are reproducible byte-for-byte.
 """
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import lcm
 import random
 
 from . import linalg
@@ -49,6 +50,7 @@ from .monomials import MonomialMap, exponent_rank, path_map
 from .trees import ColoredTree
 
 _SEED_STRIDE = 1_000_003
+ROUNDTRIP_BOUND = 10**4
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -120,11 +122,11 @@ def forward_vanishing(
 ) -> dict:
     """Sample K in the pattern, invert, map, and demand exact zeros.
 
-    A homogeneous binomial of degree d is evaluated at the integer point
-    x_int of adj(K_int), where K_int = s K: the point of K^{-1} is
-    (s / det K_int) x_int, so the value there is (s / det K_int)^d b(x_int)
-    and vanishes exactly when b(x_int) does.  Any other binomial (the
-    package emits none) is evaluated at the exact rational point of K^{-1}.
+    K has integer entries.  A homogeneous binomial of degree d is evaluated
+    at the integer point x_int of adj(K): the point of K^{-1} is
+    x_int / det K, so the value there is b(x_int) / (det K)^d and vanishes
+    exactly when b(x_int) does.  Any other binomial (the package emits
+    none) is evaluated at the exact rational point of K^{-1}.
     """
     _require_trials(trials)
     gens = ctx.generators if generators is None else generators
@@ -138,7 +140,7 @@ def forward_vanishing(
             if is_homogeneous:
                 value = b.evaluate(point)
                 if value:
-                    value *= Fraction(sample.scale, sample.det) ** b.degree()
+                    value *= Fraction(1, sample.det) ** b.degree()
             else:
                 if exact_point is None:
                     k_exact = ctx.pattern.instantiate(sample.values)
@@ -158,11 +160,9 @@ def forward_vanishing(
 def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) -> dict:
     """Push random positive parameters through the map and pull back.
 
-    Parameters theta = a / b are drawn as rationals; the path-map point is
-    scaled by the lcm L of its denominators to the integer point
-    L x = L * N(a) / N(b), with N the path map on integers.  Its pull-back
-    L sigma is an integer matrix, invertible exactly when sigma is, and
-    adj(L sigma) is a nonzero multiple of sigma^{-1}, so it lies in the
+    Parameters theta are drawn as integers in [1, 10^4], so the path-map
+    point and its pull-back sigma are integer.  When det(sigma) != 0,
+    adj(sigma) is a nonzero multiple of sigma^{-1}, so it lies in the
     pattern exactly when sigma^{-1} does.  Singular pull-backs are
     legitimate boundary points of the closure and are counted as skips,
     never failures.
@@ -172,15 +172,9 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
     skipped = 0
     for k in range(trials):
         rng = random.Random(_trial_seed(seed, k))
-        theta = {
-            tok: Fraction(rng.randint(1, 100), rng.randint(1, 40))
-            for tok in ctx.mmap.params
-        }
-        num = ctx.mmap.evaluate({tok: t.numerator for tok, t in theta.items()})
-        den = ctx.mmap.evaluate({tok: t.denominator for tok, t in theta.items()})
-        scale = lcm(*den.values())
-        point = {v: num[v] * (scale // den[v]) for v in num}
-        det, adj = linalg.det_adjugate(ctx.cmap.unapply(point).entries)
+        theta = {tok: rng.randint(1, ROUNDTRIP_BOUND) for tok in ctx.mmap.params}
+        sigma = ctx.cmap.unapply(ctx.mmap.evaluate(theta))
+        det, adj = linalg.det_adjugate(sigma.entries)
         if not det:
             skipped += 1
             continue

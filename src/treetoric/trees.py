@@ -235,8 +235,6 @@ class ColoredTree:
 
         internal = {i for i in ids if i > n}
         leaves = set(range(1, n + 1))
-        if ids != internal | leaves:
-            raise TreeError("internal node ids must exceed n_leaves")
         bad_parents = set(self.parent.values()) & leaves
         if bad_parents:
             raise TreeError(f"leaves cannot be parents: {sorted(bad_parents)}")

@@ -17,14 +17,13 @@ from treetoric.graphs import (
 )
 from treetoric.ideals import cherry_binomials
 from treetoric.matrices import (
-    SAMPLE_DENOMINATOR_BOUND,
-    SAMPLE_NUMERATOR_BOUND,
+    SAMPLE_BOUND,
     SAMPLE_RETRIES,
     MatrixPattern,
     SymMatrix,
     pattern_contains,
 )
-from treetoric.pipeline import VerificationContext, _trial_seed
+from treetoric.pipeline import ROUNDTRIP_BOUND, VerificationContext, _trial_seed
 from treetoric.trees import ColoredTree
 
 
@@ -268,13 +267,7 @@ def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
     rng = random.Random(seed)
     tokens = pattern.tokens()
     for _ in range(SAMPLE_RETRIES):
-        values = {
-            tok: Fraction(
-                rng.randint(-SAMPLE_NUMERATOR_BOUND, SAMPLE_NUMERATOR_BOUND),
-                rng.randint(1, SAMPLE_DENOMINATOR_BOUND),
-            )
-            for tok in tokens
-        }
+        values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
         m = pattern.instantiate(values)
         if fraction_inverse(m.entries) is not None:
             return m
@@ -311,8 +304,7 @@ def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dic
     for k in range(trials):
         rng = random.Random(_trial_seed(seed, k))
         theta = {
-            tok: Fraction(rng.randint(1, 100), rng.randint(1, 40))
-            for tok in ctx.mmap.params
+            tok: Fraction(rng.randint(1, ROUNDTRIP_BOUND)) for tok in ctx.mmap.params
         }
         sigma = ctx.cmap.unapply(ctx.mmap.evaluate(theta))
         inverse = fraction_inverse(sigma.entries)

@@ -538,7 +538,7 @@ GOLDEN = {
 }
 
 
-# Seeds of conftest.random_tree draws (n 8-14) and the SHA-256 over each
+# Seeds of random_trees.random_tree draws (n 8-14) and the SHA-256 over each
 # draw's seed, `generators --format json` exit code and stdout: three
 # THM_COLORED_COMPLETE trees (two with completion linears), four
 # THM_BLOCK_UNCOLORED, four THM_MAIN (block minors and completion linears)

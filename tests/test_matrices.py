@@ -13,6 +13,7 @@ from treetoric.classify import classify
 from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import completion, derive_graph
 from treetoric.matrices import (
+    SAMPLE_BOUND,
     MatrixPattern,
     SymMatrix,
     invert_exact,
@@ -122,7 +123,7 @@ class TestSampling:
 
     def test_same_points_as_reference_sampler(self):
         # the integer retry loop draws exactly the Fraction sampler's points,
-        # and sample_projective's adjugate is the inverse up to det / scale
+        # and sample_projective's adjugate is the inverse up to det
         rng = random.Random(13)
         for trial in range(60):
             t = random_tree(rng)
@@ -130,10 +131,30 @@ class TestSampling:
                 m = sample_point_reference(pat, seed=trial)
                 sample = sample_projective(pat, seed=trial)
                 assert pat.instantiate(sample.values) == m
-                c = Fraction(sample.scale, sample.det)
+                c = Fraction(1, sample.det)
                 assert fraction_inverse(m.entries) == [
                     [c * a for a in row] for row in sample.adjugate.entries
                 ]
+
+    def test_integer_draws_within_hadamard_bound(self):
+        # K is drawn with integer entries, so det K obeys Hadamard's bound
+        # det(K)^2 <= prod_i sum_j K_ij^2 on K itself; a rational draw cleared
+        # to integers by a common denominator would not
+        rng = random.Random(41)
+        trees = [random_tree(rng) for _ in range(40)]
+        trees.append(random_tree(rng, 20, 20, "distinct", "distinct", "chain"))
+        for idx, t in enumerate(trees):
+            pat = pattern_from_tree(t)
+            sample = sample_projective(pat, seed=idx)
+            assert all(
+                type(v) is int and -SAMPLE_BOUND <= v <= SAMPLE_BOUND
+                for v in sample.values.values()
+            ), t.to_dict()
+            bound = 1
+            for row in pat.rows(sample.values):
+                bound *= sum(x * x for x in row)
+            assert sample.det**2 <= bound, t.to_dict()
+        assert trees[-1].n_leaves == 20 and trees[-1].zeroed
 
     def test_forced_singular_pattern(self):
         # every entry in one shared class: rank-1 matrices only

@@ -1,4 +1,5 @@
-"""Smoke tests: both scripts run end to end on small settings."""
+"""Smoke tests: both scripts run end to end on small settings, without
+the test framework."""
 
 import os
 import subprocess
@@ -8,6 +9,11 @@ from pathlib import Path
 from conftest import TREE_FIXTURES
 
 REPO = Path(__file__).resolve().parent.parent
+# Runs the script named by argv[1] with pytest unimportable.
+WITHOUT_PYTEST = (
+    "import runpy, sys; sys.modules['pytest'] = None; "
+    "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')"
+)
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -16,7 +22,7 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name), *args],
+        [sys.executable, "-c", WITHOUT_PYTEST, str(REPO / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
