@@ -168,19 +168,22 @@ def classify(t: ColoredTree) -> ClassificationReport:
 
     Coordinates (:func:`coordinate_kind`): reduced Laplacian (p) when no
     node is zeroed, G-derived Laplacian (q) otherwise.  Adjacent internal
-    color merges are contracted before classification.
+    color merges are contracted before classification, by one walk over
+    the color classes that also detects a non-adjacent merge.  The
+    connectivity, block and star predicates all read the derived graph's
+    one stored block decomposition.
     """
     warnings: list[str] = []
     reasons: list[str] = []
     working: ColoredTree | None = None
 
-    if has_non_adjacent_internal_merge(t):
+    try:
+        working = contract_internal_colors(t)
+    except TreeError:
         warnings.append(WARN_NON_ADJACENT_MERGE)
         reasons.append(
             "non-adjacent internal nodes share a color: conjecturally non-toric"
         )
-    else:
-        working = contract_internal_colors(t)
 
     ref = working if working is not None else t
     g = derive_graph(ref)
@@ -188,9 +191,7 @@ def classify(t: ColoredTree) -> ClassificationReport:
     complete = g.is_complete()
     vertex_regular = is_vertex_regular(g)
     block = is_block_graph(g)
-    star = None
-    if connected and block:
-        star = star_decomposition(g)
+    star = star_decomposition(g) if connected and block else None
     star_center, star_cliques = (star if star else (None, None))
     if complete and ref.center_leaf() is not None:
         star_center = ref.center_leaf()

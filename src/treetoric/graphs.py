@@ -10,6 +10,7 @@ applies downstream.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 from .errors import GraphError
@@ -22,7 +23,11 @@ def edge(i: int, j: int) -> tuple[int, int]:
 
 
 class ColoredGraph:
-    """Simple graph on vertices 1..n with vertex and edge color classes."""
+    """Simple graph on vertices 1..n with vertex and edge color classes.
+
+    A graph is never changed after construction, so it stores what is
+    derived from it: its adjacency, and on first use its block structure.
+    """
 
     def __init__(self, n, edges, vertex_color, edge_color):
         self.n = int(n)
@@ -82,6 +87,14 @@ class ColoredGraph:
 
     def __repr__(self) -> str:
         return f"ColoredGraph(n={self.n}, edges={sorted(self.edges)})"
+
+    @cached_property
+    def _blocks(self) -> tuple[list[set[int]], bool]:
+        """Biconnected components, and whether every one is a clique."""
+        blocks = biconnected_components(self)
+        return blocks, all(
+            edge(u, v) in self.edges for b in blocks for u, v in combinations(b, 2)
+        )
 
     def _validate(self) -> None:
         verts = set(self.vertices())
@@ -157,7 +170,13 @@ def connected_components(g: ColoredGraph, removed: int | None = None) -> list[se
 
 
 def is_connected(g: ColoredGraph) -> bool:
-    return len(connected_components(g)) <= 1
+    """True when g has at most one component, read off its blocks.
+
+    Spanning trees of the blocks make up a spanning forest of g, which has
+    n - (number of components) edges: g is connected iff they add to
+    max(n - 1, 0).
+    """
+    return sum(len(b) - 1 for b in g._blocks[0]) == max(g.n - 1, 0)
 
 
 def biconnected_components(g: ColoredGraph) -> list[set[int]]:
@@ -207,15 +226,18 @@ def biconnected_components(g: ColoredGraph) -> list[set[int]]:
     return comps
 
 
-def _all_cliques(g: ColoredGraph, comps: list[set[int]]) -> bool:
-    return all(
-        edge(u, v) in g.edges for comp in comps for u, v in combinations(sorted(comp), 2)
-    )
-
-
 def is_block_graph(g: ColoredGraph) -> bool:
     """Every biconnected component is a clique (per connected component)."""
-    return _all_cliques(g, biconnected_components(g))
+    return g._blocks[1]
+
+
+def _require_connected_block_graph(g: ColoredGraph, analysis: str) -> list[set[int]]:
+    """The blocks of g; raises unless g is a connected block graph."""
+    if not is_connected(g):
+        raise GraphError(f"{analysis} needs a connected graph")
+    if not is_block_graph(g):
+        raise GraphError("not a block graph")
+    return g._blocks[0]
 
 
 def star_decomposition(
@@ -225,21 +247,20 @@ def star_decomposition(
 
     A star graph is a union of cliques pairwise intersecting in one common
     vertex.  Returns ``None`` when the block graph is not a star.  On a
-    complete graph any vertex qualifies; the smallest id is returned.
+    complete graph any vertex qualifies; the smallest id is returned.  On
+    the derived graph of a zeroed tree, which is never complete, the center
+    is the tree's center leaf (:meth:`trees.ColoredTree.center_leaf`).
+    The cliques are the graph's stored blocks.
 
     Raises
     ------
     GraphError
         If the graph is disconnected or not a block graph.
     """
-    if not is_connected(g):
-        raise GraphError("star decomposition needs a connected graph")
-    comps = biconnected_components(g)
-    if not _all_cliques(g, comps):
-        raise GraphError("not a block graph")
+    blocks = _require_connected_block_graph(g, "star decomposition")
     if g.n == 1:
         return 1, [(1,)]
-    cliques = sorted(tuple(sorted(c)) for c in comps)
+    cliques = sorted(tuple(sorted(c)) for c in blocks)
     common = set(cliques[0])
     for c in cliques[1:]:
         common &= set(c)
@@ -258,23 +279,18 @@ def one_clique_separated_quadruples(
     occur in either pair.  These index the 2x2 minors generating the block
     graph's vanishing ideal.
 
-    One biconnected pass finds the blocks, and with them connectivity, the
-    block test and the cut vertices.  For each cut vertex c, the vertex
-    pairs are grouped by the components of g - c they meet, and every two
-    groups meeting disjoint components contribute their whole product.
+    The graph's stored blocks give connectivity, the block test and the
+    cut vertices (the vertices in two or more blocks).  For each cut vertex
+    c, the vertex pairs are grouped by the components of g - c they meet,
+    and every two groups meeting disjoint components contribute their whole
+    product.
 
     Raises
     ------
     GraphError
         If the graph is disconnected or not a block graph.
     """
-    blocks = biconnected_components(g)
-    # spanning trees of the blocks make up a spanning forest of g, which has
-    # n - (number of components) edges: g is connected iff they add to n - 1
-    if sum(len(b) - 1 for b in blocks) != max(g.n - 1, 0):
-        raise GraphError("separation analysis needs a connected graph")
-    if not _all_cliques(g, blocks):
-        raise GraphError("not a block graph")
+    blocks = _require_connected_block_graph(g, "separation analysis")
     in_blocks = Counter(v for b in blocks for v in b)
     result: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     for c in g.vertices():
@@ -300,6 +316,9 @@ def completion(g: ColoredGraph) -> ColoredGraph:
     Edge classes are the finest partition of all pairs closed under
     "same-colored vertices i,j force {i,k} ~ {j,k} for every k", computed by
     union-find over the rule instances; untouched pairs stay singletons.
+    Each class is named after its least pair (i,j) as ``E{i}_{j}``, with
+    the prefix lengthened to ``EE``, ``EEE``, ... until no vertex token
+    starts with it, so edge and vertex tokens never meet.
     """
     verts = g.vertices()
     all_pairs = [edge(i, j) for i, j in combinations(verts, 2)]
@@ -322,7 +341,10 @@ def completion(g: ColoredGraph) -> ColoredGraph:
                 if k not in (i, j):
                     union(edge(i, k), edge(j, k))
 
-    edge_color = {e: f"E{find(e)[0]}_{find(e)[1]}" for e in all_pairs}
+    prefix = "E"
+    while any(c.startswith(prefix) for c in g.vertex_color.values()):
+        prefix += "E"
+    edge_color = {e: f"{prefix}{find(e)[0]}_{find(e)[1]}" for e in all_pairs}
     return ColoredGraph(
         n=g.n,
         edges=all_pairs,

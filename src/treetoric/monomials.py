@@ -115,7 +115,8 @@ def path_map(t: ColoredTree, g: ColoredGraph) -> MonomialMap:
     p-variables, or q-variables with the squared-center override when
     zeroed nodes are present.  ``g`` is the tree's derived graph
     (:func:`graphs.derive_graph`, or the ``graph`` of its classification
-    report); only zeroed trees read it.
+    report); only zeroed trees read it, and the squared center leaf is the
+    center of its star decomposition.
 
     Raises
     ------
@@ -131,9 +132,10 @@ def path_map(t: ColoredTree, g: ColoredGraph) -> MonomialMap:
 
     center = None
     if t.zeroed:
-        if star_decomposition(g) is None or t.center_leaf() is None:
+        star = star_decomposition(g)
+        if star is None:
             raise GraphError("derived graph is not a star; no center coordinate")
-        center = t.center_leaf()
+        center = star[0]
 
     rows = []
     for i, j in pq_index_pairs(n):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from treetoric import graphs
 from treetoric.trees import ColoredTree, load_tree
 
 from random_trees import random_tree  # noqa: F401  (re-exported for the tests)
@@ -46,3 +47,17 @@ def uncolored_binary():
 @pytest.fixture
 def path_star():
     return fixture_tree("path_star")
+
+
+@pytest.fixture
+def block_passes(monkeypatch):
+    """Graphs passed to ``graphs.biconnected_components``, one per call."""
+    calls = []
+    original = graphs.biconnected_components
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "biconnected_components", counted)
+    return calls

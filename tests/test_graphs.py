@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treetoric import graphs
+from treetoric.classify import contract_internal_colors, has_non_adjacent_internal_merge
 from treetoric.errors import GraphError
 from treetoric.graphs import (
     ColoredGraph,
@@ -21,6 +23,7 @@ from treetoric.graphs import (
     one_clique_separated_quadruples,
     star_decomposition,
 )
+from treetoric.trees import parse_tree
 
 from conftest import fixture_tree, random_tree
 from oracles import four_point_check, vertex_regular_via_parents
@@ -126,6 +129,29 @@ class TestDeriveGraph:
             assert is_connected(derive_graph(random_tree(rng)))
 
 
+class TestConnected:
+    def test_agrees_with_components(self):
+        rng = random.Random(10)
+        cases = [make_graph(n, []) for n in range(1, 11)]  # edgeless
+        # vertex 1 isolated next to a clique on the rest
+        cases += [make_graph(n, combinations(range(2, n + 1), 2)) for n in range(2, 11)]
+        for _ in range(300):
+            n, density = rng.randint(1, 10), rng.random()
+            pairs = combinations(range(1, n + 1), 2)
+            cases.append(make_graph(n, [e for e in pairs if rng.random() < density]))
+        for g in cases:
+            assert is_connected(g) == (len(connected_components(g)) == 1), g
+
+    def test_reads_blocks_not_components(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("is_connected ran a component search")
+
+        monkeypatch.setattr(graphs, "connected_components", forbidden)
+        assert is_connected(make_graph(1, []))
+        assert is_connected(make_graph(3, [(1, 3), (2, 3)]))
+        assert not is_connected(make_graph(3, [(1, 2)]))
+
+
 class TestVertexRegular:
     def test_g1_regular(self):
         assert is_vertex_regular(derive_graph(fixture_tree("leafcolor_g1")))
@@ -220,6 +246,28 @@ class TestStarDecomposition:
                 hits += 1
         assert hits >= 30  # the sweep actually exercised the case
 
+    def test_center_is_center_leaf_of_zeroed_trees(self):
+        # the star center is the leaf right under the top node, on raw and
+        # on contracted trees alike
+        rng = random.Random(2026)
+        hits = {"raw": 0, "contracted": 0}
+        for _ in range(400):
+            t = random_tree(rng, zero_mode=rng.choice(["chain", "random"]))
+            if not t.zeroed:
+                continue
+            trees = {"raw": t}
+            if not has_non_adjacent_internal_merge(t):
+                trees["contracted"] = contract_internal_colors(t)
+            for kind, tree in trees.items():
+                g = derive_graph(tree)
+                if not (is_connected(g) and is_block_graph(g)):
+                    continue
+                star = star_decomposition(g)
+                if star is not None:
+                    assert star[0] == tree.center_leaf(), tree.to_dict()
+                    hits[kind] += 1
+        assert min(hits.values()) >= 30, hits
+
 
 class TestCompletion:
     def test_merges_rule_instances(self):
@@ -244,6 +292,24 @@ class TestCompletion:
         )
         comp = completion(g)
         assert len(set(comp.edge_color.values())) == 1
+
+    def test_edge_tokens_avoid_vertex_tokens(self):
+        # leaf colors of the edge-token form E{i}_{j}, EE{i}_{j}, ...
+        def classes(comp):
+            out = {}
+            for e, c in comp.edge_color.items():
+                out.setdefault(c, set()).add(e)
+            return set(map(frozenset, out.values()))
+
+        doc = (
+            '{"n_leaves":3,"parents":{"1":4,"2":4,"3":5,"4":5,"5":0},'
+            '"colors":{"1":"%s","2":"%s","3":"c","4":"x","5":"y"}}'
+        )
+        plain = completion(derive_graph(parse_tree(doc % ("a", "b"))))
+        for first, second in [("E1_3", "b"), ("E1_2", "EE1_3"), ("E", "b")]:
+            comp = completion(derive_graph(parse_tree(doc % (first, second))))
+            assert not set(comp.edge_color.values()) & set(comp.vertex_color.values())
+            assert classes(comp) == classes(plain)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))

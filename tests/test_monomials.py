@@ -52,6 +52,16 @@ class TestPathMap:
         with pytest.raises(GraphError):
             tree_map(fixture_tree("zeroed_block_g3"))
 
+    def test_center_from_star_decomposition(self, monkeypatch):
+        t = fixture_tree("colored_star")
+        g = derive_graph(t)
+
+        def forbidden(self):
+            raise AssertionError("path_map asked the tree for its center leaf")
+
+        monkeypatch.setattr(ColoredTree, "center_leaf", forbidden)
+        assert images(path_map(t, g), 0, 4) == {"green": 2}
+
     def test_zeroed_nodes_have_no_parameter(self):
         mm = tree_map(fixture_tree("colored_star"))
         assert set(mm.params) == {"blue", "cyan", "green", "red", "yellow"}

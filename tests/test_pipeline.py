@@ -218,6 +218,25 @@ class TestVerifyTree:
             verify_tree(fixture_tree("colored_star"), trials=0, seed=0)
 
 
+class TestDerivedFactsOnce:
+    def test_one_block_pass_per_context(self, block_passes):
+        # classification, block minors and the path map share the derived
+        # graph's one block decomposition
+        rng = random.Random(41)
+        built = 0
+        for _ in range(60):
+            t = random_tree(rng, n_min=4, zero_mode="chain")
+            block_passes.clear()
+            try:
+                ctx = build_context(t)
+            except NotApplicableError:
+                continue
+            assert t.zeroed, t.to_dict()
+            assert block_passes == [ctx.report.graph], t.to_dict()
+            built += 1
+        assert built >= 20
+
+
 class TestIntegerChecksMatchReference:
     """The integer-projective checks report exactly what the Fraction
     checks report, failing binomials and their values included."""
