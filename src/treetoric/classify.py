@@ -63,13 +63,6 @@ def _merged_class_is_adjacent(t: ColoredTree, members: list[int]) -> bool:
     return seen == members_set
 
 
-def has_non_adjacent_internal_merge(t: ColoredTree) -> bool:
-    return any(
-        not _merged_class_is_adjacent(t, members)
-        for members in t.internal_color_classes().values()
-    )
-
-
 def contract_internal_colors(t: ColoredTree) -> ColoredTree:
     """Quotient tree with one internal node per internal color class.
 
@@ -172,6 +165,24 @@ def classify(t: ColoredTree) -> ClassificationReport:
     the color classes that also detects a non-adjacent merge.  The
     connectivity, block and star predicates all read the derived graph's
     one stored block decomposition.
+
+    Every derived graph G is connected, and when the tree has a zeroed node
+    G is a block graph only if it is a star centred at the tree's center
+    leaf, so no tree is rejected as disconnected or as a non-star block
+    graph.  Block graphs are exactly the chordal graphs without an induced
+    diamond (K4 minus an edge) (Bandelt-Mulder, JCTB 1986).  Proof:
+
+    1. The top node is never zeroed and, unless it is the only leaf
+       (n = 1), has at least two children, so leaves under different
+       children of the top are adjacent.  Therefore G is connected.
+    2. A zeroed node makes two leaves a, a' under one child of the top
+       non-adjacent.  Any two leaves b, b' under other children of the top
+       are adjacent to both, so {a, b, a', b'} induces a C4 or a diamond.
+       Therefore the top of a zeroed tree with block G has exactly two
+       children, one of them a leaf c.
+    3. c is adjacent to every other vertex, so an induced path u-v-w in
+       G - c would form a diamond with c.  Therefore G - c is a disjoint
+       union of cliques, and G is a star centred at c.
     """
     warnings: list[str] = []
     reasons: list[str] = []
@@ -191,7 +202,7 @@ def classify(t: ColoredTree) -> ClassificationReport:
     complete = g.is_complete()
     vertex_regular = is_vertex_regular(g)
     block = is_block_graph(g)
-    star = star_decomposition(g) if connected and block else None
+    star = star_decomposition(g) if block else None
     star_center, star_cliques = (star if star else (None, None))
     if complete and ref.center_leaf() is not None:
         star_center = ref.center_leaf()
@@ -208,21 +219,14 @@ def classify(t: ColoredTree) -> ClassificationReport:
                 "complete derived graph is not vertex-regular: "
                 "conjecturally non-toric"
             )
+    elif not block:
+        reasons.append("derived graph is not a block graph")
+    elif len(set(working.leaf_colors().values())) == t.n_leaves:
+        theorem = THM_BLOCK_UNCOLORED
+    elif vertex_regular:
+        theorem = THM_MAIN
     else:
-        if not connected:
-            reasons.append("derived graph is disconnected")
-        elif not block:
-            reasons.append("derived graph is not a block graph")
-        elif star is None:
-            reasons.append("block derived graph is not a star graph")
-        else:
-            distinct_leaves = len(set(working.leaf_colors().values())) == t.n_leaves
-            if distinct_leaves:
-                theorem = THM_BLOCK_UNCOLORED
-            elif vertex_regular:
-                theorem = THM_MAIN
-            else:
-                reasons.append("block derived graph is not vertex-regular")
+        reasons.append("block derived graph is not vertex-regular")
 
     return ClassificationReport(
         theorem=theorem,

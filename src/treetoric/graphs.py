@@ -25,21 +25,31 @@ def edge(i: int, j: int) -> tuple[int, int]:
 class ColoredGraph:
     """Simple graph on vertices 1..n with vertex and edge color classes.
 
+    ``edge_color`` is the graph's one edge store: it maps each edge, given
+    as a pair (i, j) with 1 <= i < j <= n, to its color token, and ``edges``
+    is its key set.  The constructor copies both color maps and validates
+    them without rewriting any key, so a reversed pair is rejected rather
+    than swapped.
+
     A graph is never changed after construction, so it stores what is
     derived from it: its adjacency, and on first use its block structure.
     """
 
-    def __init__(self, n, edges, vertex_color, edge_color):
-        self.n = int(n)
-        self.edges = frozenset(edge(*e) for e in edges)
-        self.vertex_color = {int(v): str(c) for v, c in vertex_color.items()}
-        self.edge_color = {edge(*e): str(c) for e, c in edge_color.items()}
+    def __init__(self, n, vertex_color, edge_color):
+        self.n = n
+        self.vertex_color = dict(vertex_color)
+        self.edge_color = dict(edge_color)
         self._validate()
         adj: dict[int, list[int]] = {v: [] for v in self.vertices()}
         for i, j in sorted(self.edges):  # lists each vertex's neighbors in order
             adj[i].append(j)
             adj[j].append(i)
         self._adj = {v: tuple(us) for v, us in adj.items()}
+
+    @property
+    def edges(self):
+        """The edges, as a read-only view of the keys of ``edge_color``."""
+        return self.edge_color.keys()
 
     def vertices(self) -> list[int]:
         return list(range(1, self.n + 1))
@@ -92,19 +102,24 @@ class ColoredGraph:
     def _blocks(self) -> tuple[list[set[int]], bool]:
         """Biconnected components, and whether every one is a clique."""
         blocks = biconnected_components(self)
+        edges = self.edges
         return blocks, all(
-            edge(u, v) in self.edges for b in blocks for u, v in combinations(b, 2)
+            edge(u, v) in edges for b in blocks for u, v in combinations(b, 2)
         )
 
     def _validate(self) -> None:
-        verts = set(self.vertices())
-        for i, j in self.edges:
-            if i == j or i not in verts or j not in verts:
-                raise GraphError(f"invalid edge ({i},{j})")
-        if set(self.vertex_color) != verts:
+        n = self.n
+        for e in self.edge_color:
+            if not (
+                isinstance(e, tuple)
+                and len(e) == 2
+                and isinstance(e[0], int)
+                and isinstance(e[1], int)
+                and 1 <= e[0] < e[1] <= n
+            ):
+                raise GraphError(f"invalid edge {e!r}: need 1 <= i < j <= {n}")
+        if set(self.vertex_color) != set(self.vertices()):
             raise GraphError("every vertex needs a color")
-        if set(self.edge_color) != set(self.edges):
-            raise GraphError("every edge needs a color, and only edges")
         shared = set(self.vertex_color.values()) & set(self.edge_color.values())
         if shared:
             raise GraphError(f"vertices and edges share color tokens: {sorted(shared)}")
@@ -124,10 +139,7 @@ def derive_graph(t: ColoredTree) -> ColoredGraph:
         if anc not in t.zeroed:
             edges[(i, j)] = t.color[anc]
     return ColoredGraph(
-        n=n,
-        edges=edges.keys(),
-        vertex_color={i: t.color[i] for i in t.leaves()},
-        edge_color=edges,
+        n=n, vertex_color={i: t.color[i] for i in t.leaves()}, edge_color=edges
     )
 
 
@@ -321,7 +333,7 @@ def completion(g: ColoredGraph) -> ColoredGraph:
     starts with it, so edge and vertex tokens never meet.
     """
     verts = g.vertices()
-    all_pairs = [edge(i, j) for i, j in combinations(verts, 2)]
+    all_pairs = list(combinations(verts, 2))
     parent: dict[tuple[int, int], tuple[int, int]] = {e: e for e in all_pairs}
 
     def find(e):
@@ -345,9 +357,4 @@ def completion(g: ColoredGraph) -> ColoredGraph:
     while any(c.startswith(prefix) for c in g.vertex_color.values()):
         prefix += "E"
     edge_color = {e: f"{prefix}{find(e)[0]}_{find(e)[1]}" for e in all_pairs}
-    return ColoredGraph(
-        n=g.n,
-        edges=all_pairs,
-        vertex_color=g.vertex_color,
-        edge_color=edge_color,
-    )
+    return ColoredGraph(n=g.n, vertex_color=g.vertex_color, edge_color=edge_color)

@@ -37,13 +37,13 @@ def pq_index_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
 
 
-def form_text(form: LinForm, kind: str = "q") -> str:
-    """Human-readable linear form, e.g. ``q03 - q13 - q23``."""
+def form_text(form: LinForm) -> str:
+    """Human-readable linear form in q-variables, e.g. ``q03 - q13 - q23``."""
     if not form:
         return "0"
     parts = []
     for (i, j), coeff in sorted(form.items()):
-        name = var_name(coord_var(kind, i, j))
+        name = var_name(coord_var("q", i, j))
         mag = abs(coeff)
         term = name if mag == 1 else f"{mag}*{name}"
         if not parts:
@@ -75,7 +75,7 @@ def gamma_graph(g: ColoredGraph) -> dict[tuple[int, int], LinForm]:
     not_full = [j for j in g.vertices() if g.degree(j) < n - 1]
     weights: dict[tuple[int, int], LinForm] = {}
     for i, j in ((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)):
-        sign = 1 if edge(i, j) in g.edges else -1
+        sign = 1 if (i, j) in g.edges else -1
         weights[(i, j)] = {(i, j): sign}
     for i in g.vertices():
         form: LinForm = {(0, i): 1}

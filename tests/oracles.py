@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_name
-from treetoric.classify import ClassificationReport
-from treetoric.errors import SamplingError, SingularMatrixError
+from treetoric.classify import ClassificationReport, contract_internal_colors
+from treetoric.errors import SamplingError, SingularMatrixError, TreeError
 from treetoric.graphs import (
     ColoredGraph,
     connected_components,
@@ -221,6 +221,16 @@ def jordan_closed_by_basis(pattern: MatrixPattern) -> bool:
             if not pattern_contains(pattern, SymMatrix(tuple(map(tuple, rows)))):
                 return False
     return True
+
+
+def has_non_adjacent_internal_merge(t: ColoredTree) -> bool:
+    """Some internal color class is not connected under parent edges: the
+    case in which ``contract_internal_colors`` raises ``TreeError``."""
+    try:
+        contract_internal_colors(t)
+    except TreeError:
+        return True
+    return False
 
 
 def vertex_regular_via_parents(t: ColoredTree) -> bool:

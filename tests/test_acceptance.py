@@ -19,7 +19,6 @@ from treetoric.classify import (
     WARN_NON_VERTEX_REGULAR,
     classify,
     contract_internal_colors,
-    has_non_adjacent_internal_merge,
 )
 from treetoric.cli import EXIT_OK, main
 from treetoric.errors import NotApplicableError
@@ -41,7 +40,11 @@ from treetoric.pipeline import (
 )
 
 from conftest import FIXTURES, TREE_FIXTURES, fixture_tree, random_tree
-from oracles import four_point_check, vertex_regular_via_parents
+from oracles import (
+    four_point_check,
+    has_non_adjacent_internal_merge,
+    vertex_regular_via_parents,
+)
 
 SWEEP_SEED = 20240810
 SWEEP_SIZE = 500

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetoric import graphs
-from treetoric.classify import contract_internal_colors, has_non_adjacent_internal_merge
+from treetoric.classify import contract_internal_colors
 from treetoric.errors import GraphError
 from treetoric.graphs import (
     ColoredGraph,
@@ -26,7 +26,11 @@ from treetoric.graphs import (
 from treetoric.trees import parse_tree
 
 from conftest import fixture_tree, random_tree
-from oracles import four_point_check, vertex_regular_via_parents
+from oracles import (
+    four_point_check,
+    has_non_adjacent_internal_merge,
+    vertex_regular_via_parents,
+)
 
 
 def make_graph(n, edges):
@@ -34,7 +38,6 @@ def make_graph(n, edges):
     edges = [edge(*e) for e in edges]
     return ColoredGraph(
         n=n,
-        edges=edges,
         vertex_color={v: f"v{v}" for v in range(1, n + 1)},
         edge_color={e: f"e{e[0]}_{e[1]}" for e in edges},
     )
@@ -124,9 +127,24 @@ class TestDeriveGraph:
         assert sorted(g.edges) == [(1, 2), (1, 4), (2, 4), (3, 4)]
 
     def test_derived_graph_always_connected(self):
+        # the lemma in classify's docstring, on raw and contracted trees:
+        # every derived graph is connected, and a zeroed tree's block
+        # derived graph is a star centred at the tree's center leaf
         rng = random.Random(7)
+        stars = 0
         for _ in range(100):
-            assert is_connected(derive_graph(random_tree(rng)))
+            t = random_tree(rng)
+            trees = [t]
+            if not has_non_adjacent_internal_merge(t):
+                trees.append(contract_internal_colors(t))
+            for tree in trees:
+                g = derive_graph(tree)
+                assert is_connected(g), tree.to_dict()
+                if tree.zeroed and is_block_graph(g):
+                    center = star_decomposition(g)[0]
+                    assert center == tree.center_leaf(), tree.to_dict()
+                    stars += 1
+        assert stars >= 30  # the sweep actually exercised the star case
 
 
 class TestConnected:
@@ -286,7 +304,6 @@ class TestCompletion:
     def test_three_way_merge(self):
         g = ColoredGraph(
             n=3,
-            edges=[(1, 2), (1, 3), (2, 3)],
             vertex_color={1: "a", 2: "a", 3: "a"},
             edge_color={(1, 2): "x", (1, 3): "y", (2, 3): "z"},
         )
@@ -390,11 +407,20 @@ class TestSeparatedQuadruples:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("key", [(2, 1), (1, 1), (0, 1), (1, 4)])
+    def test_non_canonical_edge_keys_rejected(self, key):
+        # keys are validated, not rewritten: (2, 1) is not swapped to (1, 2)
+        with pytest.raises(GraphError, match="invalid edge"):
+            ColoredGraph(
+                n=3,
+                vertex_color={1: "a", 2: "b", 3: "c"},
+                edge_color={key: "x"},
+            )
+
     def test_shared_vertex_edge_tokens_rejected(self):
         with pytest.raises(GraphError, match="share color tokens"):
             ColoredGraph(
                 n=2,
-                edges=[(1, 2)],
                 vertex_color={1: "a", 2: "b"},
                 edge_color={(1, 2): "a"},
             )

@@ -189,7 +189,6 @@ class TestCompletionBinomials:
         g = make_graph(3, [(1, 2), (1, 3), (2, 3)])
         g = type(g)(
             n=3,
-            edges=g.edges,
             vertex_color={1: "a", 2: "a", 3: "a"},
             edge_color=g.edge_color,
         )
