@@ -21,7 +21,6 @@ from .graphs import (
     ColoredGraph,
     completion,
     derive_graph,
-    is_block_graph,
     is_vertex_regular,
     one_clique_separated_quadruples,
     star_decomposition,

@@ -24,8 +24,6 @@ from .errors import TreeError
 from .graphs import (
     ColoredGraph,
     derive_graph,
-    is_block_graph,
-    is_connected,
     is_vertex_regular,
     star_decomposition,
 )
@@ -117,7 +115,6 @@ class ClassificationReport:
 
     theorem: str
     coordinates: str
-    connected: bool
     complete: bool
     vertex_regular: bool
     block: bool
@@ -140,7 +137,8 @@ class ClassificationReport:
             "coordinates": self.coordinates,
             "graph": self.graph.to_dict() if self.graph else None,
             "predicates": {
-                "connected": self.connected,
+                # every derived graph is connected (lemma in classify)
+                "connected": True,
                 "complete": self.complete,
                 "vertex_regular": self.vertex_regular,
                 "block": self.block,
@@ -162,15 +160,16 @@ def classify(t: ColoredTree) -> ClassificationReport:
     Coordinates (:func:`coordinate_kind`): reduced Laplacian (p) when no
     node is zeroed, G-derived Laplacian (q) otherwise.  Adjacent internal
     color merges are contracted before classification, by one walk over
-    the color classes that also detects a non-adjacent merge.  The
-    connectivity, block and star predicates all read the derived graph's
-    one stored block decomposition.
+    the color classes that also detects a non-adjacent merge.
 
     Every derived graph G is connected, and when the tree has a zeroed node
     G is a block graph only if it is a star centred at the tree's center
-    leaf, so no tree is rejected as disconnected or as a non-star block
-    graph.  Block graphs are exactly the chordal graphs without an induced
-    diamond (K4 minus an edge) (Bandelt-Mulder, JCTB 1986).  Proof:
+    leaf; without zeroed nodes G is complete, a star of one clique.  Every
+    star is a block graph, so on every derived graph "is a block graph"
+    equals "``star_decomposition(G)`` is not ``None``", and ``block`` is read
+    off :func:`graphs.star_decomposition` alone.  Block graphs are exactly
+    the chordal graphs without an induced diamond (K4 minus an edge)
+    (Bandelt-Mulder, JCTB 1986).  Proof:
 
     1. The top node is never zeroed and, unless it is the only leaf
        (n = 1), has at least two children, so leaves under different
@@ -198,11 +197,10 @@ def classify(t: ColoredTree) -> ClassificationReport:
 
     ref = working if working is not None else t
     g = derive_graph(ref)
-    connected = is_connected(g)
     complete = g.is_complete()
     vertex_regular = is_vertex_regular(g)
-    block = is_block_graph(g)
-    star = star_decomposition(g) if block else None
+    star = star_decomposition(g)
+    block = star is not None
     star_center, star_cliques = (star if star else (None, None))
     if complete and ref.center_leaf() is not None:
         star_center = ref.center_leaf()
@@ -231,7 +229,6 @@ def classify(t: ColoredTree) -> ClassificationReport:
     return ClassificationReport(
         theorem=theorem,
         coordinates=coordinate_kind(t),
-        connected=connected,
         complete=complete,
         vertex_regular=vertex_regular,
         block=block,

@@ -9,7 +9,6 @@ applies downstream.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import combinations
 
@@ -32,7 +31,7 @@ class ColoredGraph:
     than swapped.
 
     A graph is never changed after construction, so it stores what is
-    derived from it: its adjacency, and on first use its block structure.
+    derived from it: its adjacency, and on first use its star structure.
     """
 
     def __init__(self, n, vertex_color, edge_color):
@@ -99,13 +98,9 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, edges={sorted(self.edges)})"
 
     @cached_property
-    def _blocks(self) -> tuple[list[set[int]], bool]:
-        """Biconnected components, and whether every one is a clique."""
-        blocks = biconnected_components(self)
-        edges = self.edges
-        return blocks, all(
-            edge(u, v) in edges for b in blocks for u, v in combinations(b, 2)
-        )
+    def _star(self) -> tuple[int, list[tuple[int, ...]]] | None:
+        """The result of :func:`star_decomposition`, computed once."""
+        return _star_structure(self)
 
     def _validate(self) -> None:
         n = self.n
@@ -181,143 +176,80 @@ def connected_components(g: ColoredGraph, removed: int | None = None) -> list[se
     return comps
 
 
-def is_connected(g: ColoredGraph) -> bool:
-    """True when g has at most one component, read off its blocks.
+def _star_structure(g: ColoredGraph) -> tuple[int, list[tuple[int, ...]]] | None:
+    """Center and cliques of g when g is a star block graph, else ``None``.
 
-    Spanning trees of the blocks make up a spanning forest of g, which has
-    n - (number of components) edges: g is connected iff they add to
-    max(n - 1, 0).
+    A complete graph is one clique, centred at vertex 1.  Any other graph
+    is a star block graph iff it has exactly one vertex c adjacent to all
+    others and every component of g - c is a clique; a component is a
+    clique iff each of its vertices has degree (in g) equal to its size.
+    Called once per graph, through :func:`star_decomposition`.
     """
-    return sum(len(b) - 1 for b in g._blocks[0]) == max(g.n - 1, 0)
-
-
-def biconnected_components(g: ColoredGraph) -> list[set[int]]:
-    """Vertex sets of the biconnected components (Hopcroft-Tarjan).
-
-    The depth-first search keeps its own stack of (vertex, parent,
-    neighbor iterator) frames, so path-like graphs of any size stay within
-    the interpreter's recursion limit.
-    """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    edge_stack: list[tuple[int, int]] = []
-    comps: list[set[int]] = []
-
-    for start in g.vertices():
-        if start in index:
-            continue
-        index[start] = low[start] = len(index)
-        frames = [(start, None, iter(g.neighbors(start)))]
-        while frames:
-            v, parent, nbrs = frames[-1]
-            for u in nbrs:
-                if u == parent:
-                    continue
-                if u not in index:
-                    edge_stack.append((v, u))
-                    index[u] = low[u] = len(index)
-                    frames.append((u, v, iter(g.neighbors(u))))
-                    break
-                if index[u] < index[v]:
-                    edge_stack.append((v, u))
-                    low[v] = min(low[v], index[u])
-            else:
-                # v is finished: fold its low point into the parent's
-                frames.pop()
-                if parent is None:
-                    continue
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= index[parent]:
-                    comp: set[int] = set()
-                    while True:
-                        e = edge_stack.pop()
-                        comp.update(e)
-                        if e == (parent, v):
-                            break
-                    comps.append(comp)
-    return comps
-
-
-def is_block_graph(g: ColoredGraph) -> bool:
-    """Every biconnected component is a clique (per connected component)."""
-    return g._blocks[1]
-
-
-def _require_connected_block_graph(g: ColoredGraph, analysis: str) -> list[set[int]]:
-    """The blocks of g; raises unless g is a connected block graph."""
-    if not is_connected(g):
-        raise GraphError(f"{analysis} needs a connected graph")
-    if not is_block_graph(g):
-        raise GraphError("not a block graph")
-    return g._blocks[0]
+    if g.is_complete():
+        return 1, [tuple(g.vertices())]
+    full = [v for v in g.vertices() if g.degree(v) == g.n - 1]
+    if len(full) != 1:
+        return None
+    c = full[0]
+    cliques = []
+    for comp in connected_components(g, removed=c):
+        if any(g.degree(v) != len(comp) for v in comp):
+            return None
+        cliques.append(tuple(sorted(comp | {c})))
+    return c, sorted(cliques)
 
 
 def star_decomposition(
     g: ColoredGraph,
 ) -> tuple[int, list[tuple[int, ...]]] | None:
-    """Central vertex and cliques of a star block graph.
+    """Central vertex and cliques of a star block graph, or ``None``.
 
     A star graph is a union of cliques pairwise intersecting in one common
-    vertex.  Returns ``None`` when the block graph is not a star.  On a
-    complete graph any vertex qualifies; the smallest id is returned.  On
-    the derived graph of a zeroed tree, which is never complete, the center
-    is the tree's center leaf (:meth:`trees.ColoredTree.center_leaf`).
-    The cliques are the graph's stored blocks.
-
-    Raises
-    ------
-    GraphError
-        If the graph is disconnected or not a block graph.
+    vertex.  Returns ``None`` for every other graph, including disconnected
+    ones and block graphs with several cut vertices.  On a complete graph
+    any vertex qualifies; the smallest id is returned.  On the derived
+    graph of a zeroed tree, which is never complete, the center is the
+    tree's center leaf (:meth:`trees.ColoredTree.center_leaf`).  The
+    result is computed on first use and stored with the graph.
     """
-    blocks = _require_connected_block_graph(g, "star decomposition")
-    if g.n == 1:
-        return 1, [(1,)]
-    cliques = sorted(tuple(sorted(c)) for c in blocks)
-    common = set(cliques[0])
-    for c in cliques[1:]:
-        common &= set(c)
-    if not common:
-        return None
-    return min(common), cliques
+    return g._star
 
 
 def one_clique_separated_quadruples(
     g: ColoredGraph,
 ) -> set[tuple[tuple[int, int], tuple[int, int]]]:
-    """Pairs of vertex pairs separated by a single cut vertex.
+    """Pairs of vertex pairs separated by the center of a star graph.
 
-    A pairing ((i,j),(k,l)) is collected when some cut vertex c places
+    A pairing ((i,j),(k,l)) is collected when the center c places
     {i,j}\\{c} and {k,l}\\{c} in different components of g - c; c itself may
     occur in either pair.  These index the 2x2 minors generating the block
     graph's vanishing ideal.
 
-    The graph's stored blocks give connectivity, the block test and the
-    cut vertices (the vertices in two or more blocks).  For each cut vertex
-    c, the vertex pairs are grouped by the components of g - c they meet,
-    and every two groups meeting disjoint components contribute their whole
-    product.
+    The components of g - c are the star's cliques minus c.  The vertex
+    pairs are grouped by the components they meet, and every two groups
+    meeting disjoint components contribute their whole product, so a
+    single clique separates nothing.
 
     Raises
     ------
     GraphError
-        If the graph is disconnected or not a block graph.
+        If the graph is not a star block graph.
     """
-    blocks = _require_connected_block_graph(g, "separation analysis")
-    in_blocks = Counter(v for b in blocks for v in b)
+    star = star_decomposition(g)
+    if star is None:
+        raise GraphError("separation analysis needs a star block graph")
+    c, cliques = star
+    comps = [[v for v in clique if v != c] for clique in cliques]
+    # every vertex pair, keyed by the components of g - c it meets
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for a, comp in enumerate(comps):
+        groups[(a,)] = [edge(c, v) for v in comp] + list(combinations(comp, 2))
+        for b in range(a + 1, len(comps)):
+            groups[(a, b)] = [edge(u, v) for u in comp for v in comps[b]]
     result: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for c in g.vertices():
-        if in_blocks[c] < 2:
-            continue
-        comps = [sorted(comp) for comp in connected_components(g, removed=c)]
-        # every vertex pair, keyed by the components of g - c it meets
-        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for a, comp in enumerate(comps):
-            groups[(a,)] = [edge(c, v) for v in comp] + list(combinations(comp, 2))
-            for b in range(a + 1, len(comps)):
-                groups[(a, b)] = [edge(u, v) for u in comp for v in comps[b]]
-        for (s1, rows), (s2, cols) in combinations(groups.items(), 2):
-            if set(s1).isdisjoint(s2):
-                result.update((min(p, q), max(p, q)) for p in rows for q in cols)
+    for (s1, rows), (s2, cols) in combinations(groups.items(), 2):
+        if set(s1).isdisjoint(s2):
+            result.update((min(p, q), max(p, q)) for p in rows for q in cols)
     return result
 
 

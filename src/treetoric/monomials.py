@@ -121,8 +121,9 @@ def path_map(t: ColoredTree, g: ColoredGraph) -> MonomialMap:
     Raises
     ------
     GraphError
-        With zeroed nodes, when the derived graph is not a connected star
-        block graph (the center coordinate would be ill-defined).
+        With zeroed nodes, when the derived graph is not a star block
+        graph (:func:`graphs.star_decomposition` gives ``None``), so the
+        center coordinate would be ill-defined.
     """
     n = t.n_leaves
     tokens = sorted(

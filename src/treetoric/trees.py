@@ -50,14 +50,6 @@ class ColoredTree:
         for node in order:
             self._depth[node] = self._depth[self.parent[node]] + 1
 
-        # Height bottom-up: children before parents, leaves have none.
-        self._height = {i: 0 for i in self.leaves()}
-        for node in reversed(order):
-            if self.children[node]:
-                self._height[node] = 1 + min(
-                    self._height[c] for c in self.children[node]
-                )
-
     # ---------------------------------------------------------------- #
     # node sets                                                          #
     # ---------------------------------------------------------------- #
@@ -89,22 +81,6 @@ class ColoredTree:
     def depth(self, i: int) -> int:
         self._check_node(i, allow_root=True)
         return self._depth[i]
-
-    def height(self, i: int) -> int:
-        """Edges on the shortest path from node i down to a non-root leaf."""
-        self._check_node(i)
-        return self._height[i]
-
-    def descendants(self, i: int) -> set[int]:
-        """All nodes strictly below i (leaves and internal nodes)."""
-        self._check_node(i, allow_root=True)
-        out: set[int] = set()
-        stack = list(self.children[i])
-        while stack:
-            node = stack.pop()
-            out.add(node)
-            stack.extend(self.children[node])
-        return out
 
     # ---------------------------------------------------------------- #
     # paths and ancestry                                                 #

@@ -51,13 +51,13 @@ def path_star():
 
 @pytest.fixture
 def block_passes(monkeypatch):
-    """Graphs passed to ``graphs.biconnected_components``, one per call."""
+    """Graphs passed to ``graphs._star_structure``, one per call."""
     calls = []
-    original = graphs.biconnected_components
+    original = graphs._star_structure
 
     def counted(g):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(graphs, "biconnected_components", counted)
+    monkeypatch.setattr(graphs, "_star_structure", counted)
     return calls

@@ -163,7 +163,8 @@ def four_point_check(g: ColoredGraph) -> bool:
 
     For every vertex quadruple (within a connected component) the larger two
     of d(u,v)+d(w,x), d(u,w)+d(v,x), d(u,x)+d(v,w) must agree.  Independent
-    of ``is_block_graph``; the two must coincide.
+    of ``graphs.star_decomposition``, which must agree with it on every
+    derived graph.
     """
     dist = _distances(g)
     for comp in connected_components(g):

@@ -25,7 +25,6 @@ from treetoric.errors import NotApplicableError
 from treetoric.graphs import (
     completion,
     derive_graph,
-    is_block_graph,
     is_vertex_regular,
     star_decomposition,
 )
@@ -197,13 +196,15 @@ def test_criterion_6_structural_sweep():
         t = random_tree(rng)
         g = derive_graph(t)
 
-        # (b) two block-graph characterizations agree
-        block = is_block_graph(g)
-        assert block == four_point_check(g), t.to_dict()
+        # (b) the star test agrees with the distance characterization of
+        # block graphs: every block derived graph is a star (the lemma in
+        # classify's docstring)
+        star = star_decomposition(g)
+        assert (star is not None) == four_point_check(g), t.to_dict()
 
-        # (a) zeroed block derived graphs decompose as stars
-        if t.zeroed and block:
-            assert star_decomposition(g) is not None, t.to_dict()
+        # (a) zeroed block derived graphs are stars at the center leaf
+        if t.zeroed and star is not None:
+            assert star[0] == t.center_leaf(), t.to_dict()
             stats["star_cases"] += 1
 
         # (c) vertex-regularity matches the parent criterion (no zeroing;

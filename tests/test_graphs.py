@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treetoric import graphs
 from treetoric.classify import contract_internal_colors
 from treetoric.errors import GraphError
 from treetoric.graphs import (
     ColoredGraph,
-    biconnected_components,
     completion,
     connected_components,
     derive_graph,
     edge,
-    is_block_graph,
-    is_connected,
     is_vertex_regular,
     one_clique_separated_quadruples,
     star_decomposition,
@@ -139,35 +135,13 @@ class TestDeriveGraph:
                 trees.append(contract_internal_colors(t))
             for tree in trees:
                 g = derive_graph(tree)
-                assert is_connected(g), tree.to_dict()
-                if tree.zeroed and is_block_graph(g):
-                    center = star_decomposition(g)[0]
-                    assert center == tree.center_leaf(), tree.to_dict()
+                assert len(connected_components(g)) == 1, tree.to_dict()
+                if tree.zeroed and four_point_check(g):
+                    star = star_decomposition(g)
+                    assert star is not None, tree.to_dict()
+                    assert star[0] == tree.center_leaf(), tree.to_dict()
                     stars += 1
         assert stars >= 30  # the sweep actually exercised the star case
-
-
-class TestConnected:
-    def test_agrees_with_components(self):
-        rng = random.Random(10)
-        cases = [make_graph(n, []) for n in range(1, 11)]  # edgeless
-        # vertex 1 isolated next to a clique on the rest
-        cases += [make_graph(n, combinations(range(2, n + 1), 2)) for n in range(2, 11)]
-        for _ in range(300):
-            n, density = rng.randint(1, 10), rng.random()
-            pairs = combinations(range(1, n + 1), 2)
-            cases.append(make_graph(n, [e for e in pairs if rng.random() < density]))
-        for g in cases:
-            assert is_connected(g) == (len(connected_components(g)) == 1), g
-
-    def test_reads_blocks_not_components(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("is_connected ran a component search")
-
-        monkeypatch.setattr(graphs, "connected_components", forbidden)
-        assert is_connected(make_graph(1, []))
-        assert is_connected(make_graph(3, [(1, 3), (2, 3)]))
-        assert not is_connected(make_graph(3, [(1, 2)]))
 
 
 class TestVertexRegular:
@@ -202,30 +176,35 @@ class TestVertexRegular:
 class TestBlock:
     def test_g2_block_both_ways(self):
         g = derive_graph(fixture_tree("zeroed_block_g2"))
-        assert is_block_graph(g) and four_point_check(g)
+        assert star_decomposition(g) is not None and four_point_check(g)
 
     def test_g3_not_block_both_ways(self):
         g = derive_graph(fixture_tree("zeroed_block_g3"))
-        assert not is_block_graph(g) and not four_point_check(g)
+        assert star_decomposition(g) is None and not four_point_check(g)
 
     def test_complete_graphs(self):
         for n in range(1, 6):
-            assert is_block_graph(complete_graph(n))
+            assert star_decomposition(complete_graph(n)) == (1, [tuple(range(1, n + 1))])
 
     def test_long_path_beyond_recursion_limit(self):
-        # a DFS path of 1200 vertices: one frame per vertex would exceed
-        # the default recursion limit of 1000
+        # large graphs: a 1200-vertex path is a block graph but not a star,
+        # and a star with 1200 leaves is found at its center
         n = 1200
-        g = make_graph(n, [(i, i + 1) for i in range(1, n)])
-        comps = biconnected_components(g)
-        assert sorted(map(sorted, comps)) == [[i, i + 1] for i in range(1, n)]
-        assert is_block_graph(g)
+        assert star_decomposition(make_graph(n, [(i, i + 1) for i in range(1, n)])) is None
+        g = make_graph(n + 1, [edge(v, 600) for v in range(1, n + 2) if v != 600])
+        center, cliques = star_decomposition(g)
+        assert center == 600 and len(cliques) == n
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 10**6))
     def test_two_characterizations_agree(self, seed):
+        # a block graph with a vertex adjacent to all others is a star:
+        # every block contains that vertex
         g = random_graph(random.Random(seed))
-        assert is_block_graph(g) == four_point_check(g)
+        star = star_decomposition(g)
+        universal = any(g.degree(v) == g.n - 1 for v in g.vertices())
+        assert (star is not None) == (four_point_check(g) and universal)
+        assert star is None or g.degree(star[0]) == g.n - 1
 
 
 class TestStarDecomposition:
@@ -248,8 +227,7 @@ class TestStarDecomposition:
 
     def test_requires_block(self):
         cycle = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        with pytest.raises(GraphError, match="block"):
-            star_decomposition(cycle)
+        assert star_decomposition(cycle) is None
 
     def test_derived_block_graphs_are_stars(self):
         # structural consequence: zeroed tree with block derived graph
@@ -259,7 +237,7 @@ class TestStarDecomposition:
         for _ in range(300):
             t = random_tree(rng)
             g = derive_graph(t)
-            if t.zeroed and is_block_graph(g):
+            if t.zeroed and four_point_check(g):
                 assert star_decomposition(g) is not None
                 hits += 1
         assert hits >= 30  # the sweep actually exercised the case
@@ -277,10 +255,7 @@ class TestStarDecomposition:
             if not has_non_adjacent_internal_merge(t):
                 trees["contracted"] = contract_internal_colors(t)
             for kind, tree in trees.items():
-                g = derive_graph(tree)
-                if not (is_connected(g) and is_block_graph(g)):
-                    continue
-                star = star_decomposition(g)
+                star = star_decomposition(derive_graph(tree))
                 if star is not None:
                     assert star[0] == tree.center_leaf(), tree.to_dict()
                     hits[kind] += 1
@@ -363,7 +338,7 @@ class TestSeparatedQuadruples:
         while checked < 60:
             t = random_tree(rng, zero_mode="chain", leaf_mode="distinct")
             g = derive_graph(t)
-            if not is_block_graph(g):
+            if star_decomposition(g) is None:
                 continue
             assert one_clique_separated_quadruples(g) == minor_quadruples_oracle(g)
             checked += 1
@@ -374,32 +349,40 @@ class TestSeparatedQuadruples:
             one_clique_separated_quadruples(cycle)
 
     def test_requires_connected(self):
-        with pytest.raises(GraphError, match="connected"):
+        with pytest.raises(GraphError, match="star"):
             one_clique_separated_quadruples(make_graph(4, [(1, 2), (3, 4)]))
-        with pytest.raises(GraphError, match="connected"):
+        with pytest.raises(GraphError, match="star"):
             one_clique_separated_quadruples(make_graph(3, [(1, 2)]))  # isolated 3
         assert one_clique_separated_quadruples(make_graph(1, [])) == set()
 
     def test_glued_cliques_match_bipartition_oracle(self):
-        # block graphs with several cut vertices: each new clique shares one
-        # vertex with the graph built so far
+        # block graphs: each new clique shares one vertex, its anchor, with
+        # the graph built so far.  The anchors of the second and later
+        # cliques are the cut vertices; one at most makes a star, whose
+        # separations match the oracle, and two or more must raise
         rng = random.Random(12)
         for _ in range(80):
-            n, edges = 1, []
-            for _ in range(rng.randint(1, 5)):
+            n, edges, cuts = 1, [], set()
+            for k in range(rng.randint(1, 5)):
                 anchor = rng.randint(1, n)
                 size = rng.randint(1, 3)
                 clique = [anchor] + list(range(n + 1, n + 1 + size))
                 edges += combinations(clique, 2)
                 n += size
+                if k:
+                    cuts.add(anchor)
             g = make_graph(n, edges)
-            assert one_clique_separated_quadruples(g) == minor_quadruples_oracle(g)
+            if len(cuts) <= 1:
+                assert one_clique_separated_quadruples(g) == minor_quadruples_oracle(g)
+            else:
+                with pytest.raises(GraphError):
+                    one_clique_separated_quadruples(g)
 
     def test_random_graphs_raise_or_match_oracle(self):
         rng = random.Random(13)
         for _ in range(200):
             g = random_graph(rng, n_max=7)
-            if is_connected(g) and is_block_graph(g):
+            if star_decomposition(g) is not None:
                 assert one_clique_separated_quadruples(g) == minor_quadruples_oracle(g)
             else:
                 with pytest.raises(GraphError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetoric.binomials import coord_var
-from treetoric.graphs import derive_graph, edge, is_block_graph, star_decomposition
+from treetoric.graphs import derive_graph, edge, star_decomposition
 from treetoric.laplacians import (
     g_derived_laplacian_map,
     gamma_graph,
@@ -133,7 +133,7 @@ class TestGDerivedMap:
             if not t.zeroed:
                 continue
             g = derive_graph(t)
-            if not is_block_graph(g) or star_decomposition(g) is None:
+            if star_decomposition(g) is None:
                 continue
             c = t.center_leaf()
             cmap = g_derived_laplacian_map(g)

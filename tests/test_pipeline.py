@@ -221,7 +221,7 @@ class TestVerifyTree:
 class TestDerivedFactsOnce:
     def test_one_block_pass_per_context(self, block_passes):
         # classification, block minors and the path map share the derived
-        # graph's one block decomposition
+        # graph's one star structure
         rng = random.Random(41)
         built = 0
         for _ in range(60):

@@ -204,15 +204,6 @@ def depth_oracle(t: ColoredTree, i: int) -> int:
     return len(ancestors(t, i)) - 1
 
 
-def height_oracle(t: ColoredTree, i: int) -> int:
-    """Edges down to the nearest non-root leaf, by BFS over the children."""
-    frontier, h = [i], 0
-    while not any(1 <= v <= t.n_leaves for v in frontier):
-        frontier = [c for v in frontier for c in t.children[v]]
-        h += 1
-    return h
-
-
 def caterpillar(n: int) -> ColoredTree:
     """Leaves 1..n on a spine: internal node n+1 holds 1 and 2, and each
     next spine node holds one more leaf and the previous spine node."""
@@ -297,15 +288,6 @@ class TestMetrics:
         assert uncolored_binary.tree_distance(1, 2) == 2
         assert uncolored_binary.tree_distance(1, 3) == 4
 
-    def test_height_of_cherry_parent(self, uncolored_binary):
-        assert uncolored_binary.height(5) == 1
-
-    def test_height_definition_everywhere(self, colored_star):
-        for i in colored_star.internal_nodes():
-            assert colored_star.height(i) == 1 + min(
-                colored_star.height(c) for c in colored_star.children[i]
-            )
-
     def test_depth_and_height_match_naive_oracle(self):
         rng = random.Random(41)
         trees = [random_tree(rng, n_max=12) for _ in range(60)] + [caterpillar(300)]
@@ -313,15 +295,8 @@ class TestMetrics:
             assert t.depth(0) == 0
             for i in t.nodes():
                 assert t.depth(i) == depth_oracle(t, i), i
-                assert t.height(i) == height_oracle(t, i), i
         spine = caterpillar(300)
         assert spine.depth(1) == spine.depth(2) == 300  # below 299 spine nodes
-        assert spine.height(599) == 1
-
-    def test_descendants(self, uncolored_binary):
-        desc = uncolored_binary.descendants(7)
-        assert desc & set(uncolored_binary.internal_nodes()) == {5, 6}
-        assert desc == {1, 2, 3, 4, 5, 6}
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
