@@ -43,30 +43,14 @@ def coordinate_kind(t: ColoredTree) -> str:
     return "q" if t.zeroed else "p"
 
 
-def _merged_class_is_adjacent(t: ColoredTree, members: list[int]) -> bool:
-    """True when the class induces a connected set of parent edges."""
-    if len(members) == 1:
-        return True
-    members_set = set(members)
-    seen = {members[0]}
-    stack = [members[0]]
-    while stack:
-        node = stack.pop()
-        nbrs = [t.parent[node]] if t.parent[node] in members_set else []
-        nbrs += [c for c in t.children[node] if c in members_set]
-        for nb in nbrs:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen == members_set
-
-
 def contract_internal_colors(t: ColoredTree) -> ColoredTree:
     """Quotient tree with one internal node per internal color class.
 
     Each class keeps the id of its topmost member, so figures relabel
     predictably; leaves, leaf colors and zeroed nodes are untouched.  The
     matrix space and the derived graph of the result equal the input's.
+    A class is adjacent iff it has a single top: each connected piece of a
+    set of tree nodes has exactly one member whose parent lies outside it.
 
     Raises
     ------
@@ -79,31 +63,18 @@ def contract_internal_colors(t: ColoredTree) -> ColoredTree:
         return t
     rep: dict[int, int] = {}
     for members in classes.values():
-        if not _merged_class_is_adjacent(t, members):
+        inside = set(members)
+        tops = [m for m in members if t.parent[m] not in inside]
+        if len(tops) != 1:
             raise TreeError(
                 f"non-adjacent same-colored internal nodes: {sorted(members)}"
             )
-        members_set = set(members)
-        top = next(m for m in members if t.parent[m] not in members_set)
         for m in members:
-            rep[m] = top
-    for z in t.zeroed:
-        rep[z] = z
-
-    def image(node: int) -> int:
-        return rep.get(node, node)
-
-    parent: dict[int, int] = {}
-    for node in t.nodes():
-        img = image(node)
-        par = t.parent[node]
-        while par != 0 and image(par) == img:
-            par = t.parent[par]
-        parent[img] = image(par) if par != 0 else 0
-    color = {i: t.color[i] for i in t.leaves()}
-    for i in set(parent) - set(t.leaves()):
-        if i not in t.zeroed:
-            color[i] = t.color[i]
+            rep[m] = tops[0]
+    parent = {
+        v: rep.get(t.parent[v], t.parent[v]) for v in t.nodes() if rep.get(v, v) == v
+    }
+    color = {i: c for i, c in t.color.items() if i in parent}
     return ColoredTree(
         n_leaves=t.n_leaves, parent=parent, color=color, zeroed=t.zeroed
     )
@@ -159,8 +130,8 @@ def classify(t: ColoredTree) -> ClassificationReport:
 
     Coordinates (:func:`coordinate_kind`): reduced Laplacian (p) when no
     node is zeroed, G-derived Laplacian (q) otherwise.  Adjacent internal
-    color merges are contracted before classification, by one walk over
-    the color classes that also detects a non-adjacent merge.
+    color merges are contracted before classification, by one pass over
+    the color classes whose single-top test also detects a non-adjacent merge.
 
     Every derived graph G is connected, and when the tree has a zeroed node
     G is a block graph only if it is a star centred at the tree's center

@@ -2,9 +2,9 @@
 
 The graph derived from a tree lives on the non-root leaves: an edge {i,j}
 exists iff lca(i,j) is not zeroed, vertex colors copy leaf colors, and edge
-colors are the color tokens of the lca internal nodes.  Classification of
-these graphs (vertex-regular, block, star) decides which toric description
-applies downstream.
+colors are the color tokens of the lca internal nodes, all read off the
+tree's leaf-pair lca table.  Classification of these graphs (vertex-regular,
+block, star) decides which toric description applies downstream.
 """
 
 from __future__ import annotations
@@ -126,16 +126,10 @@ class ColoredGraph:
 
 
 def derive_graph(t: ColoredTree) -> ColoredGraph:
-    """Graph on the non-root leaves with edges keyed by non-zeroed lcas."""
-    n = t.n_leaves
-    edges = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        anc = t.lca(i, j)
-        if anc not in t.zeroed:
-            edges[(i, j)] = t.color[anc]
-    return ColoredGraph(
-        n=n, vertex_color={i: t.color[i] for i in t.leaves()}, edge_color=edges
-    )
+    """Graph on the non-root leaves with edges keyed by non-zeroed lcas,
+    read off the tree's leaf-pair table :attr:`trees.ColoredTree.leaf_lca`."""
+    edges = {p: t.color[m] for p, m in t.leaf_lca.items() if p[0] and m not in t.zeroed}
+    return ColoredGraph(t.n_leaves, {i: t.color[i] for i in t.leaves()}, edges)
 
 
 # -------------------------------------------------------------------- #

@@ -4,8 +4,9 @@ Three families, matching the three linear spaces whose intersection cuts
 out the model:
 
 * cherry quadrics: for every leaf quadruple (root leaf 0 included), the
-  quartet split determines x_ik x_jl - x_il x_jk; unresolved (star)
-  quadruples contribute all three pairings.
+  quartet split, the pairing with the deepest lcas in the tree's leaf-pair
+  table, determines x_ik x_jl - x_il x_jk; unresolved (star) quadruples
+  contribute all three pairings.
 * block-graph minors: 2x2 minors of the covariance blocks indexed by
   one-clique separations, including the diagonal minors through the cut
   vertex.
@@ -76,27 +77,27 @@ def cherry_binomials(t: ColoredTree) -> list[Binomial]:
     For each quadruple, the pairing with strictly minimal distance sum is
     the cherry pairing {i,j},{k,l} and contributes x_ik x_jl - x_il x_jk;
     if all three sums agree (star quartet) all three pairings contribute.
-    Colors play no role.  Zeroed nodes only pick the coordinate kind
+    As dist(a,b) = depth a + depth b - 2 depth lca(a,b) and all three
+    pairings share one sum of leaf depths, the minimal distance sum is the
+    maximal sum of lca depths, read off the leaf-pair lca table.  Colors play
+    no role.  Zeroed nodes only pick the coordinate kind
     (:func:`classify.coordinate_kind`); the quartet split ignores them.
     """
     kind = coordinate_kind(t)
-    universe = [0] + t.leaves()
-    dist = {pair: t.tree_distance(*pair) for pair in combinations(universe, 2)}
+    deep = {pair: t.depth(m) for pair, m in t.leaf_lca.items()}
     out: list[Binomial] = []  # a minor's indices are its quadruple: no repeats
-    for a, b, c, d in combinations(universe, 4):
-        ab_cd = dist[a, b] + dist[c, d]
-        ac_bd = dist[a, c] + dist[b, d]
-        ad_bc = dist[a, d] + dist[b, c]
-        low = min(ab_cd, ac_bd, ad_bc)
-        if (ab_cd, ac_bd, ad_bc).count(low) == 2:
-            raise AssertionError(
-                "two minimal quartet sums: four-point condition violated"
-            )
-        if ab_cd == low:
+    for a, b, c, d in combinations([0] + t.leaves(), 4):
+        ab_cd = deep[a, b] + deep[c, d]
+        ac_bd = deep[a, c] + deep[b, d]
+        ad_bc = deep[a, d] + deep[b, c]
+        high = max(ab_cd, ac_bd, ad_bc)
+        if (ab_cd, ac_bd, ad_bc).count(high) == 2:
+            raise AssertionError("two deepest pairings: four-point condition violated")
+        if ab_cd == high:
             out.append(_minor(kind, a, b, c, d))
-        if ac_bd == low:
+        if ac_bd == high:
             out.append(_minor(kind, a, c, b, d))
-        if ad_bc == low:
+        if ad_bc == high:
             out.append(_minor(kind, a, d, b, c))
     return out
 

@@ -5,7 +5,7 @@ matrix, either a color token (entries sharing a token must be equal) or
 ``None`` for a structural zero.  There is one construction: a pattern reads
 the vertex and edge classes of a colored graph.  The pattern of a tree is
 that of its derived graph, which keys entry (i,j) by the color of lca(i,j)
-and gives zeroed lcas structural zeros.
+from the tree's leaf-pair table and gives zeroed lcas structural zeros.
 
 All numeric work happens on :class:`SymMatrix`, a symmetric matrix of exact
 rationals (or of integers, for sampled matrices and their adjugates).
@@ -120,7 +120,8 @@ class SymMatrix:
 
 def pattern_from_tree(t: ColoredTree) -> MatrixPattern:
     """Pattern of the tree's linear space: the pattern of its derived graph,
-    whose construction is the one place that reads entries off lca(i,j)."""
+    whose construction is the one place that reads entries off the tree's
+    leaf-pair lca table."""
     return pattern_from_graph(derive_graph(t))
 
 

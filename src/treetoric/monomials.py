@@ -3,7 +3,8 @@
 The path map sends the coordinate x_ij (0 <= i < j <= n) to the product of
 the parameters of the non-zeroed nodes met along the tree path i <-> j,
 where each path edge (l,k) contributes the parameter of its lower node k
-and parameters are indexed by color tokens.  With zeroed nodes present the
+and parameters are indexed by color tokens; i and j each climb to the
+lca(i,j) of the tree's leaf-pair table.  With zeroed nodes present the
 coordinate x_0c of the unique leaf c under the top internal node is instead
 sent to the square of c's parameter.
 
@@ -144,9 +145,13 @@ def path_map(t: ColoredTree, g: ColoredGraph) -> MonomialMap:
         if t.zeroed and (i, j) == (0, center):
             row[pos[t.color[center]]] = 2
         else:
-            for _, child in t.path_edges(i, j):
-                if child not in t.zeroed:
-                    row[pos[t.color[child]]] += 1
+            # the nodes below the lca on the path are the lower ends of its edges
+            m = t.leaf_lca[i, j]
+            for node in (i, j):
+                while node != m:
+                    if node not in t.zeroed:
+                        row[pos[t.color[node]]] += 1
+                    node = t.parent[node]
         rows.append(tuple(row))
     return MonomialMap(
         kind=coordinate_kind(t), n=n, params=tuple(tokens), rows=tuple(rows)

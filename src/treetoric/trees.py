@@ -5,13 +5,16 @@ internal nodes carry ids above n.  Every non-root node has a parent; the
 single child of 0 is the "top" internal node.  Non-root nodes carry a color
 token unless they are zeroed; leaves and internal nodes never share colors.
 Zeroed nodes are internal nodes whose matrix parameter is pinned to zero.
+Where every two leaves meet is one table, :attr:`ColoredTree.leaf_lca`.
 
-Trees are immutable after construction and safe to share across threads.
+Trees are immutable after construction and safe to share across threads; a
+racing first read of the cached lca table only computes it twice.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import TreeError
@@ -82,48 +85,11 @@ class ColoredTree:
         self._check_node(i, allow_root=True)
         return self._depth[i]
 
-    # ---------------------------------------------------------------- #
-    # paths and ancestry                                                 #
-    # ---------------------------------------------------------------- #
-
-    def lca(self, i: int, j: int) -> int:
-        """Deepest common ancestor of nodes i and j (0 permitted)."""
-        self._check_node(i, allow_root=True)
-        self._check_node(j, allow_root=True)
-        a, b = i, j
-        while self._depth[a] > self._depth[b]:
-            a = self.parent[a]
-        while self._depth[b] > self._depth[a]:
-            b = self.parent[b]
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return a
-
-    def path_edges(self, i: int, j: int) -> list[tuple[int, int]]:
-        """Edges of the unique i-j path, each oriented (parent, child).
-
-        Ordered as the climb i -> lca followed by the descent lca -> j.
-        """
-        if i == j:
-            raise TreeError(f"path endpoints coincide: {i}")
-        anc = self.lca(i, j)
-        up = []
-        node = i
-        while node != anc:
-            up.append((self.parent[node], node))
-            node = self.parent[node]
-        down = []
-        node = j
-        while node != anc:
-            down.append((self.parent[node], node))
-            node = self.parent[node]
-        return up + down[::-1]
-
-    def tree_distance(self, i: int, j: int) -> int:
-        """Number of edges on the i-j path."""
-        anc = self.lca(i, j)
-        return self._depth[i] + self._depth[j] - 2 * self._depth[anc]
+    @cached_property
+    def leaf_lca(self) -> dict[tuple[int, int], int]:
+        """Where every two of the leaves 0..n meet: ``{(i, j): lca(i, j)}``
+        for 0 <= i < j <= n, computed by :func:`_leaf_lca` on first read."""
+        return _leaf_lca(self)
 
     # ---------------------------------------------------------------- #
     # colors                                                             #
@@ -241,6 +207,27 @@ class ColoredTree:
         if shared:
             raise TreeError(f"leaves and internal nodes share colors: {sorted(shared)}")
         return order[1:]
+
+
+def _leaf_lca(t: ColoredTree) -> dict[tuple[int, int], int]:
+    """The lca of every two of the leaves 0..n, keyed (i, j) with i < j.
+
+    The internal nodes are walked deepest first, and each one is the lca of
+    every two leaves that sit under different children of it.  Leaf 0 is
+    the root, so it meets every other leaf at 0.
+    """
+    table = {(0, j): 0 for j in t.leaves()}
+    under = {i: [i] for i in t.leaves()}
+    for node in sorted(t.internal_nodes(), key=t.depth, reverse=True):
+        met: list[int] = []
+        for child in t.children[node]:
+            below = under.pop(child)
+            table.update(
+                {(i, j) if i < j else (j, i): node for i in met for j in below}
+            )
+            met += below
+        under[node] = met
+    return table
 
 
 def _json_int(value, what: str) -> int:

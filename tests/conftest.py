@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from treetoric import graphs
+from treetoric import graphs, trees
 from treetoric.trees import ColoredTree, load_tree
 
 from random_trees import random_tree  # noqa: F401  (re-exported for the tests)
@@ -60,4 +60,18 @@ def block_passes(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(graphs, "_star_structure", counted)
+    return calls
+
+
+@pytest.fixture
+def leaf_lca_passes(monkeypatch):
+    """Trees passed to ``trees._leaf_lca``, one per call."""
+    calls = []
+    original = trees._leaf_lca
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(trees, "_leaf_lca", counted)
     return calls

@@ -4,6 +4,7 @@ implementations that the package's own algorithms must agree with."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -181,6 +182,63 @@ def four_point_check(g: ColoredGraph) -> bool:
     return True
 
 
+# -------------------------------------------------------------------- #
+# tree walks, the reference for the leaf-pair lca table and path map     #
+# -------------------------------------------------------------------- #
+
+
+def ancestors(t: ColoredTree, i: int) -> list[int]:
+    """Path from i up to the root 0, inclusive on both ends."""
+    out = [i]
+    while out[-1] != 0:
+        out.append(t.parent[out[-1]])
+    return out
+
+
+def lca_oracle(t: ColoredTree, i: int, j: int) -> int:
+    """Deepest element of the intersection of the two ancestor sets."""
+    anc_i = ancestors(t, i)
+    anc_j = set(ancestors(t, j))
+    return next(a for a in anc_i if a in anc_j)
+
+
+def bfs_path_oracle(t: ColoredTree, i: int, j: int) -> list[int]:
+    """Vertex sequence of the i-j path by BFS on the undirected tree."""
+    adj: dict[int, list[int]] = {0: []}
+    for c, p in t.parent.items():
+        adj.setdefault(c, []).append(p)
+        adj.setdefault(p, []).append(c)
+    prev = {i: None}
+    frontier = [i]
+    while j not in prev:
+        nxt = []
+        for v in frontier:
+            for u in adj[v]:
+                if u not in prev:
+                    prev[u] = v
+                    nxt.append(u)
+        frontier = nxt
+    path = [j]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def depth_oracle(t: ColoredTree, i: int) -> int:
+    """Edges from i up to the root 0."""
+    return len(ancestors(t, i)) - 1
+
+
+def path_row_oracle(t: ColoredTree, params: tuple[str, ...], i: int, j: int) -> tuple:
+    """Path-map row of x_ij: color counts over the BFS path's vertices,
+    leaving out their lca and the zeroed nodes."""
+    top = lca_oracle(t, i, j)
+    counts = Counter(
+        t.color[v] for v in bfs_path_oracle(t, i, j) if v != top and v not in t.zeroed
+    )
+    return tuple(counts[p] for p in params)
+
+
 def pattern_from_lca(t: ColoredTree) -> MatrixPattern:
     """The tree's pattern read straight off the tree, as L_T is defined:
     entry (i,j) keyed by the color of lca(i,j), zero when that lca is zeroed."""
@@ -188,7 +246,7 @@ def pattern_from_lca(t: ColoredTree) -> MatrixPattern:
     grid = [[None] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            anc = t.lca(i, j)
+            anc = lca_oracle(t, i, j)
             token = None if anc in t.zeroed else t.color[anc]
             grid[i - 1][j - 1] = token
             grid[j - 1][i - 1] = token

@@ -83,12 +83,14 @@ class TestGenerators:
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("R = QQ[")
 
-    def test_one_block_pass(self, block_passes, capsys):
+    def test_one_block_pass(self, block_passes, leaf_lca_passes, capsys):
         for name in ("colored_star", "zeroed_block_g2"):
             block_passes.clear()
+            leaf_lca_passes.clear()
             code = main(["generators", "--tree", tree_path(name), "--format", "json"])
             assert code == EXIT_OK
             assert len(block_passes) == 1
+            assert len(leaf_lca_passes) == 1
 
     def test_not_applicable_exit_2(self, capsys):
         code = main(["generators", "--tree", tree_path("leafcolor_g3")])

@@ -26,7 +26,14 @@ from treetoric.monomials import path_map
 from treetoric.trees import ColoredTree
 
 from conftest import TREE_FIXTURES, fixture_tree, random_tree
-from oracles import combined_via_sigma, embed, minor_by_make
+from oracles import (
+    bfs_path_oracle,
+    combined_via_sigma,
+    depth_oracle,
+    embed,
+    lca_oracle,
+    minor_by_make,
+)
 from test_graphs import complete_graph, make_graph
 
 
@@ -90,24 +97,20 @@ class TestCherryBinomials:
             assert gens and all(v[0] == kind for b in gens for v in b.variables())
 
     def test_split_agrees_with_deepest_lca_pairing(self):
-        # independent oracle: the cherry pairing maximizes the sum of the
-        # two lca depths
+        # the rule cherry_binomials relies on, between two oracles: the
+        # pairing of minimal BFS-path distance sum has maximal lca-depth sum
         rng = random.Random(31)
-        from itertools import combinations
-
         for _ in range(60):
             t = random_tree(rng, n_min=4)
             universe = [0] + t.leaves()
+            pairs = list(combinations(universe, 2))
+            deep = {p: depth_oracle(t, lca_oracle(t, *p)) for p in pairs}
+            dist = {p: len(bfs_path_oracle(t, *p)) - 1 for p in pairs}
             for quad in combinations(universe, 4):
                 a, b, c, d = quad
                 pairings = [((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))]
-                depth_sums = [
-                    t.depth(t.lca(*p1)) + t.depth(t.lca(*p2)) for p1, p2 in pairings
-                ]
-                dist_sums = [
-                    t.tree_distance(*p1) + t.tree_distance(*p2)
-                    for p1, p2 in pairings
-                ]
+                depth_sums = [deep[p1] + deep[p2] for p1, p2 in pairings]
+                dist_sums = [dist[p1] + dist[p2] for p1, p2 in pairings]
                 best = max(depth_sums)
                 assert {i for i, s in enumerate(depth_sums) if s == best} == {
                     i for i, s in enumerate(dist_sums) if s == min(dist_sums)

@@ -219,22 +219,26 @@ class TestVerifyTree:
 
 
 class TestDerivedFactsOnce:
-    def test_one_block_pass_per_context(self, block_passes):
+    def test_one_block_pass_per_context(self, block_passes, leaf_lca_passes):
         # classification, block minors and the path map share the derived
-        # graph's one star structure
+        # graph's one star structure, and the working tree's one lca table
         rng = random.Random(41)
-        built = 0
+        built = contracted = 0
         for _ in range(60):
             t = random_tree(rng, n_min=4, zero_mode="chain")
             block_passes.clear()
+            leaf_lca_passes.clear()
             try:
                 ctx = build_context(t)
             except NotApplicableError:
                 continue
             assert t.zeroed, t.to_dict()
             assert block_passes == [ctx.report.graph], t.to_dict()
+            assert leaf_lca_passes == [ctx.report.working_tree], t.to_dict()
             built += 1
+            contracted += ctx.report.working_tree is not t
         assert built >= 20
+        assert contracted
 
 
 class TestIntegerChecksMatchReference:

@@ -1,8 +1,8 @@
-"""Tree parsing, validation, lca, paths and metrics.
+"""Tree parsing, validation, the leaf-pair lca table, paths and metrics.
 
-The lca oracle here (ancestor-set intersection) was implemented first and
-used to compute the frozen tables below; it stays as the reference for the
-randomized comparisons.
+The lca oracle (ancestor-set intersection, in ``oracles``) was implemented
+first and used to compute the frozen tables below; it stays as the reference
+for the randomized comparisons.
 """
 
 import json
@@ -13,52 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treetoric.errors import TreeError
+from treetoric.errors import GraphError, TreeError
+from treetoric.graphs import derive_graph, star_decomposition
+from treetoric.monomials import path_map
 from treetoric.trees import ColoredTree, parse_tree
 
 from conftest import random_tree
-
-
-# ------------------------------------------------------------------ #
-# oracles                                                              #
-# ------------------------------------------------------------------ #
-
-
-def ancestors(t: ColoredTree, i: int) -> list[int]:
-    """Path from i up to the root 0, inclusive on both ends."""
-    out = [i]
-    while out[-1] != 0:
-        out.append(t.parent[out[-1]])
-    return out
-
-
-def lca_oracle(t: ColoredTree, i: int, j: int) -> int:
-    """Deepest element of the intersection of the two ancestor sets."""
-    anc_i = ancestors(t, i)
-    anc_j = set(ancestors(t, j))
-    return next(a for a in anc_i if a in anc_j)
-
-
-def bfs_path_oracle(t: ColoredTree, i: int, j: int) -> list[int]:
-    """Vertex sequence of the i-j path by BFS on the undirected tree."""
-    adj: dict[int, list[int]] = {0: []}
-    for c, p in t.parent.items():
-        adj.setdefault(c, []).append(p)
-        adj.setdefault(p, []).append(c)
-    prev = {i: None}
-    frontier = [i]
-    while j not in prev:
-        nxt = []
-        for v in frontier:
-            for u in adj[v]:
-                if u not in prev:
-                    prev[u] = v
-                    nxt.append(u)
-        frontier = nxt
-    path = [j]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
+from oracles import depth_oracle, lca_oracle, path_row_oracle
 
 
 # ------------------------------------------------------------------ #
@@ -106,7 +67,7 @@ class TestParse:
                 }
             )
         )
-        assert t.lca(1, 2) == 3
+        assert t.leaf_lca == {(0, 1): 0, (0, 2): 0, (1, 2): 3}
 
     def test_zeroed_top_node_rejected(self):
         doc = {
@@ -180,7 +141,7 @@ class TestParse:
 
     def test_single_leaf_tree(self):
         t = ColoredTree(1, {1: 0}, {1: "a"})
-        assert t.lca(1, 1) == 1
+        assert t.leaf_lca == {(0, 1): 0}
         assert t.internal_nodes() == []
 
 
@@ -199,11 +160,6 @@ COLORED_STAR_LCA = {
 }
 
 
-def depth_oracle(t: ColoredTree, i: int) -> int:
-    """Edges from i up to the root 0."""
-    return len(ancestors(t, i)) - 1
-
-
 def caterpillar(n: int) -> ColoredTree:
     """Leaves 1..n on a spine: internal node n+1 holds 1 and 2, and each
     next spine node holds one more leaf and the previous spine node."""
@@ -215,32 +171,43 @@ def caterpillar(n: int) -> ColoredTree:
     return ColoredTree(n, parent, {i: f"c{i}" for i in parent})
 
 
+def flat_star(n: int) -> ColoredTree:
+    """Leaves 1..n all under the one internal node n+1."""
+    parent = {i: n + 1 for i in range(1, n + 1)}
+    parent[n + 1] = 0
+    return ColoredTree(n, parent, {i: f"c{i}" for i in parent})
+
+
 class TestLca:
     def test_colored_star_cherry(self, colored_star):
-        assert colored_star.lca(1, 2) == 5
+        assert colored_star.leaf_lca[1, 2] == 5
 
     def test_colored_star_table(self, colored_star):
         for (i, j), expected in COLORED_STAR_LCA.items():
-            assert colored_star.lca(i, j) == expected
-            assert colored_star.lca(j, i) == expected
             assert lca_oracle(colored_star, i, j) == expected
-
-    def test_reflexive(self, colored_star):
-        for i in colored_star.nodes():
-            assert colored_star.lca(i, i) == i
-
-    def test_unknown_node(self, colored_star):
-        with pytest.raises(TreeError, match="unknown"):
-            colored_star.lca(1, 42)
+            assert lca_oracle(colored_star, j, i) == expected
+        assert colored_star.leaf_lca == {
+            (i, j): m for (i, j), m in COLORED_STAR_LCA.items() if i < j
+        }
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
     def test_matches_oracle_on_random_trees(self, seed):
         t = random_tree(random.Random(seed), n_max=8)
-        queries = list(t.nodes()) + [0]
-        for i in queries:
-            for j in queries:
-                assert t.lca(i, j) == lca_oracle(t, i, j)
+        pairs = list(combinations([0] + t.leaves(), 2))
+        assert t.leaf_lca == {(i, j): lca_oracle(t, i, j) for i, j in pairs}
+
+    def test_matches_closed_form_on_wide_trees(self):
+        # caterpillar: leaf j >= 3 meets every lower leaf at its parent n+j-1
+        n = 300
+        assert caterpillar(n).leaf_lca == {
+            (i, j): max(n + 1, n + j - 1) if i else 0
+            for i, j in combinations(range(n + 1), 2)
+        }
+        n = 400
+        assert flat_star(n).leaf_lca == {
+            (i, j): n + 1 if i else 0 for i, j in combinations(range(n + 1), 2)
+        }
 
 
 # ------------------------------------------------------------------ #
@@ -249,45 +216,43 @@ class TestLca:
 
 
 class TestPaths:
-    def test_root_to_leaf(self, uncolored_binary):
-        assert uncolored_binary.path_edges(0, 1) == [(0, 7), (7, 5), (5, 1)]
+    """Path-map rows against color counts over the BFS path."""
 
-    def test_single_edge(self, colored_star):
-        for i in colored_star.leaves():
-            assert colored_star.path_edges(i, colored_star.parent[i]) == [
-                (colored_star.parent[i], i)
-            ]
+    def test_root_to_leaf(self, uncolored_binary):
+        t = uncolored_binary
+        m = path_map(t, derive_graph(t))
+        row = m.row_of(("p", 0, 1))
+        # the path 0-7-5-1 meets 7, 5 and 1 below its lca 0
+        assert {tok: e for tok, e in zip(m.params, row) if e} == {"7": 1, "5": 1, "1": 1}
+        assert row == path_row_oracle(t, m.params, 0, 1)
 
     def test_colored_star_cross_path_children(self, colored_star):
-        labels = {child for _, child in colored_star.path_edges(1, 3)}
-        assert labels == {1, 5, 3}
-
-    def test_same_endpoints_rejected(self, colored_star):
-        with pytest.raises(TreeError):
-            colored_star.path_edges(2, 2)
+        t = colored_star
+        m = path_map(t, derive_graph(t))
+        row = m.row_of(("q", 1, 3))
+        # the path 1-5-6-3 meets 1, 5 and 3 below its zeroed lca 6
+        expected = {t.color[1]: 1, t.color[5]: 1, t.color[3]: 1}
+        assert {tok: e for tok, e in zip(m.params, row) if e} == expected
+        assert row == path_row_oracle(t, m.params, 1, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
     def test_path_matches_bfs_oracle(self, seed):
         t = random_tree(random.Random(seed), n_max=8)
-        nodes = t.nodes() + [0]
-        rng = random.Random(seed + 1)
-        for _ in range(10):
-            i, j = rng.sample(nodes, 2)
-            edges = t.path_edges(i, j)
-            verts = bfs_path_oracle(t, i, j)
-            assert len(edges) == len(verts) - 1
-            assert len(edges) == t.tree_distance(i, j)
-            # every path edge joins consecutive oracle vertices
-            steps = {frozenset(s) for s in zip(verts, verts[1:])}
-            assert {frozenset(e) for e in edges} == steps
+        g = derive_graph(t)
+        star = star_decomposition(g)
+        if t.zeroed and star is None:  # no center coordinate
+            with pytest.raises(GraphError):
+                path_map(t, g)
+            return
+        m = path_map(t, g)
+        center = star[0] if t.zeroed else None
+        for i, j in combinations([0] + t.leaves(), 2):
+            if (i, j) != (0, center):
+                assert m.row_of((m.kind, i, j)) == path_row_oracle(t, m.params, i, j)
 
 
 class TestMetrics:
-    def test_distances(self, uncolored_binary):
-        assert uncolored_binary.tree_distance(1, 2) == 2
-        assert uncolored_binary.tree_distance(1, 3) == 4
-
     def test_depth_and_height_match_naive_oracle(self):
         rng = random.Random(41)
         trees = [random_tree(rng, n_max=12) for _ in range(60)] + [caterpillar(300)]
@@ -301,28 +266,16 @@ class TestMetrics:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
     def test_four_point_condition_on_leaf_quadruples(self, seed):
+        # dist(a,b) = depth a + depth b - 2 depth lca(a,b), so the two largest
+        # distance sums of a quadruple are its two smallest lca-depth sums
         t = random_tree(random.Random(seed), n_min=4, n_max=8)
-        for quad in combinations([0] + t.leaves(), 4):
-            a, b, c, d = quad
+        deep = {pair: t.depth(m) for pair, m in t.leaf_lca.items()}
+        for a, b, c, d in combinations([0] + t.leaves(), 4):
             sums = sorted(
                 (
-                    t.tree_distance(a, b) + t.tree_distance(c, d),
-                    t.tree_distance(a, c) + t.tree_distance(b, d),
-                    t.tree_distance(a, d) + t.tree_distance(b, c),
+                    deep[a, b] + deep[c, d],
+                    deep[a, c] + deep[b, d],
+                    deep[a, d] + deep[b, c],
                 )
             )
-            assert sums[1] == sums[2]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_distance_is_a_metric(self, seed):
-        t = random_tree(random.Random(seed), n_max=7)
-        nodes = t.nodes() + [0]
-        for i in nodes:
-            assert t.tree_distance(i, i) == 0
-            for j in nodes:
-                assert t.tree_distance(i, j) == t.tree_distance(j, i)
-                for k in nodes:
-                    assert t.tree_distance(i, k) <= t.tree_distance(
-                        i, j
-                    ) + t.tree_distance(j, k)
+            assert sums[0] == sums[1]
