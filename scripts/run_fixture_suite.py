@@ -14,13 +14,14 @@ import json
 import sys
 from pathlib import Path
 
-from treetoric.classify import classify
-from treetoric.cli import _json
-from treetoric.pipeline import verify_tree
-from treetoric.trees import load_tree
-
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
+sys.path.insert(0, str(REPO / "src"))
+
+from treetoric.classify import classify  # noqa: E402
+from treetoric.cli import _json  # noqa: E402
+from treetoric.pipeline import verify_tree  # noqa: E402
+from treetoric.trees import load_tree  # noqa: E402
 
 
 def main() -> int:

@@ -149,34 +149,18 @@ def is_vertex_regular(g: ColoredGraph) -> bool:
     return True
 
 
-def connected_components(g: ColoredGraph, removed: int | None = None) -> list[set[int]]:
-    """Connected components, optionally with one vertex deleted."""
-    remaining = [v for v in g.vertices() if v != removed]
-    seen: set[int] = set()
-    comps = []
-    for start in remaining:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u != removed and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def _star_structure(g: ColoredGraph) -> tuple[int, list[tuple[int, ...]]] | None:
     """Center and cliques of g when g is a star block graph, else ``None``.
 
     A complete graph is one clique, centred at vertex 1.  Any other graph
     is a star block graph iff it has exactly one vertex c adjacent to all
-    others and every component of g - c is a clique; a component is a
-    clique iff each of its vertices has degree (in g) equal to its size.
+    others and g - c is a disjoint union of cliques.  That holds iff the
+    sets N[v] - c, over the closed neighbourhoods N[v] of the vertices
+    v != c, partition V - c; they cover it, so iff the distinct ones have
+    sizes summing to n - 1.  If g - c is a union of cliques, each N[v] is
+    v's clique plus c, so the sets partition.  Conversely, if they
+    partition, u in N[v] forces N[u] = N[v], so adjacency in g - c is
+    transitive and its components are cliques.
     Called once per graph, through :func:`star_decomposition`.
     """
     if g.is_complete():
@@ -185,11 +169,9 @@ def _star_structure(g: ColoredGraph) -> tuple[int, list[tuple[int, ...]]] | None
     if len(full) != 1:
         return None
     c = full[0]
-    cliques = []
-    for comp in connected_components(g, removed=c):
-        if any(g.degree(v) != len(comp) for v in comp):
-            return None
-        cliques.append(tuple(sorted(comp | {c})))
+    cliques = {tuple(sorted((v, *g.neighbors(v)))) for v in g.vertices() if v != c}
+    if sum(len(q) - 1 for q in cliques) != g.n - 1:
+        return None
     return c, sorted(cliques)
 
 

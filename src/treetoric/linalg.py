@@ -2,27 +2,10 @@
 
 Two fraction-free kernels (Bareiss, Math. Comp. 1968): forward elimination
 for rank, and one Gauss-Jordan pass on ``[A | I]`` that yields det(A) and
-adj(A) together.  Rational input is first scaled to an integer matrix by one
-scalar s, the lcm of all denominators; then A^{-1} = s adj(sA) / det(sA), so
-a rational inverse costs one division per entry at the end.  No floating
-point anywhere.
+adj(A) together.  No floating point anywhere.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
-
-from .errors import SingularMatrixError
-
-
-def integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Integer matrix s*A and the scalar s = lcm of the denominators of A.
-
-    Entries are ``int`` or ``Fraction``.
-    """
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def bareiss_echelon(rows: list[list[int]]) -> list[int]:
@@ -54,14 +37,6 @@ def bareiss_echelon(rows: list[list[int]]) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
-
-
-def rank_int(rows) -> int:
-    """Exact rank of an integer matrix."""
-    work = [list(map(int, row)) for row in rows]
-    if not work:
-        return 0
-    return len(bareiss_echelon(work))
 
 
 def det_adjugate(int_rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
@@ -114,11 +89,3 @@ def det_adjugate(int_rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
             out[j] = sign * x
     return sign * prev, tuple(map(tuple, adj))
 
-
-def invert_fraction(a_rows) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix: s adj(sA) / det(sA)."""
-    work, scale = integer_rows(a_rows)
-    det, adj = det_adjugate(work)
-    if adj is None:
-        raise SingularMatrixError("matrix is singular")
-    return [[Fraction(scale * x, det) for x in row] for row in adj]

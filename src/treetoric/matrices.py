@@ -12,7 +12,9 @@ rationals (or of integers, for sampled matrices and their adjugates).
 Sampling and inversion are exact; there is no floating point and hence no
 tolerance anywhere.  A sample has integer entries and comes with its
 determinant and adjugate, so one fraction-free elimination both certifies
-it invertible and gives its inverse as adj / det.  Closure of a pattern's
+it invertible and gives its inverse as adj / det.  :func:`invert_exact`
+inverts a rational M the same way, on the integer matrix sM with s the lcm
+of M's denominators: M^{-1} = s adj(sM) / det(sM).  Closure of a pattern's
 space under the Jordan product is decided symbolically, from the pattern
 alone.
 """
@@ -23,6 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -201,18 +204,21 @@ def pattern_contains(pattern: MatrixPattern, m: SymMatrix) -> bool:
 
 
 def invert_exact(m: SymMatrix) -> SymMatrix:
-    """Exact inverse, as scale * adj(scale * m) / det(scale * m).
+    """Exact inverse s adj(sm) / det(sm), with s the lcm of the denominators
+    of m, from one fraction-free elimination on the integer matrix sm.
 
     Raises
     ------
     SingularMatrixError
         When det(m) = 0.
     """
-    try:
-        inv = linalg.invert_fraction(m.entries)
-    except SingularMatrixError:
-        raise SingularMatrixError("matrix is exactly singular") from None
-    return SymMatrix.from_rows(inv)
+    s = lcm(*(x.denominator for row in m.entries for x in row))
+    det, adj = linalg.det_adjugate(
+        [[x.numerator * (s // x.denominator) for x in row] for row in m.entries]
+    )
+    if adj is None:
+        raise SingularMatrixError("matrix is exactly singular")
+    return SymMatrix(tuple(tuple(Fraction(s * x, det) for x in row) for row in adj))
 
 
 def jordan_closed(pattern: MatrixPattern) -> bool:

@@ -106,7 +106,7 @@ class MonomialMap:
 
 def exponent_rank(m: MonomialMap) -> int:
     """Exact integer rank of the exponent matrix."""
-    return linalg.rank_int(m.rows)
+    return len(linalg.bareiss_echelon([list(row) for row in m.rows]))
 
 
 def path_map(t: ColoredTree, g: ColoredGraph) -> MonomialMap:

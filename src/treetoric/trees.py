@@ -82,7 +82,8 @@ class ColoredTree:
         return cands[0] if len(cands) == 1 else None
 
     def depth(self, i: int) -> int:
-        self._check_node(i, allow_root=True)
+        if i not in self._depth:
+            raise TreeError(f"unknown node id: {i}")
         return self._depth[i]
 
     @cached_property
@@ -127,12 +128,6 @@ class ColoredTree:
     # ---------------------------------------------------------------- #
     # validation                                                         #
     # ---------------------------------------------------------------- #
-
-    def _check_node(self, i: int, allow_root: bool = False) -> None:
-        if i == 0 and allow_root:
-            return
-        if i not in self.parent:
-            raise TreeError(f"unknown node id: {i}")
 
     def _validate(self) -> list[int]:
         """Check every invariant, build ``children``, and return the non-root

@@ -9,13 +9,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_name
-from treetoric.classify import ClassificationReport, contract_internal_colors
-from treetoric.errors import SamplingError, SingularMatrixError, TreeError
-from treetoric.graphs import (
-    ColoredGraph,
-    connected_components,
-    one_clique_separated_quadruples,
-)
+from treetoric.classify import ClassificationReport
+from treetoric.errors import SamplingError, SingularMatrixError
+from treetoric.graphs import ColoredGraph, one_clique_separated_quadruples
 from treetoric.ideals import cherry_binomials
 from treetoric.matrices import (
     SAMPLE_BOUND,
@@ -140,6 +136,50 @@ def combined_via_sigma(report: ClassificationReport) -> list[Binomial]:
     kind = report.coordinates
     sigma = sigma_block_minors(report.graph) | sigma_completion_linears(report.graph)
     return sorted(set(cherry_binomials(report.working_tree)) | {embed(b, kind) for b in sigma})
+
+
+def connected_components(g: ColoredGraph, removed: int | None = None) -> list[set[int]]:
+    """Connected components by depth-first search, optionally with one
+    vertex deleted."""
+    remaining = [v for v in g.vertices() if v != removed]
+    seen: set[int] = set()
+    comps = []
+    for start in remaining:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u != removed and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def star_decomposition_oracle(
+    g: ColoredGraph,
+) -> tuple[int, list[tuple[int, ...]]] | None:
+    """Star test by components: one vertex c adjacent to all others, and
+    every component of g - c a clique, which it is iff each of its vertices
+    has degree (in g) equal to its size.  A complete graph is one clique
+    centred at vertex 1.  The reference for ``graphs.star_decomposition``,
+    which reads the same answer off closed neighbourhoods."""
+    if g.is_complete():
+        return 1, [tuple(g.vertices())]
+    full = [v for v in g.vertices() if g.degree(v) == g.n - 1]
+    if len(full) != 1:
+        return None
+    c = full[0]
+    cliques = []
+    for comp in connected_components(g, removed=c):
+        if any(g.degree(v) != len(comp) for v in comp):
+            return None
+        cliques.append(tuple(sorted(comp | {c})))
+    return c, sorted(cliques)
 
 
 def _distances(g: ColoredGraph) -> dict[int, dict[int, int]]:
@@ -283,13 +323,22 @@ def jordan_closed_by_basis(pattern: MatrixPattern) -> bool:
 
 
 def has_non_adjacent_internal_merge(t: ColoredTree) -> bool:
-    """Some internal color class is not connected under parent edges: the
-    case in which ``contract_internal_colors`` raises ``TreeError``."""
-    try:
-        contract_internal_colors(t)
-    except TreeError:
-        return True
-    return False
+    """Some non-zeroed internal color class is not connected under parent
+    edges: union-find over the parent edges inside each class, and a class
+    is non-adjacent iff its members have more than one root.  The case in
+    which ``contract_internal_colors`` raises ``TreeError``."""
+    color = {v: t.color[v] for v in t.parent if v > t.n_leaves and v not in t.zeroed}
+    root = {v: v for v in color}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for v in color:
+        if color.get(t.parent[v]) == color[v]:
+            root[find(v)] = find(t.parent[v])
+    return len({(color[v], find(v)) for v in color}) > len(set(color.values()))
 
 
 def vertex_regular_via_parents(t: ColoredTree) -> bool:

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetoric.classify import contract_internal_colors
-from treetoric.errors import GraphError
+from treetoric.errors import GraphError, TreeError
 from treetoric.graphs import (
     ColoredGraph,
     completion,
-    connected_components,
     derive_graph,
     edge,
     is_vertex_regular,
@@ -23,8 +22,10 @@ from treetoric.trees import parse_tree
 
 from conftest import fixture_tree, random_tree
 from oracles import (
+    connected_components,
     four_point_check,
     has_non_adjacent_internal_merge,
+    star_decomposition_oracle,
     vertex_regular_via_parents,
 )
 
@@ -260,6 +261,44 @@ class TestStarDecomposition:
                     assert star[0] == tree.center_leaf(), tree.to_dict()
                     hits[kind] += 1
         assert min(hits.values()) >= 30, hits
+
+    def test_every_small_graph_matches_component_oracle(self):
+        # every labeled graph on 1-6 vertices: closed neighbourhoods against
+        # the components of g - c
+        graphs = stars = 0
+        for n in range(1, 7):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for mask in range(1 << len(pairs)):
+                g = make_graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+                star = star_decomposition(g)
+                assert star == star_decomposition_oracle(g), sorted(g.edges)
+                graphs += 1
+                stars += star is not None
+        assert (graphs, stars) == (33867, 401)
+
+
+class TestContraction:
+    @pytest.mark.parametrize("seed", [7, 11, 20240810])
+    def test_matches_union_find_oracle(self, seed):
+        # contraction raises exactly on non-adjacent internal color classes,
+        # and a tree that contracts keeps its derived graph's colors
+        rng = random.Random(seed)
+        raised = contracted = 0
+        for _ in range(600):
+            t = random_tree(rng)
+            try:
+                c = contract_internal_colors(t)
+            except TreeError:
+                assert has_non_adjacent_internal_merge(t), t.to_dict()
+                raised += 1
+                continue
+            assert not has_non_adjacent_internal_merge(t), t.to_dict()
+            if c is not t:
+                g, h = derive_graph(t), derive_graph(c)
+                assert h.edge_color == g.edge_color, t.to_dict()
+                assert h.vertex_color == g.vertex_color, t.to_dict()
+                contracted += 1
+        assert raised >= 30 and contracted >= 30, (raised, contracted)
 
 
 class TestCompletion:

@@ -9,7 +9,7 @@ import pytest
 from treetoric.binomials import Binomial, coord_var, monomial, parse_binomial
 from treetoric.classify import classify, coordinate_kind
 from treetoric.errors import NotApplicableError
-from treetoric.graphs import connected_components, derive_graph, star_decomposition
+from treetoric.graphs import derive_graph, star_decomposition
 from treetoric.ideals import (
     _linear,
     _minor,
@@ -28,6 +28,7 @@ from treetoric.trees import ColoredTree
 from conftest import TREE_FIXTURES, fixture_tree, random_tree
 from oracles import (
     bfs_path_oracle,
+    connected_components,
     combined_via_sigma,
     depth_oracle,
     embed,

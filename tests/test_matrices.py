@@ -270,21 +270,28 @@ class TestLinalg:
         ).filter(lambda rows: len({len(r) for r in rows}) == 1)
     )
     def test_bareiss_rank_matches_fraction_elimination(self, rows):
-        assert linalg.rank_int(rows) == rank_oracle(rows)
+        assert len(linalg.bareiss_echelon([list(row) for row in rows])) == rank_oracle(rows)
 
     def test_solve_roundtrip(self):
         rng = random.Random(3)
+        inverted = 0
         for _ in range(20):
             n = rng.randint(1, 6)
-            rows = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    x = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    rows[i][j] = rows[j][i] = x
             try:
-                inv = linalg.invert_fraction(rows)
+                inv = invert_exact(SymMatrix.from_rows(rows))
             except SingularMatrixError:
                 continue
             for i in range(n):
                 for j in range(n):
-                    acc = sum(rows[i][k] * inv[k][j] for k in range(n))
+                    acc = sum(rows[i][k] * inv[k, j] for k in range(n))
                     assert acc == (1 if i == j else 0)
+            inverted += 1
+        assert inverted >= 15
 
     def test_det_adjugate_matches_cofactor_oracle(self):
         rng = random.Random(17)

@@ -1,5 +1,5 @@
 """Smoke tests: both scripts run end to end on small settings, without
-the test framework."""
+the test framework and with no PYTHONPATH."""
 
 import os
 import subprocess
@@ -17,10 +17,8 @@ WITHOUT_PYTEST = (
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
+    # no PYTHONPATH: each script finds the package in the checkout itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
         [sys.executable, "-c", WITHOUT_PYTEST, str(REPO / "scripts" / name), *args],
         capture_output=True,
