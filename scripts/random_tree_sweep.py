@@ -4,7 +4,9 @@
 Generates random trees (mixed coloring and zeroing modes), classifies each,
 and runs the exact verification suite on every theorem-applicable one.
 Prints a classification histogram and fails loudly on any exact-check
-violation; useful for soak-testing beyond the fixed acceptance sweep.
+violation; useful for soak-testing beyond the fixed acceptance sweep.  A
+failure line names the tree's index, which is also its ``verify_tree``
+seed, so ``verify_tree(tree, trials, seed=index)`` replays it exactly.
 
 Usage:
   python scripts/random_tree_sweep.py --count 500 --seed 1 --trials 10
@@ -47,7 +49,7 @@ def main() -> int:
         for c in result.checks:
             if not c["passed"]:
                 bad += 1
-                print(f"FAIL {c['check']}: {t.to_dict()}")
+                print(f"FAIL {c['check']} tree {idx} (seed {idx}): {t.to_dict()}")
     for tag, count in sorted(tally.items()):
         print(f"{tag:24s} {count}")
     print(f"failures: {bad}")

@@ -36,7 +36,6 @@ from .laplacians import (
     g_derived_laplacian_map,
     gamma_graph,
     gamma_laplacian,
-    reduced_laplacian_map,
 )
 from .matrices import (
     MatrixPattern,

@@ -92,11 +92,11 @@ class ClassificationReport:
     star_center: int | None
     star_cliques: list[tuple[int, ...]] | None
     contracted: bool
+    tree: ColoredTree
+    graph: ColoredGraph
     warnings: list[str] = field(default_factory=list)
     reasons: list[str] = field(default_factory=list)
-    tree: ColoredTree | None = None
     working_tree: ColoredTree | None = None
-    graph: ColoredGraph | None = None
 
     @property
     def applicable(self) -> bool:
@@ -106,7 +106,7 @@ class ClassificationReport:
         return {
             "theorem": self.theorem,
             "coordinates": self.coordinates,
-            "graph": self.graph.to_dict() if self.graph else None,
+            "graph": self.graph.to_dict(),
             "predicates": {
                 # every derived graph is connected (lemma in classify)
                 "connected": True,
@@ -121,7 +121,7 @@ class ClassificationReport:
             "contracted_internal_colors": self.contracted,
             "warnings": sorted(self.warnings),
             "reasons": self.reasons,
-            "tree": self.tree.to_dict() if self.tree else None,
+            "tree": self.tree.to_dict(),
         }
 
 

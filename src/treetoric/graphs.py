@@ -108,8 +108,8 @@ class ColoredGraph:
             if not (
                 isinstance(e, tuple)
                 and len(e) == 2
-                and isinstance(e[0], int)
-                and isinstance(e[1], int)
+                and type(e[0]) is int  # not bool
+                and type(e[1]) is int
                 and 1 <= e[0] < e[1] <= n
             ):
                 raise GraphError(f"invalid edge {e!r}: need 1 <= i < j <= {n}")
@@ -234,35 +234,22 @@ def completion(g: ColoredGraph) -> ColoredGraph:
     symmetries of g.
 
     Edge classes are the finest partition of all pairs closed under
-    "same-colored vertices i,j force {i,k} ~ {j,k} for every k", computed by
-    union-find over the rule instances; untouched pairs stay singletons.
+    "same-colored vertices i,j force {i,k} ~ {j,k} for every k".  That is
+    the partition by the color pair {color i, color j}: the rule keeps the
+    pair, and connects all edges carrying it.  Between two color classes
+    it moves one end at a time; inside one class of m >= 3 vertices it
+    links the pairs as in the Johnson graph J(m,2), which is connected.
     Each class is named after its least pair (i,j) as ``E{i}_{j}``, with
     the prefix lengthened to ``EE``, ``EEE``, ... until no vertex token
     starts with it, so edge and vertex tokens never meet.
     """
-    verts = g.vertices()
-    all_pairs = list(combinations(verts, 2))
-    parent: dict[tuple[int, int], tuple[int, int]] = {e: e for e in all_pairs}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for verts_same in g.vertex_color_classes().values():
-        for i, j in combinations(verts_same, 2):
-            for k in verts:
-                if k not in (i, j):
-                    union(edge(i, k), edge(j, k))
-
     prefix = "E"
     while any(c.startswith(prefix) for c in g.vertex_color.values()):
         prefix += "E"
-    edge_color = {e: f"{prefix}{find(e)[0]}_{find(e)[1]}" for e in all_pairs}
-    return ColoredGraph(n=g.n, vertex_color=g.vertex_color, edge_color=edge_color)
+    color = g.vertex_color
+    least: dict[frozenset[str], tuple[int, int]] = {}
+    edge_color = {}
+    for i, j in combinations(g.vertices(), 2):  # lexicographic: least pair first
+        a, b = least.setdefault(frozenset((color[i], color[j])), (i, j))
+        edge_color[(i, j)] = f"{prefix}{a}_{b}"
+    return ColoredGraph(n=g.n, vertex_color=color, edge_color=edge_color)

@@ -1,12 +1,12 @@
 """Linear coordinate changes between matrix entries and edge weights.
 
-Both coordinate changes are read off a reduced graph Laplacian.  Weight the
-complete graph on {0,..,n} by linear forms in x-variables, delete row and
-column 0 of its Laplacian, and read entry (i,j) as sigma_ij.  Unit weights
-give the reduced Laplacian map (x = p): p_ij = -sigma_ij off the root and
-p_0i = sum_j sigma_ij.  The weights of Gamma(G) give the G-derived map
-(x = q), whose signs and 0-row corrections depend on edge membership and
-vertex degrees; on a complete graph they reduce to unit weights.
+One map, :func:`g_derived_laplacian_map`, serves both coordinate kinds.
+Weight the complete graph on {0,..,n} by the linear forms of Gamma(G),
+delete row and column 0 of its Laplacian, and read entry (i,j) as sigma_ij.
+The weights' signs and 0-row corrections depend on edge membership and
+vertex degrees.  On a complete G they reduce to unit weights, which give
+the reduced Laplacian map (x = p): p_ij = -sigma_ij off the root and
+p_0i = sum_j sigma_ij.  Any other G gives the G-derived map (x = q).
 
 Every off-diagonal entry is a single term -/+ x_ij, and the diagonal entry
 sigma_ii is x_0i plus terms in x_ab with a, b >= 1.  The system is therefore
@@ -156,17 +156,23 @@ class CoordinateMap:
         return SymMatrix(tuple(map(tuple, rows)))
 
 
-def _laplacian_map(
-    n: int, kind: str, weights: Mapping[tuple[int, int], LinForm]
-) -> CoordinateMap:
-    """Coordinate map read off the reduced Laplacian of the given weights.
+def g_derived_laplacian_map(g: ColoredGraph) -> CoordinateMap:
+    """Coordinate change read off the reduced Laplacian of Gamma(G).
 
     ``backward`` is the reduced grid itself.  Each off-diagonal entry is
     sigma_ij = c_ij x_ij with c_ij = +-1, so x_ij = c_ij sigma_ij; the
     diagonal entry sigma_jj = x_0j + sum d_ab x_ab (a, b >= 1) then gives
     x_0j = sigma_jj - sum d_ab c_ab sigma_ab by substitution.
+
+    The kind is p on a complete graph and q otherwise.  On a complete graph
+    Gamma(G) has unit weights, so the map is the reduced Laplacian map.  On
+    a derived graph the kind equals :func:`classify.coordinate_kind`: every
+    zeroed node has at least two children, and two leaves under different
+    children meet there and are not adjacent, so a derived graph is
+    complete exactly when its tree has no zeroed node.
     """
-    grid = _laplacian_grid(n, weights)
+    n = g.n
+    grid = _laplacian_grid(n, gamma_graph(g))
     backward = {(i, j): grid[i][j] for i, j in sigma_index_pairs(n)}
     sign = {(i, j): grid[i][j][(i, j)] for i, j in pq_index_pairs(n) if i}
     forward: dict[tuple[int, int], LinForm] = {}
@@ -179,16 +185,5 @@ def _laplacian_map(
             if pair[0]:
                 _add(form, {pair: -coeff * sign[pair]})
         forward[(0, j)] = form
+    kind = "p" if g.is_complete() else "q"
     return CoordinateMap(n=n, kind=kind, forward=forward, backward=backward)
-
-
-def reduced_laplacian_map(n: int) -> CoordinateMap:
-    """p_ij = -sigma_ij for 1 <= i < j, p_0i = sum_j sigma_ij."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _laplacian_map(n, "p", {pair: {pair: 1} for pair in pq_index_pairs(n)})
-
-
-def g_derived_laplacian_map(g: ColoredGraph) -> CoordinateMap:
-    """Coordinate change read off the reduced Laplacian of Gamma(G)."""
-    return _laplacian_map(g.n, "q", gamma_graph(g))

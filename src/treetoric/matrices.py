@@ -14,7 +14,9 @@ tolerance anywhere.  A sample has integer entries and comes with its
 determinant and adjugate, so one fraction-free elimination both certifies
 it invertible and gives its inverse as adj / det.  :func:`invert_exact`
 inverts a rational M the same way, on the integer matrix sM with s the lcm
-of M's denominators: M^{-1} = s adj(sM) / det(sM).  Closure of a pattern's
+of M's denominators: M^{-1} = s adj(sM) / det(sM).  Symmetry is checked by
+comparing a matrix with its transpose, and pattern membership by comparing
+it with the pattern filled from its own entries.  Closure of a pattern's
 space under the Jordan product is decided symbolically, from the pattern
 alone.
 """
@@ -25,6 +27,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import NamedTuple
 
@@ -52,12 +55,10 @@ class MatrixPattern:
         n = self.size
         if len(self.classes) != n or any(len(r) != n for r in self.classes):
             raise ValueError("pattern grid must be n x n")
-        for i in range(n):
-            if self.classes[i][i] is None:
-                raise ValueError("diagonal entries cannot be zeroed")
-            for j in range(n):
-                if self.classes[i][j] != self.classes[j][i]:
-                    raise ValueError("pattern must be symmetric")
+        if any(self.classes[i][i] is None for i in range(n)):
+            raise ValueError("diagonal entries cannot be zeroed")
+        if tuple(zip(*self.classes)) != tuple(map(tuple, self.classes)):
+            raise ValueError("pattern must be symmetric")
 
     def tokens(self) -> list[str]:
         """Sorted color tokens occurring in the pattern."""
@@ -88,13 +89,11 @@ class SymMatrix:
     def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
         object.__setattr__(self, "entries", entries)
         n = len(entries)
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError("matrix must be exactly symmetric")
+        if any(len(row) != n for row in entries):
+            raise ValueError("matrix must be square")
+        # both sides are tuples of tuples, so rows given as lists compare too
+        if tuple(zip(*entries)) != tuple(map(tuple, entries)):
+            raise ValueError("matrix must be exactly symmetric")
 
     def __setattr__(self, *args):
         raise AttributeError("SymMatrix is immutable")
@@ -184,23 +183,19 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
 
 
 def pattern_contains(pattern: MatrixPattern, m: SymMatrix) -> bool:
-    """Exact membership: zeros at structural zeros, equal entries per class."""
+    """Exact membership: zeros at structural zeros, equal entries per class.
+
+    Fill the pattern with one entry of m per token.  If m lies in the
+    space, the filled pattern is m.  Otherwise some class holds two values
+    or some structural zero is nonzero, and either way the filled pattern
+    differs from m at that entry.
+    """
     if pattern.size != m.n:
         raise ValueError("size mismatch")
-    witness: dict[str, Fraction] = {}
-    for i in range(m.n):
-        for j in range(m.n):
-            token = pattern.classes[i][j]
-            value = m[i, j]
-            if token is None:
-                if value != 0:
-                    return False
-            elif token in witness:
-                if witness[token] != value:
-                    return False
-            else:
-                witness[token] = value
-    return True
+    witness = dict(
+        zip(chain.from_iterable(pattern.classes), chain.from_iterable(m.entries))
+    )
+    return pattern.rows(witness) == list(map(list, m.entries))
 
 
 def invert_exact(m: SymMatrix) -> SymMatrix:

@@ -37,7 +37,7 @@ from . import linalg
 from .binomials import Binomial
 from .classify import ClassificationReport, classify
 from .ideals import combined_from_classification
-from .laplacians import CoordinateMap, g_derived_laplacian_map, reduced_laplacian_map
+from .laplacians import CoordinateMap, g_derived_laplacian_map
 from .matrices import (
     MatrixPattern,
     SymMatrix,
@@ -76,15 +76,11 @@ class VerificationContext:
 def build_context(t: ColoredTree) -> VerificationContext:
     """Classify and assemble maps and generators; raises when NONE."""
     report = classify(t)
-    generators, kind = combined_from_classification(report)
-    if kind == "q":
-        cmap = g_derived_laplacian_map(report.graph)
-    else:
-        cmap = reduced_laplacian_map(t.n_leaves)
+    generators, _ = combined_from_classification(report)
     return VerificationContext(
         report=report,
         pattern=pattern_from_graph(report.graph),
-        cmap=cmap,
+        cmap=g_derived_laplacian_map(report.graph),
         mmap=path_map(report.working_tree, report.graph),
         generators=generators,
     )

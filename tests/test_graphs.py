@@ -1,7 +1,7 @@
 """Derived graphs, structural predicates, completions and separations."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -354,6 +354,22 @@ class TestCompletion:
             got.setdefault(c, set()).add(e)
         assert set(map(frozenset, got.values())) == completion_closure_oracle(g)
 
+    def test_every_small_coloring_matches_oracle(self):
+        # the completion ignores edges, so edgeless graphs cover every input
+        tokens = ("a", "b", "E1_2", "EE")
+        for n in range(1, 7):
+            for colors in product(tokens, repeat=n):
+                g = ColoredGraph(n, dict(enumerate(colors, start=1)), {})
+                comp = completion(g)
+                got = {}
+                for e, c in comp.edge_color.items():
+                    got.setdefault(c, set()).add(e)
+                assert set(map(frozenset, got.values())) == completion_closure_oracle(g)
+                prefix = "E" * (1 + max(len(c) - len(c.lstrip("E")) for c in colors))
+                for token, es in got.items():
+                    assert token == "%s%d_%d" % (prefix, *min(es)), colors
+                assert not set(got) & set(colors)
+
 
 class TestSeparatedQuadruples:
     def test_complete_graph_empty(self):
@@ -438,6 +454,11 @@ class TestValidation:
                 vertex_color={1: "a", 2: "b", 3: "c"},
                 edge_color={key: "x"},
             )
+
+    def test_boolean_endpoints_rejected(self):
+        # True == 1, but an edge key names integer vertices
+        with pytest.raises(GraphError, match="invalid edge"):
+            ColoredGraph(2, {1: "a", 2: "b"}, {(True, 2): "x"})
 
     def test_shared_vertex_edge_tokens_rejected(self):
         with pytest.raises(GraphError, match="share color tokens"):

@@ -9,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetoric.binomials import coord_var
+from treetoric.errors import NotApplicableError
 from treetoric.graphs import derive_graph, edge, star_decomposition
 from treetoric.laplacians import (
     g_derived_laplacian_map,
     gamma_graph,
     gamma_laplacian,
     pq_index_pairs,
-    reduced_laplacian_map,
     sigma_index_pairs,
 )
 from treetoric.matrices import SymMatrix, pattern_from_tree
+from treetoric.pipeline import build_context
 
 from conftest import random_tree
 from oracles import fraction_inverse, sample_point_reference
@@ -36,7 +37,7 @@ def random_sym(rng, n):
 
 class TestReducedLaplacian:
     def test_n2_hand_substitution(self):
-        cmap = reduced_laplacian_map(2)
+        cmap = g_derived_laplacian_map(complete_graph(2))
         point = cmap.apply(SymMatrix.from_rows([[1, 2], [2, 5]]))
         assert point[coord_var("p", 0, 1)] == 3
         assert point[coord_var("p", 0, 2)] == 7
@@ -51,7 +52,7 @@ class TestReducedLaplacian:
     def test_roundtrip(self, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 6)
-        cmap = reduced_laplacian_map(n)
+        cmap = g_derived_laplacian_map(complete_graph(n))
         m = random_sym(rng, n)
         assert cmap.unapply(cmap.apply(m)) == m
 
@@ -116,11 +117,24 @@ class TestGammaGraph:
 
 class TestGDerivedMap:
     def test_complete_graph_equals_reduced(self):
+        # On a complete graph the map is the reduced Laplacian map (p); its
+        # forms are pinned by TestReducedLaplacian and the unit weights by
+        # test_complete_graph_weights_reduce.
         for n in range(1, 6):
-            derived = g_derived_laplacian_map(complete_graph(n))
-            reduced = reduced_laplacian_map(n)
-            assert derived.forward == reduced.forward
-            assert derived.backward == reduced.backward
+            assert g_derived_laplacian_map(complete_graph(n)).kind == "p"
+
+    def test_kind_matches_classification(self):
+        # p exactly when the tree has no zeroed node
+        rng = random.Random(1616)
+        checked = 0
+        for _ in range(300):
+            try:
+                ctx = build_context(random_tree(rng))
+            except NotApplicableError:
+                continue
+            assert ctx.cmap.kind == ctx.report.coordinates, ctx.report.tree.to_dict()
+            checked += 1
+        assert checked > 100
 
     def test_star_closed_form(self):
         # q_ij = -sigma_ij on edges, +sigma_ij off; q_0c = sigma_cc;
@@ -157,7 +171,7 @@ class TestGDerivedMap:
         for _ in range(40):
             t = random_tree(rng, zero_mode=zero_mode)
             g = derive_graph(t)
-            for cmap in (g_derived_laplacian_map(g), reduced_laplacian_map(g.n)):
+            for cmap in map(g_derived_laplacian_map, (g, complete_graph(g.n))):
                 sigma, coords = sigma_index_pairs(g.n), pq_index_pairs(g.n)
                 backward = [[cmap.backward[s].get(x, 0) for x in coords] for s in sigma]
                 forward = [[cmap.forward[x].get(s, 0) for s in sigma] for x in coords]

@@ -109,6 +109,29 @@ class TestPatterns:
             MatrixPattern(2, ((None, "b"), ("b", "a")))
 
 
+class TestSymMatrix:
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            SymMatrix(((1, 2), (2,)))
+        with pytest.raises(ValueError, match="square"):
+            SymMatrix(((1, 2),))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            SymMatrix(((1, 2, 0), (2, 1, 0), (0, 1, 1)))
+
+    def test_list_rows_accepted(self):
+        m = SymMatrix([[1, 2], [2, 3]])
+        assert m[0, 1] == m[1, 0] == 2
+        assert SymMatrix([]).n == 0
+
+    def test_immutable(self):
+        m = identity(2)
+        with pytest.raises(AttributeError, match="immutable"):
+            m.entries = ((0, 0), (0, 0))
+        assert m == identity(2)
+
+
 class TestSampling:
     def test_sample_lies_in_pattern_and_is_invertible(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
