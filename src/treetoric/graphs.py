@@ -201,10 +201,10 @@ def one_clique_separated_quadruples(
     occur in either pair.  These index the 2x2 minors generating the block
     graph's vanishing ideal.
 
-    The components of g - c are the star's cliques minus c.  The vertex
-    pairs are grouped by the components they meet, and every two groups
-    meeting disjoint components contribute their whole product, so a
-    single clique separates nothing.
+    Each vertex v != c is labelled with the index of its clique.  As g - c
+    is a disjoint union of cliques, two of its vertices share a component
+    iff they are equal or adjacent, so two pairs are separated exactly when
+    the label sets of their non-center members are disjoint.
 
     Raises
     ------
@@ -215,18 +215,9 @@ def one_clique_separated_quadruples(
     if star is None:
         raise GraphError("separation analysis needs a star block graph")
     c, cliques = star
-    comps = [[v for v in clique if v != c] for clique in cliques]
-    # every vertex pair, keyed by the components of g - c it meets
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for a, comp in enumerate(comps):
-        groups[(a,)] = [edge(c, v) for v in comp] + list(combinations(comp, 2))
-        for b in range(a + 1, len(comps)):
-            groups[(a, b)] = [edge(u, v) for u in comp for v in comps[b]]
-    result: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for (s1, rows), (s2, cols) in combinations(groups.items(), 2):
-        if set(s1).isdisjoint(s2):
-            result.update((min(p, q), max(p, q)) for p in rows for q in cols)
-    return result
+    part = {v: a for a, clique in enumerate(cliques) for v in clique if v != c}
+    parts = [(p, {part[u] for u in p if u != c}) for p in combinations(g.vertices(), 2)]
+    return {(p, q) for (p, s), (q, t) in combinations(parts, 2) if s.isdisjoint(t)}
 
 
 def completion(g: ColoredGraph) -> ColoredGraph:

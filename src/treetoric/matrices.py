@@ -80,19 +80,19 @@ class SymMatrix:
     """Immutable symmetric matrix with exact entries.
 
     :meth:`from_rows` stores ``Fraction`` entries; the constructor keeps the
-    entries it is given, so integer matrices (adjugates, integer points)
-    stay integer.
+    entries it is given, in tuple rows, so integer matrices (adjugates,
+    integer points) stay integer.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
+        entries = tuple(map(tuple, entries))
         object.__setattr__(self, "entries", entries)
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
-        # both sides are tuples of tuples, so rows given as lists compare too
-        if tuple(zip(*entries)) != tuple(map(tuple, entries)):
+        if tuple(zip(*entries)) != entries:
             raise ValueError("matrix must be exactly symmetric")
 
     def __setattr__(self, *args):

@@ -95,14 +95,6 @@ class MonomialMap:
             values[v] = acc
         return values
 
-    def occurring_params(self) -> list[str]:
-        """Parameters whose column contains a nonzero exponent."""
-        return [
-            tok
-            for k, tok in enumerate(self.params)
-            if any(row[k] for row in self.rows)
-        ]
-
 
 def exponent_rank(m: MonomialMap) -> int:
     """Exact integer rank of the exponent matrix."""

@@ -13,18 +13,21 @@ three exact checks:
   inverted, land exactly back in the tree's pattern (singular points are
   skipped, not failed);
 
-plus a rank check of the exponent matrix against the number of occurring
-parameters.  All arithmetic is exact, so a pass is an identity, not an
-approximation.  The two sampling checks run on integers: both draw
-integer points (matrix entries and positive path-map parameters), and
-matrices are inverted up to the scalar det as adjugates, from one
-fraction-free Gauss-Jordan pass.  That scalar cannot change the outcome,
-since pattern membership and the vanishing of a homogeneous binomial are
-invariant under nonzero scaling; a failing binomial's value is scaled back
-to the exact rational value at K^{-1}.  Each trial is a Schwartz-Zippel
-identity test, as sound with integer draws as with rational ones.
-Trials derive per-trial seeds from the master seed and are independent;
-reports are reproducible byte-for-byte.
+plus a rank check of the path map's exponent matrix A against dim P, the
+number of tokens of the pattern P in which K is drawn.  A pass certifies
+rank(A) = dim P: the path map's image lies in the inverse model, as the
+round trip tests, so its closure is then the whole model and kernel
+membership implies forward vanishing.  All arithmetic is exact, so a pass
+is an identity, not an approximation.  The two sampling checks run on
+integers: both draw integer points (matrix entries and positive path-map
+parameters), and matrices are inverted up to the scalar det as adjugates,
+from one fraction-free Gauss-Jordan pass.  That scalar cannot change the
+outcome, since pattern membership and the vanishing of a homogeneous
+binomial are invariant under nonzero scaling; a failing binomial's value is
+scaled back to the exact rational value at K^{-1}.  Each trial is a
+Schwartz-Zippel identity test, as sound with integer draws as with rational
+ones.  Trials derive per-trial seeds from the master seed and are
+independent; reports are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -186,9 +189,18 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
 
 
 def dimension_report(ctx: VerificationContext) -> dict:
-    """Exponent-matrix rank against the occurring-parameter count."""
+    """Exponent-matrix rank against dim P, the pattern's token count.
+
+    On every tree the package builds, dim P counts the parameters occurring
+    in A.  The parameters are the colors of the working tree's non-zeroed
+    nodes.  The tokens are the leaf colors and those of the non-zeroed lcas
+    of leaf pairs in 1..n, and every internal node is such an lca: it has
+    two children holding leaves.  Node k occurs in row (0, j) for each leaf
+    j below it; the squared-center row (0, c) still carries theta_c, and the
+    top also occurs in (0, j) for j under its other child.
+    """
     rank = exponent_rank(ctx.mmap)
-    occurring = len(ctx.mmap.occurring_params())
+    occurring = len(ctx.pattern.tokens())
     return {
         "check": "dimension",
         "rank": rank,

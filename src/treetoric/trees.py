@@ -69,7 +69,7 @@ class ColoredTree:
 
     def top_node(self) -> int:
         """The unique child of the root leaf 0."""
-        return next(i for i, p in self.parent.items() if p == 0)
+        return self.children[0][0]
 
     def center_leaf(self) -> int | None:
         """The unique leaf whose parent is the top internal node, if any.
@@ -77,8 +77,7 @@ class ColoredTree:
         Well-defined for every tree whose derived graph is a non-complete
         block graph; ``None`` when no or several such leaves exist.
         """
-        top = self.top_node()
-        cands = [i for i in self.leaves() if self.parent.get(i) == top]
+        cands = [i for i in self.children[self.top_node()] if i <= self.n_leaves]
         return cands[0] if len(cands) == 1 else None
 
     def depth(self, i: int) -> int:
@@ -182,8 +181,7 @@ class ColoredTree:
 
         if not self.zeroed <= internal:
             raise TreeError("zeroed nodes must be internal nodes")
-        top = next(i for i, p in self.parent.items() if p == 0)
-        if top in self.zeroed:
+        if self.children[0][0] in self.zeroed:
             raise TreeError("zeroed top node")
 
         expect_colored = (leaves | internal) - self.zeroed

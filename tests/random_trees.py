@@ -11,11 +11,15 @@ classification outcome:
   with a single leaf under the top (produces star block graphs) / an
   arbitrary subset (mostly non-block).
 
+:func:`all_small_trees` enumerates an exhaustive corpus instead: every
+small topology with every zeroed set and two leaf colorings.
+
 It imports no test framework, so scripts can use it too.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 import random
 
 from treetoric.trees import ColoredTree
@@ -134,3 +138,58 @@ def random_tree(
             color[j] = color[i]
 
     return ColoredTree(n_leaves=n, parent=parent, color=color, zeroed=zeroed)
+
+
+def _set_partitions(items: tuple[int, ...]):
+    """Every partition of ``items`` into blocks, each block a tuple."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        yield [(first,), *blocks]
+        for k in range(len(blocks)):
+            yield [*blocks[:k], (first, *blocks[k]), *blocks[k + 1 :]]
+
+
+def _topologies(leaves: tuple[int, ...]) -> list:
+    """Every rooted tree on ``leaves`` with internal degrees >= 2, each a
+    leaf id or a tuple of subtrees."""
+    if len(leaves) == 1:
+        return [leaves[0]]
+    return [
+        subtrees
+        for blocks in _set_partitions(leaves)
+        if len(blocks) > 1
+        for subtrees in product(*map(_topologies, blocks))
+    ]
+
+
+def all_small_trees(n_max: int = 5):
+    """Every small tree, in a fixed order: for n = 2..n_max, every
+    leaf-labelled rooted topology with internal degrees >= 2 (1, 4, 26 and
+    236 of them for n = 2-5), with every zeroed set of non-top internal
+    nodes, under two leaf colorings: all distinct (``L<i>``), and each leaf
+    taking its parent's token ``P<parent>``.  Internal nodes get ``I<id>``.
+    """
+    for n in range(2, n_max + 1):
+        for shape in _topologies(tuple(range(1, n + 1))):
+            parent: dict[int, int] = {}
+            stack = [(shape, 0)]
+            next_id = n + 1
+            while stack:
+                node, par = stack.pop()
+                if isinstance(node, int):
+                    parent[node] = par
+                    continue
+                parent[next_id] = par
+                stack.extend((child, next_id) for child in reversed(node))
+                next_id += 1
+            internal = list(range(n + 1, next_id))
+            for size in range(len(internal)):
+                for zeroed in combinations(internal[1:], size):
+                    for token in ("L{i}", "P{p}"):
+                        color = {i: f"I{i}" for i in internal if i not in zeroed}
+                        for i in range(1, n + 1):
+                            color[i] = token.format(i=i, p=parent[i])
+                        yield ColoredTree(n, parent, color, zeroed)

@@ -264,7 +264,8 @@ class TestStarDecomposition:
 
     def test_every_small_graph_matches_component_oracle(self):
         # every labeled graph on 1-6 vertices: closed neighbourhoods against
-        # the components of g - c
+        # the components of g - c, and on each star the separations by part
+        # label against the bipartition enumeration
         graphs = stars = 0
         for n in range(1, 7):
             pairs = list(combinations(range(1, n + 1), 2))
@@ -272,6 +273,9 @@ class TestStarDecomposition:
                 g = make_graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
                 star = star_decomposition(g)
                 assert star == star_decomposition_oracle(g), sorted(g.edges)
+                if star is not None:
+                    got = one_clique_separated_quadruples(g)
+                    assert got == minor_quadruples_oracle(g), sorted(g.edges)
                 graphs += 1
                 stars += star is not None
         assert (graphs, stars) == (33867, 401)

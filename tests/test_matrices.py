@@ -124,6 +124,13 @@ class TestSymMatrix:
         m = SymMatrix([[1, 2], [2, 3]])
         assert m[0, 1] == m[1, 0] == 2
         assert SymMatrix([]).n == 0
+        # list rows are stored as tuple rows: hashable, equal to the
+        # tuple-built matrix, and closed to item assignment
+        assert all(type(row) is tuple for row in m.entries)
+        t = SymMatrix(((1, 2), (2, 3)))
+        assert m == t and hash(m) == hash(t)
+        with pytest.raises(TypeError):
+            m.entries[0][1] = 9
 
     def test_immutable(self):
         m = identity(2)

@@ -96,7 +96,7 @@ class TestRank:
 
     def test_colored_star_rank_equals_occurring(self):
         mm = tree_map(fixture_tree("colored_star"))
-        assert exponent_rank(mm) == len(mm.occurring_params()) == 5
+        assert exponent_rank(mm) == len(mm.params) == 5
         assert exponent_rank(mm) == rank_oracle(mm.rows)
 
     def test_equal_rows_rank_one(self):
@@ -112,7 +112,7 @@ class TestRank:
             params=("a", "b"),
             rows=((1, 1), (2, 2), (0, 0)),
         )
-        assert exponent_rank(mm) == 1 < len(mm.occurring_params())
+        assert exponent_rank(mm) == 1 < len(mm.params)
 
 
 class TestEvaluate:

@@ -1,5 +1,7 @@
 """Classification, contraction, and the exact verification checks."""
 
+from collections import Counter
+from dataclasses import replace
 import random
 
 import pytest
@@ -30,6 +32,7 @@ from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
 from oracles import forward_vanishing_reference, roundtrip_reference
+from random_trees import all_small_trees
 
 
 EXPECTED_CLASSIFICATION = {
@@ -190,6 +193,37 @@ class TestChecks:
         result = dimension_report(build_context(fixture_tree("uncolored_binary")))
         assert result["rank"] == result["occurring_parameters"] == 7
         assert result["passed"]
+
+    @pytest.mark.parametrize(
+        "name", ["colored_star", "zeroed_block_g2", "uncolored_binary"]
+    )
+    def test_dimension_fails_on_lost_parameter(self, name):
+        # fault injection: a path map that loses a parameter (its column
+        # zeroed) has rank one below the pattern's dimension
+        ctx = build_context(fixture_tree(name))
+        rows = tuple(row[:-1] + (0,) for row in ctx.mmap.rows)
+        result = dimension_report(replace(ctx, mmap=replace(ctx.mmap, rows=rows)))
+        assert result["rank"] == result["occurring_parameters"] - 1
+        assert not result["passed"]
+
+    def test_small_tree_corpus(self):
+        # every tree with 2-5 leaves, every zeroed set, two leaf colorings:
+        # the path map's parameters are the pattern's tokens, and the rank
+        # of A is dim P, on every applicable tree
+        shapes = Counter()
+        trees = applicable = 0
+        for t in all_small_trees(5):
+            trees += 1
+            if not t.zeroed and t.color[1] == "L1":
+                shapes[t.n_leaves] += 1
+            if not classify(t).applicable:
+                continue
+            ctx = build_context(t)
+            assert ctx.mmap.params == tuple(ctx.pattern.tokens()), t.to_dict()
+            assert dimension_report(ctx)["passed"], t.to_dict()
+            applicable += 1
+        assert shapes == {2: 1, 3: 4, 4: 26, 5: 236}
+        assert (trees, applicable) == (2800, 1286)
 
 
 class TestVerifyTree:
