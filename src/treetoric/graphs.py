@@ -139,14 +139,11 @@ def derive_graph(t: ColoredTree) -> ColoredGraph:
 
 def is_vertex_regular(g: ColoredGraph) -> bool:
     """Same-colored vertices see the same multiset of incident edge colors."""
-    for verts in g.vertex_color_classes().values():
-        if len(verts) < 2:
-            continue
-        reference = g.incident_edge_colors(verts[0])
-        for v in verts[1:]:
-            if g.incident_edge_colors(v) != reference:
-                return False
-    return True
+    return all(
+        len({tuple(g.incident_edge_colors(v)) for v in verts}) == 1
+        for verts in g.vertex_color_classes().values()
+        if len(verts) > 1
+    )
 
 
 def _star_structure(g: ColoredGraph) -> tuple[int, list[tuple[int, ...]]] | None:

@@ -3,10 +3,11 @@
 One map, :func:`g_derived_laplacian_map`, serves both coordinate kinds.
 Weight the complete graph on {0,..,n} by the linear forms of Gamma(G),
 delete row and column 0 of its Laplacian, and read entry (i,j) as sigma_ij.
-The weights' signs and 0-row corrections depend on edge membership and
-vertex degrees.  On a complete G they reduce to unit weights, which give
-the reduced Laplacian map (x = p): p_ij = -sigma_ij off the root and
-p_0i = sum_j sigma_ij.  Any other G gives the G-derived map (x = q).
+The weights' signs follow edge membership, and the 0-row corrections
+follow the full-degree rule of :func:`gamma_graph`.  On a complete G they
+reduce to unit weights, which give the reduced Laplacian map (x = p):
+p_ij = -sigma_ij off the root and p_0i = sum_j sigma_ij.  Any other G gives
+the G-derived map (x = q).
 
 Every off-diagonal entry is a single term -/+ x_ij, and the diagonal entry
 sigma_ii is x_0i plus terms in x_ab with a, b >= 1.  The system is therefore
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping
 
 from .binomials import Var, coord_var, var_name
@@ -66,42 +68,30 @@ def gamma_graph(g: ColoredGraph) -> dict[tuple[int, int], LinForm]:
     """Symbolic edge weights of the weighted complete graph Gamma(G).
 
     On vertices {0,..,n}: edges inside G keep weight q_ij, non-edges get
-    -q_ij, and the root edges {0,i} get q_0i minus a degree-dependent
-    correction: the sum of q_ij over full-degree j when deg(i) < n-1, and
-    over non-full-degree j when deg(i) = n-1.  Empty sums are zero.
+    -q_ij, and the root edge {0,i} gets q_0i minus the sum of q_ij over the
+    vertices j that differ from i in having full degree n-1 (non-full j when
+    i is full, full j otherwise).  Empty sums are zero.
     """
-    n = g.n
-    full = [j for j in g.vertices() if g.degree(j) == n - 1]
-    not_full = [j for j in g.vertices() if g.degree(j) < n - 1]
-    weights: dict[tuple[int, int], LinForm] = {}
-    for i, j in ((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)):
-        sign = 1 if (i, j) in g.edges else -1
-        weights[(i, j)] = {(i, j): sign}
+    full = {v: g.degree(v) == g.n - 1 for v in g.vertices()}
+    weights: dict[tuple[int, int], LinForm] = {
+        (i, j): {(i, j): 1 if (i, j) in g.edges else -1}
+        for i, j in combinations(g.vertices(), 2)
+    }
     for i in g.vertices():
-        form: LinForm = {(0, i): 1}
-        others = not_full if g.degree(i) == n - 1 else full
-        for j in others:
-            if j != i:
-                _add(form, {edge(i, j): 1}, sign=-1)
-        weights[(0, i)] = form
+        differing = {edge(i, j): -1 for j in g.vertices() if full[j] != full[i]}
+        weights[(0, i)] = {(0, i): 1, **differing}
     return weights
-
-
-def _laplacian_grid(
-    n: int, weights: Mapping[tuple[int, int], LinForm]
-) -> list[list[LinForm]]:
-    """Laplacian of weights on the complete graph over {0,..,n}."""
-    grid: list[list[LinForm]] = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
-    for (i, j), w in weights.items():
-        for a, b in ((i, j), (j, i)):
-            _add(grid[a][b], w, sign=-1)
-            _add(grid[a][a], w)
-    return grid
 
 
 def gamma_laplacian(g: ColoredGraph) -> list[list[LinForm]]:
     """Graph Laplacian of Gamma(G) as an (n+1) x (n+1) grid of linear forms."""
-    return _laplacian_grid(g.n, gamma_graph(g))
+    n = g.n
+    grid: list[list[LinForm]] = [[{} for _ in range(n + 1)] for _ in range(n + 1)]
+    for (i, j), w in gamma_graph(g).items():
+        for a, b in ((i, j), (j, i)):
+            _add(grid[a][b], w, sign=-1)
+            _add(grid[a][a], w)
+    return grid
 
 
 def _dot(form: LinForm, values: Mapping[tuple[int, int], Fraction]) -> Fraction:
@@ -172,18 +162,14 @@ def g_derived_laplacian_map(g: ColoredGraph) -> CoordinateMap:
     complete exactly when its tree has no zeroed node.
     """
     n = g.n
-    grid = _laplacian_grid(n, gamma_graph(g))
+    grid = gamma_laplacian(g)
     backward = {(i, j): grid[i][j] for i, j in sigma_index_pairs(n)}
     sign = {(i, j): grid[i][j][(i, j)] for i, j in pq_index_pairs(n) if i}
-    forward: dict[tuple[int, int], LinForm] = {}
-    for i, j in pq_index_pairs(n):
-        if i:
-            forward[(i, j)] = {(i, j): sign[(i, j)]}
-            continue
-        form: LinForm = {(j, j): 1}
-        for pair, coeff in grid[j][j].items():
-            if pair[0]:
-                _add(form, {pair: -coeff * sign[pair]})
-        forward[(0, j)] = form
+    forward = {
+        (i, j): {(i, j): sign[(i, j)]}
+        if i
+        else {(j, j): 1, **{p: -c * sign[p] for p, c in grid[j][j].items() if p[0]}}
+        for i, j in pq_index_pairs(n)
+    }
     kind = "p" if g.is_complete() else "q"
     return CoordinateMap(n=n, kind=kind, forward=forward, backward=backward)

@@ -24,15 +24,10 @@ def bareiss_echelon(rows: list[list[int]]) -> list[int]:
         p = rows[r][c]
         for i in range(r + 1, n_rows):
             factor = rows[i][c]
-            if factor:
+            if factor or p != prev:  # otherwise the update leaves row i as it is
                 for j in range(c + 1, n_cols):
                     rows[i][j] = (p * rows[i][j] - factor * rows[r][j]) // prev
                 rows[i][c] = 0
-            elif p != prev:
-                # Zero multiplier still needs the Bareiss rescale p/prev.
-                for j in range(c + 1, n_cols):
-                    if rows[i][j]:
-                        rows[i][j] = p * rows[i][j] // prev
         prev = p
         pivots.append(c)
         r += 1

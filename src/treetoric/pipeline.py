@@ -237,6 +237,7 @@ def verify_tree(t: ColoredTree, trials: int = 100, seed: int = 0) -> Verificatio
     NotApplicableError
         When the tree classifies as NONE.
     """
+    _require_trials(trials)
     ctx = build_context(t)
     checks = [
         kernel_membership(ctx),

@@ -235,6 +235,15 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` hook: a repeated key is an input error, not an overwrite."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, _ in pairs if sum(j == k for j, _ in pairs) > 1)
+        raise TreeError(f"repeated key {key!r}")
+    return doc
+
+
 def parse_tree(text: str) -> ColoredTree:
     """Parse and validate a JSON tree document.
 
@@ -246,12 +255,12 @@ def parse_tree(text: str) -> ColoredTree:
          "zeroed": [int, ...]}
 
     Values must have exactly these JSON types (booleans are not integers),
-    and each node id key must be an integer in its plain decimal form, so no
-    two keys name the same node.  Beyond the :class:`ColoredTree`
+    no object may repeat a key, and each node id key must be a plain decimal
+    integer, so no two keys name the same node.  Beyond the :class:`ColoredTree`
     invariants, documents must label internal nodes contiguously as n+1..m.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise TreeError(f"not valid JSON: {exc}") from exc
     except RecursionError:

@@ -227,6 +227,27 @@ def four_point_check(g: ColoredGraph) -> bool:
 # -------------------------------------------------------------------- #
 
 
+def gamma_weights_oracle(g: ColoredGraph) -> dict[tuple[int, int], dict]:
+    """Gamma(G)'s edge weights by the two-list rule: the root edge {0,i}
+    subtracts q_ij over the non-full-degree j when deg(i) = n-1, and over
+    the full-degree j != i otherwise."""
+    n = g.n
+    full = [j for j in g.vertices() if g.degree(j) == n - 1]
+    not_full = [j for j in g.vertices() if g.degree(j) < n - 1]
+    weights: dict[tuple[int, int], dict] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            weights[(i, j)] = {(i, j): 1 if (i, j) in g.edges else -1}
+    for i in g.vertices():
+        form = {(0, i): 1}
+        for j in not_full if i in full else full:
+            if j != i:
+                key = (min(i, j), max(i, j))
+                form[key] = form.get(key, 0) - 1
+        weights[(0, i)] = form
+    return weights
+
+
 def ancestors(t: ColoredTree, i: int) -> list[int]:
     """Path from i up to the root 0, inclusive on both ends."""
     out = [i]

@@ -147,6 +147,11 @@ class TestVerify:
         code = main(["verify", "--tree", tree_path("colored_star"), "--trials", "0"])
         assert code == EXIT_INPUT_ERROR
 
+    def test_bad_trials_on_not_applicable_tree(self):
+        # the trials check comes before classification
+        code = main(["verify", "--tree", tree_path("merge_nonadjacent"), "--trials", "0"])
+        assert code == EXIT_INPUT_ERROR
+
 
 class TestLaplacian:
     def test_path_star_weights(self, capsys):
@@ -299,12 +304,17 @@ class TestErrors:
             json.dumps({**TWO_LEAVES, "colors": {**TWO_LEAVES["colors"], "0_3": "z"}}),
             json.dumps({**TWO_LEAVES, "parents": {"1": 3, "+2": 3, "3": 0}}),
             json.dumps({**TWO_LEAVES, "colors": {" 1": "a", "2": "b", "3": "c"}}),
+            # repeated keys, which plain json.loads resolves to the last value
+            '{"n_leaves": 2, "parents": {"1": 3, "2": 3, "3": 0},'
+            ' "colors": {"1": "a", "1": "b", "2": "c", "3": "d"}}',
+            '{"n_leaves": 3, "n_leaves": 2, "parents": {"1": 3, "2": 3, "3": 0},'
+            ' "colors": {"1": "a", "2": "b", "3": "c"}}',
         ],
         ids=[
             "parents_list", "colors_list", "n_leaves_overflow", "deep_nesting",
             "zeroed_string", "n_leaves_float", "n_leaves_bool", "color_null",
             "parent_bool", "zeroed_float", "key_leading_zero", "key_underscore",
-            "key_plus_sign", "key_space",
+            "key_plus_sign", "key_space", "repeated_color_key", "repeated_n_leaves",
         ],
     )
     def test_malformed_schema_is_input_error(self, tmp_path, capsys, text):
@@ -556,6 +566,23 @@ GOLDEN_RANDOM_SEEDS = (0, 2, 36, 3, 54, 82, 140, 12, 41, 99, 144, 1)
 GOLDEN_RANDOM = "39dba340d675ebdfdc6560cf222412543c3bfbbadcfda15e224e457402794e9c"
 
 
+# `laplacian` exit code and SHA-256 of its stdout, for every tree fixture.
+GOLDEN_LAPLACIAN = {
+    "colored_star": (0, "3e13117022f7e4e51fcc4d10f27a3e3379ea841e77105d848bb19b288aa74053"),
+    "uncolored_binary": (0, "433c3925429e821d54218ab791772b791bab11ee525341fa80d7e22bfe7e3995"),
+    "leafcolor_g1": (0, "433c3925429e821d54218ab791772b791bab11ee525341fa80d7e22bfe7e3995"),
+    "leafcolor_g2": (0, "433c3925429e821d54218ab791772b791bab11ee525341fa80d7e22bfe7e3995"),
+    "leafcolor_g3": (0, "433c3925429e821d54218ab791772b791bab11ee525341fa80d7e22bfe7e3995"),
+    "merge_adjacent": (0, "433c3925429e821d54218ab791772b791bab11ee525341fa80d7e22bfe7e3995"),
+    "merge_nonadjacent": (0, "433c3925429e821d54218ab791772b791bab11ee525341fa80d7e22bfe7e3995"),
+    "zeroed_block_g1": (0, "433c3925429e821d54218ab791772b791bab11ee525341fa80d7e22bfe7e3995"),
+    "zeroed_block_g2": (0, "3e13117022f7e4e51fcc4d10f27a3e3379ea841e77105d848bb19b288aa74053"),
+    "zeroed_block_g3": (0, "abf42f483a55e68e41256a5c3d9ab106ae7b8e7ecde800207239b79baf71a8d4"),
+    "path_star": (0, "e3cf3696f8a10a5e04bd357367cfe6a7c6b6c11c7fba47d35dd440b796ff6bee"),
+    "nonblock_toric_tree": (0, "abf42f483a55e68e41256a5c3d9ab106ae7b8e7ecde800207239b79baf71a8d4"),
+}
+
+
 class TestGoldenArtifacts:
     @pytest.mark.parametrize("name", TREE_FIXTURES)
     def test_stdout_digests(self, capsys, name):
@@ -570,6 +597,12 @@ class TestGoldenArtifacts:
             out = capsys.readouterr().out
             got.append((code, hashlib.sha256(out.encode()).hexdigest()))
         assert got == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", TREE_FIXTURES)
+    def test_laplacian_digests(self, capsys, name):
+        code = main(["laplacian", "--tree", tree_path(name)])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_LAPLACIAN[name]
 
     def test_random_tree_generators_digest(self, capsys, tmp_path):
         # beyond n = 4: block minors through cut vertices, with their

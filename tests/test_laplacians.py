@@ -22,7 +22,7 @@ from treetoric.matrices import SymMatrix, pattern_from_tree
 from treetoric.pipeline import build_context
 
 from conftest import random_tree
-from oracles import fraction_inverse, sample_point_reference
+from oracles import fraction_inverse, gamma_weights_oracle, sample_point_reference
 from test_graphs import complete_graph, make_graph
 
 
@@ -113,6 +113,20 @@ class TestGammaGraph:
             assert weights[(i, j)] == {(i, j): 1}
         for i in range(1, 5):
             assert weights[(0, i)] == {(0, i): 1}
+
+    def test_every_small_graph_matches_two_list_oracle(self):
+        # every labeled graph on 1-5 vertices: the full-degree rule against
+        # the two-list rule, forms and keys in the same insertion order
+        graphs = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for mask in range(1 << len(pairs)):
+                g = make_graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+                got = [(k, list(w.items())) for k, w in gamma_graph(g).items()]
+                want = [(k, list(w.items())) for k, w in gamma_weights_oracle(g).items()]
+                assert got == want, sorted(g.edges)
+                graphs += 1
+        assert graphs == 1099
 
 
 class TestGDerivedMap:

@@ -290,17 +290,40 @@ class TestPatternContains:
         assert not pattern_contains(p, SymMatrix.from_rows(rows))
 
 
+# mostly zeros, so zero multipliers meet pivots p != prev in Bareiss
+_SPARSE = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+
+
+def _int_rows(entries):
+    return st.lists(
+        st.lists(entries, min_size=1, max_size=5), min_size=1, max_size=5
+    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+
+
 class TestLinalg:
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(
-            st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-            min_size=1,
-            max_size=5,
-        ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+        st.one_of(
+            _int_rows(st.integers(-9, 9)),
+            _int_rows(_SPARSE),
+        )
     )
     def test_bareiss_rank_matches_fraction_elimination(self, rows):
         assert len(linalg.bareiss_echelon([list(row) for row in rows])) == rank_oracle(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(_SPARSE, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    )
+    def test_bareiss_last_pivot_is_determinant(self, rows):
+        # a skipped rescale keeps most ranks but not the last pivot, +-det(A)
+        work = [list(row) for row in rows]
+        det = det_cofactor(rows)
+        assert (len(linalg.bareiss_echelon(work)) == len(rows)) == (det != 0)
+        if det:
+            assert abs(work[-1][-1]) == abs(det)
 
     def test_solve_roundtrip(self):
         rng = random.Random(3)

@@ -208,11 +208,11 @@ class TestChecks:
 
     def test_small_tree_corpus(self):
         # every tree with 2-5 leaves, every zeroed set, two leaf colorings:
-        # the path map's parameters are the pattern's tokens, and the rank
-        # of A is dim P, on every applicable tree
+        # the path map's parameters are the pattern's tokens, and every check
+        # passes on every applicable tree, seeded by its corpus index
         shapes = Counter()
         trees = applicable = 0
-        for t in all_small_trees(5):
+        for i, t in enumerate(all_small_trees(5)):
             trees += 1
             if not t.zeroed and t.color[1] == "L1":
                 shapes[t.n_leaves] += 1
@@ -220,7 +220,13 @@ class TestChecks:
                 continue
             ctx = build_context(t)
             assert ctx.mmap.params == tuple(ctx.pattern.tokens()), t.to_dict()
-            assert dimension_report(ctx)["passed"], t.to_dict()
+            for result in (
+                kernel_membership(ctx),
+                forward_vanishing(ctx, 2, i),
+                roundtrip_parametrization(ctx, 2, i),
+                dimension_report(ctx),
+            ):
+                assert result["passed"], (result["check"], t.to_dict())
             applicable += 1
         assert shapes == {2: 1, 3: 4, 4: 26, 5: 236}
         assert (trees, applicable) == (2800, 1286)
