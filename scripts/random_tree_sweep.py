@@ -24,7 +24,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 from random_trees import random_tree  # noqa: E402
 
 from treetoric.errors import NotApplicableError  # noqa: E402
-from treetoric.pipeline import verify_tree  # noqa: E402
+from treetoric.pipeline import require_trials, verify_tree  # noqa: E402
 
 
 def main() -> int:
@@ -34,6 +34,13 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=10)
     ap.add_argument("--n-max", type=int, default=8)
     args = ap.parse_args()
+    if args.n_max < 2:
+        ap.error("--n-max must be at least 2")
+    # the tree generator's seed aliases by absolute value as the trials' do
+    try:
+        require_trials(args.trials, args.seed)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     rng = random.Random(args.seed)
     tally: Counter[str] = Counter()

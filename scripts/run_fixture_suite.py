@@ -20,7 +20,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from treetoric.classify import classify  # noqa: E402
 from treetoric.cli import _json  # noqa: E402
-from treetoric.pipeline import verify_tree  # noqa: E402
+from treetoric.pipeline import require_trials, verify_tree  # noqa: E402
 from treetoric.trees import load_tree  # noqa: E402
 
 
@@ -30,6 +30,10 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        require_trials(args.trials, args.seed)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

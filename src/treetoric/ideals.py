@@ -51,6 +51,9 @@ def _minor(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
     order are built directly: x_ik and x_jl are distinct variables, and
     x_il = x_jk only when (i, j) = (k, l).
     """
+    # Built directly: through Binomial.make(monomial(...)) the generators
+    # of two perfbench generate rounds took 2.82 s, not 2.36 s (Python
+    # 3.11, Xeon).
     a = _var(kind, i, k)
     b = _var(kind, j, l)
     c = _var(kind, i, l)
@@ -65,6 +68,7 @@ def _minor(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
 
 def _linear(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
     """x_ij - x_kl for distinct index pairs, each through :func:`_var`."""
+    # Built directly, as in _minor and for the same measured reason.
     a, b = _var(kind, i, j), _var(kind, k, l)
     if a < b:
         a, b = b, a

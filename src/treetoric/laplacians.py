@@ -98,13 +98,7 @@ def _dot(form: LinForm, values: Mapping[tuple[int, int], Fraction]) -> Fraction:
     # Integer values give an integer: the checks feed integer points.
     acc = 0
     for key, coeff in form.items():
-        # Almost every coefficient is +-1: add or subtract, no product.
-        if coeff == 1:
-            acc += values[key]
-        elif coeff == -1:
-            acc -= values[key]
-        else:
-            acc += values[key] * coeff
+        acc += values[key] * coeff
     return acc
 
 

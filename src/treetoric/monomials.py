@@ -70,6 +70,9 @@ class MonomialMap:
         total = [0] * len(self.params)
         for v, e in m:
             row = self.row_of(v)
+            # Rows are mostly zero.  Summing over every entry with zip made
+            # in_kernel take 1.4x (sweep) and 1.2x (generate) as long on two
+            # rounds of each perfbench mix (Python 3.11, Xeon).
             for k, r in enumerate(row):
                 if r:
                     total[k] += e * r

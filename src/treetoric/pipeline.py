@@ -27,7 +27,9 @@ binomial are invariant under nonzero scaling; a failing binomial's value is
 scaled back to the exact rational value at K^{-1}.  Each trial is a
 Schwartz-Zippel identity test, as sound with integer draws as with rational
 ones.  Trials derive per-trial seeds from the master seed and are
-independent; reports are reproducible byte-for-byte.
+independent; reports are reproducible byte-for-byte.  The seed must be
+non-negative and the trial count at most 1 000 003, so no two runs share a
+trial.
 """
 
 from __future__ import annotations
@@ -108,9 +110,17 @@ def kernel_membership(
     }
 
 
-def _require_trials(trials: int) -> None:
+def require_trials(trials: int, seed: int) -> None:
+    """Refuse fewer than one trial, and any run whose trials would repeat
+    another run's: ``random.Random`` seeds by absolute value, so a negative
+    seed repeats the trials of a positive one, and a trial index past the
+    stride runs into the next seed's trials."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > _SEED_STRIDE:
+        raise ValueError(f"trials must be at most {_SEED_STRIDE}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
 
 def forward_vanishing(
@@ -127,7 +137,7 @@ def forward_vanishing(
     exactly when b(x_int) does.  Any other binomial (the package emits
     none) is evaluated at the exact rational point of K^{-1}.
     """
-    _require_trials(trials)
+    require_trials(trials, seed)
     gens = ctx.generators if generators is None else generators
     homogeneous = [b.is_homogeneous() for b in gens]
     failures: list[dict] = []
@@ -166,7 +176,7 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
     legitimate boundary points of the closure and are counted as skips,
     never failures.
     """
-    _require_trials(trials)
+    require_trials(trials, seed)
     failures: list[int] = []
     skipped = 0
     for k in range(trials):
@@ -237,7 +247,7 @@ def verify_tree(t: ColoredTree, trials: int = 100, seed: int = 0) -> Verificatio
     NotApplicableError
         When the tree classifies as NONE.
     """
-    _require_trials(trials)
+    require_trials(trials, seed)
     ctx = build_context(t)
     checks = [
         kernel_membership(ctx),

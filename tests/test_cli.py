@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+from collections import OrderedDict, defaultdict
 import hashlib
 import json
 import random
@@ -17,6 +18,7 @@ from treetoric.cli import (
     EXIT_OK,
     main,
 )
+from treetoric.binomials import parse_binomial
 from treetoric.classify import (
     NONE,
     THM_BLOCK_UNCOLORED,
@@ -27,7 +29,7 @@ from treetoric.classify import (
 from treetoric.errors import SamplingError, SingularMatrixError, TreeError
 from treetoric.trees import parse_tree
 
-from conftest import FIXTURES, TREE_FIXTURES, random_tree
+from conftest import FIXTURES, TREE_FIXTURES, fixture_tree, random_tree
 
 
 def tree_path(name: str) -> str:
@@ -151,6 +153,12 @@ class TestVerify:
         # the trials check comes before classification
         code = main(["verify", "--tree", tree_path("merge_nonadjacent"), "--trials", "0"])
         assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("name", ["colored_star", "merge_nonadjacent"])
+    def test_negative_seed(self, name, capsys):
+        code = main(["verify", "--tree", tree_path(name), "--seed", "-1"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
 class TestLaplacian:
@@ -420,7 +428,8 @@ class TestJsonWriter:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(_leaf_arrays, min_size=2, max_size=10))
     def test_recurring_arrays_match_stdlib(self, value):
-        # one depth: the memo must tell [1] from [True] and [0.0] from [-0.0]
+        # equal arrays at one depth that render differently: [1] and [True],
+        # [0.0] and [-0.0]
         assert cli._json(value) == stdlib_json(value)
 
     def test_empty_containers_at_every_depth(self):
@@ -430,7 +439,7 @@ class TestJsonWriter:
             assert cli._json(empty) == stdlib_json(empty)
 
     def test_equal_scalars_that_render_differently(self):
-        # one call memoizes arrays: 1 == True and 0 == False == -0.0
+        # 1 == True and 0 == False == -0.0, but each renders its own way
         value = [[1, True], [True, 1], [0, False, None], (1,), (True,), [0.0], [-0.0], [1.0]]
         assert cli._json(value) == stdlib_json(value)
         assert cli._json({"x": (1, "a"), "y": [(True, "a")]}) == stdlib_json(
@@ -443,6 +452,21 @@ class TestJsonWriter:
         # writer accepts only strings, which every artifact uses
         with pytest.raises(TypeError):
             cli._json({key: "value"})
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            OrderedDict(a=1),
+            defaultdict(list),
+            type("Text", (str,), {})("a"),
+            type("Items", (list,), {})([1]),
+            type("Pair", (tuple,), {})((1, 2)),
+        ],
+    )
+    def test_container_and_string_subclasses_raise(self, value):
+        # the writer dispatches on exact types; no artifact holds a subclass
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json({"a": [value]})
 
     def test_unserializable_value_raises(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
@@ -583,6 +607,27 @@ GOLDEN_LAPLACIAN = {
 }
 
 
+# `verify --trials 10 --seed 0` exit code and SHA-256 of its stdout, for
+# every tree fixture, and the SHA-256 of the forward_vanishing report, as
+# json.dumps(indent=2, sort_keys=True), for the injected q01 - q12 on
+# colored_star (3 trials, seed 0), whose failures carry exact rational values.
+GOLDEN_VERIFY = {
+    "colored_star": (0, "e10dfe8d6f53a48bcf675e5ade3845c3a175dc05dd1c19444c28b1410c46ef0c"),
+    "uncolored_binary": (0, "6c3932d309c4089326e6b3624d9283cbcbdd3be823228328972f0fb6332db7a2"),
+    "leafcolor_g1": (0, "1af371b571f3bd1df1a4af2551ae184a3150afdf28c555dfc3dc49a8f45c78a7"),
+    "leafcolor_g2": (0, "19383a29b21a9a883301652860ff177ab8480a658312976805e0ec9fd9a07389"),
+    "leafcolor_g3": (2, _EMPTY),
+    "merge_adjacent": (0, "695ea12cf7011c3f82a5ad06e2761dbf10b70552789fc9ce28a2917b292c987a"),
+    "merge_nonadjacent": (2, _EMPTY),
+    "zeroed_block_g1": (0, "bf27630d2e374bb596572bcaa63c6e956a5320b58f1cb9985af767720aed3717"),
+    "zeroed_block_g2": (0, "5cb67ab672731d78e9fb3c1c8bc9d1521f915da14726ebafb8fbb35ae1b3da58"),
+    "zeroed_block_g3": (2, _EMPTY),
+    "path_star": (0, "66e831d103df3d342c57ae8858289a0d9848808cdf22fb54eaa6732aa31ed917"),
+    "nonblock_toric_tree": (2, _EMPTY),
+}
+GOLDEN_INJECTED = "f21ab29e1bc3d5828b6f55bd6c1d9bbaa8241e8402d1345aa0089037db056ddc"
+
+
 class TestGoldenArtifacts:
     @pytest.mark.parametrize("name", TREE_FIXTURES)
     def test_stdout_digests(self, capsys, name):
@@ -603,6 +648,20 @@ class TestGoldenArtifacts:
         code = main(["laplacian", "--tree", tree_path(name)])
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_LAPLACIAN[name]
+
+    @pytest.mark.parametrize("name", TREE_FIXTURES)
+    def test_verify_digests(self, capsys, name):
+        code = main(["verify", "--tree", tree_path(name), "--trials", "10", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_VERIFY[name]
+
+    def test_injected_binomial_report_digest(self):
+        ctx = pipeline.build_context(fixture_tree("colored_star"))
+        bad = parse_binomial("q01 - q12")
+        report = pipeline.forward_vanishing(ctx, trials=3, seed=0, generators=[bad])
+        assert len(report["failures"]) == 3
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_INJECTED
 
     def test_random_tree_generators_digest(self, capsys, tmp_path):
         # beyond n = 4: block minors through cut vertices, with their

@@ -20,7 +20,10 @@ from treetoric.classify import (
 from treetoric.errors import NotApplicableError, TreeError
 from treetoric.graphs import derive_graph
 from treetoric.ideals import cherry_binomials
+from treetoric.matrices import sample_projective
 from treetoric.pipeline import (
+    _SEED_STRIDE,
+    _trial_seed,
     build_context,
     dimension_report,
     forward_vanishing,
@@ -189,6 +192,20 @@ class TestChecks:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             check(ctx, trials=0, seed=0)
 
+    @pytest.mark.parametrize("check", [forward_vanishing, roundtrip_parametrization])
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [(1, -1, "seed must be non-negative"), (_SEED_STRIDE + 1, 0, "trials must be at most")],
+    )
+    def test_runs_that_repeat_trials_rejected(self, check, trials, seed, message):
+        ctx = build_context(fixture_tree("colored_star"))
+        # random.Random seeds by absolute value: seed -1 would replay seed 1
+        assert sample_projective(ctx.pattern, _trial_seed(-1, 0)) == sample_projective(
+            ctx.pattern, _trial_seed(1, 0)
+        )
+        with pytest.raises(ValueError, match=message):
+            check(ctx, trials=trials, seed=seed)
+
     def test_dimension_report(self):
         result = dimension_report(build_context(fixture_tree("uncolored_binary")))
         assert result["rank"] == result["occurring_parameters"] == 7
@@ -256,6 +273,13 @@ class TestVerifyTree:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             verify_tree(fixture_tree("colored_star"), trials=0, seed=0)
+
+    @pytest.mark.parametrize("name", ["colored_star", "merge_nonadjacent"])
+    @pytest.mark.parametrize("trials, seed", [(1, -1), (_SEED_STRIDE + 1, 0)])
+    def test_seed_and_trial_bounds_come_first(self, name, trials, seed):
+        # also on a NONE tree: the check runs before classification
+        with pytest.raises(ValueError):
+            verify_tree(fixture_tree(name), trials=trials, seed=seed)
 
 
 class TestDerivedFactsOnce:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import TREE_FIXTURES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -39,3 +41,23 @@ def test_run_fixture_suite(tmp_path):
     assert proc.returncode == 0, proc.stderr
     written = sorted(p.name for p in tmp_path.glob("*.analyze.json"))
     assert written == sorted(f"{name}.analyze.json" for name in TREE_FIXTURES)
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("random_tree_sweep.py", ["--n-max", "1"], "--n-max must be at least 2"),
+        ("random_tree_sweep.py", ["--trials", "0"], "trials must be at least 1"),
+        ("random_tree_sweep.py", ["--seed", "-1"], "seed must be non-negative"),
+        ("run_fixture_suite.py", ["--trials", "0"], "trials must be at least 1"),
+        ("run_fixture_suite.py", ["--seed", "-1"], "seed must be non-negative"),
+    ],
+)
+def test_bad_arguments_exit_2_before_any_work(tmp_path, name, args, message):
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if name == "run_fixture_suite.py" else []
+    proc = run_script(name, *extra, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(f"error: {message}")
+    assert not out.exists()
