@@ -62,11 +62,11 @@ def monomial_name(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def evaluate_monomial(m: Monomial, point: Mapping[Var, Fraction]) -> Fraction:
+def evaluate_monomial(m: Iterable[tuple], point: Mapping) -> Fraction:
+    """Product of point[key] ** e over the (key, exponent) pairs of ``m``;
+    a key missing from ``point`` raises ``KeyError``."""
     acc = 1
     for v, e in m:
-        if v not in point:
-            raise KeyError(f"no value for variable {var_name(v)}")
         acc *= point[v] ** e
     return acc
 

@@ -19,10 +19,10 @@ JSON artifacts are written by :func:`_json`, which reproduces the layout of
 standard library's pure-Python indented encoder: containers are joined with
 ``str.join`` and strings are escaped by the C ``encode_basestring_ascii``.
 Dict keys must be strings; any other key raises ``TypeError`` (the standard
-library converts int, float, bool and None keys to strings).  Values that
-are strings, dicts, lists or tuples are recognised by their exact type, so
-a value of a subclass, such as ``OrderedDict``, also raises ``TypeError``;
-no artifact holds one.
+library converts int, float, bool and None keys to strings).  Values are
+strings, ints, dicts, lists, tuples, booleans or None, recognised by their
+exact type, so a value of a subclass, such as ``OrderedDict``, also raises
+``TypeError``, and so does a float; no artifact holds either.
 """
 
 from __future__ import annotations
@@ -90,14 +90,6 @@ def _write(o, nl: str) -> str:
         return "true"
     if o is False:
         return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if abs(o) == float("inf"):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 

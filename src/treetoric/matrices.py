@@ -1,4 +1,4 @@
-"""Symbolic symmetric-matrix patterns and exact rational matrices.
+"""Symbolic symmetric-matrix patterns and exact symmetric matrices.
 
 A :class:`MatrixPattern` records, for each entry of a symmetric n x n
 matrix, either a color token (entries sharing a token must be equal) or
@@ -7,18 +7,18 @@ the vertex and edge classes of a colored graph.  The pattern of a tree is
 that of its derived graph, which keys entry (i,j) by the color of lca(i,j)
 from the tree's leaf-pair table and gives zeroed lcas structural zeros.
 
-All numeric work happens on :class:`SymMatrix`, a symmetric matrix of exact
-rationals (or of integers, for sampled matrices and their adjugates).
-Sampling and inversion are exact; there is no floating point and hence no
-tolerance anywhere.  A sample has integer entries and comes with its
-determinant and adjugate, so one fraction-free elimination both certifies
-it invertible and gives its inverse as adj / det.  :func:`invert_exact`
-inverts a rational M the same way, on the integer matrix sM with s the lcm
-of M's denominators: M^{-1} = s adj(sM) / det(sM).  Symmetry is checked by
-comparing a matrix with its transpose, and pattern membership by comparing
-it with the pattern filled from its own entries.  Closure of a pattern's
-space under the Jordan product is decided symbolically, from the pattern
-alone.
+All numeric work happens on :class:`SymMatrix`, a symmetric matrix that
+keeps the exact entries it is given: integers for sampled matrices and
+their adjugates, ``Fraction`` for exact inverses.  Sampling and inversion
+are exact; there is no floating point and hence no tolerance anywhere.  A
+sample has integer entries and comes with its determinant and adjugate, so
+one fraction-free elimination both certifies it invertible and gives its
+inverse as adj / det.  :func:`invert_exact` inverts a rational M the same
+way, on the integer matrix sM with s the lcm of M's denominators:
+M^{-1} = s adj(sM) / det(sM).  Symmetry is checked by comparing a matrix
+with its transpose, and pattern membership by comparing it with the
+pattern filled from its own entries.  Closure of a pattern's space under
+the Jordan product is decided symbolically, from the pattern alone.
 """
 
 from __future__ import annotations
@@ -71,17 +71,14 @@ class MatrixPattern:
             [0 if tok is None else values[tok] for tok in row] for row in self.classes
         ]
 
-    def instantiate(self, values: dict[str, Fraction]) -> "SymMatrix":
-        """Matrix with each token replaced by its value and zeros kept."""
-        return SymMatrix.from_rows(self.rows(values))
-
 
 class SymMatrix:
     """Immutable symmetric matrix with exact entries.
 
-    :meth:`from_rows` stores ``Fraction`` entries; the constructor keeps the
-    entries it is given, in tuple rows, so integer matrices (adjugates,
-    integer points) stay integer.
+    The constructor keeps the entries it is given, in tuple rows, so
+    integer matrices (samples, adjugates) stay integer.  Equality and
+    hashing are those of the entry tuples, so an integer matrix equals, and
+    hashes like, the same matrix written with ``Fraction`` entries.
     """
 
     __slots__ = ("entries",)
@@ -97,10 +94,6 @@ class SymMatrix:
 
     def __setattr__(self, *args):
         raise AttributeError("SymMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows) -> "SymMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     @property
     def n(self) -> int:

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Mapping
 
 from . import linalg
-from .binomials import Binomial, Monomial, Var, coord_var, var_name
+from .binomials import Binomial, Monomial, Var, coord_var, evaluate_monomial, var_name
 from .classify import coordinate_kind
 from .errors import GraphError
 from .graphs import ColoredGraph, star_decomposition
@@ -87,16 +87,7 @@ class MonomialMap:
 
         Integer parameters give an integer point.
         """
-        missing = [p for p in self.params if p not in theta]
-        if missing:
-            raise KeyError(f"no value for parameters {missing}")
-        values = {}
-        for v, terms in self._terms:
-            acc = 1
-            for tok, e in terms:
-                acc *= theta[tok] ** e
-            values[v] = acc
-        return values
+        return {v: evaluate_monomial(terms, theta) for v, terms in self._terms}
 
 
 def exponent_rank(m: MonomialMap) -> int:

@@ -152,7 +152,7 @@ def forward_vanishing(
                     value *= Fraction(1, sample.det) ** b.degree()
             else:
                 if exact_point is None:
-                    k_exact = ctx.pattern.instantiate(sample.values)
+                    k_exact = SymMatrix(ctx.pattern.rows(sample.values))
                     exact_point = ctx.cmap.apply(invert_exact(k_exact))
                 value = b.evaluate(exact_point)
             if value != 0:

@@ -407,7 +407,7 @@ def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
     tokens = pattern.tokens()
     for _ in range(SAMPLE_RETRIES):
         values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
-        m = pattern.instantiate(values)
+        m = SymMatrix(pattern.rows(values))
         if fraction_inverse(m.entries) is not None:
             return m
     raise SamplingError("no invertible sample")
@@ -421,7 +421,7 @@ def forward_vanishing_reference(
     failures: list[dict] = []
     for k in range(trials):
         m = sample_point_reference(ctx.pattern, _trial_seed(seed, k))
-        sigma = SymMatrix.from_rows(fraction_inverse(m.entries))
+        sigma = SymMatrix(fraction_inverse(m.entries))
         point = ctx.cmap.apply(sigma)
         for b in gens:
             value = b.evaluate(point)
@@ -450,7 +450,7 @@ def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dic
         if inverse is None:
             skipped += 1
             continue
-        if not pattern_contains(ctx.pattern, SymMatrix.from_rows(inverse)):
+        if not pattern_contains(ctx.pattern, SymMatrix(inverse)):
             failures.append(k)
     return {
         "check": "roundtrip_parametrization",

@@ -399,16 +399,15 @@ _strings = st.text(
 _scalars = (
     st.none()
     | st.booleans()
-    | st.sampled_from([0, 1, -1, 0.0, -0.0, 1.0, True, False, None])
+    | st.sampled_from([0, 1, -1, True, False, None])
     | st.integers()
     | st.integers(min_value=2**64, max_value=2**200)
     | st.integers(min_value=-(2**200), max_value=-(2**64))
-    | st.floats()
     | _strings
 )
 # Short arrays over a few scalars that compare equal but render
 # differently, so that equal arrays recur at one depth and at several.
-_colliding = st.sampled_from([0, 1, True, False, None, 0.0, -0.0, 1.0, "a"])
+_colliding = st.sampled_from([0, 1, True, False, None, "a"])
 _leaf_arrays = st.lists(_colliding, max_size=2) | st.lists(_colliding, max_size=2).map(tuple)
 _values = st.recursive(
     _scalars | _leaf_arrays,
@@ -429,7 +428,7 @@ class TestJsonWriter:
     @given(st.lists(_leaf_arrays, min_size=2, max_size=10))
     def test_recurring_arrays_match_stdlib(self, value):
         # equal arrays at one depth that render differently: [1] and [True],
-        # [0.0] and [-0.0]
+        # [0] and [False]
         assert cli._json(value) == stdlib_json(value)
 
     def test_empty_containers_at_every_depth(self):
@@ -439,8 +438,8 @@ class TestJsonWriter:
             assert cli._json(empty) == stdlib_json(empty)
 
     def test_equal_scalars_that_render_differently(self):
-        # 1 == True and 0 == False == -0.0, but each renders its own way
-        value = [[1, True], [True, 1], [0, False, None], (1,), (True,), [0.0], [-0.0], [1.0]]
+        # 1 == True and 0 == False, but each renders its own way
+        value = [[1, True], [True, 1], [0, False, None], (1,), (True,), [0], [False]]
         assert cli._json(value) == stdlib_json(value)
         assert cli._json({"x": (1, "a"), "y": [(True, "a")]}) == stdlib_json(
             {"x": (1, "a"), "y": [(True, "a")]}
@@ -469,8 +468,10 @@ class TestJsonWriter:
             cli._json({"a": [value]})
 
     def test_unserializable_value_raises(self):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            cli._json({"a": [{1, 2}]})
+        # no artifact holds a float, so the writer has no float branch
+        for value in ({1, 2}, 0.5, float("nan")):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._json({"a": [value]})
 
     def test_every_fixture_document(self, monkeypatch, tmp_path, capsys):
         """Each JSON document the subcommands write, checked as it is written."""

@@ -32,13 +32,13 @@ def random_sym(rng, n):
         for j in range(i, n):
             v = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
             rows[i][j] = rows[j][i] = v
-    return SymMatrix.from_rows(rows)
+    return SymMatrix(rows)
 
 
 class TestReducedLaplacian:
     def test_n2_hand_substitution(self):
         cmap = g_derived_laplacian_map(complete_graph(2))
-        point = cmap.apply(SymMatrix.from_rows([[1, 2], [2, 5]]))
+        point = cmap.apply(SymMatrix([[1, 2], [2, 5]]))
         assert point[coord_var("p", 0, 1)] == 3
         assert point[coord_var("p", 0, 2)] == 7
         assert point[coord_var("p", 1, 2)] == -2

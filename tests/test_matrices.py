@@ -38,7 +38,7 @@ from oracles import (
 
 
 def identity(n):
-    return SymMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return SymMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def rank_oracle(rows):
@@ -132,6 +132,14 @@ class TestSymMatrix:
         with pytest.raises(TypeError):
             m.entries[0][1] = 9
 
+    def test_integer_entries_kept(self):
+        # the constructor keeps int entries, and the matrix equals and hashes
+        # like the same matrix written in Fractions
+        m = SymMatrix([[1, 2], [2, 5]])
+        assert all(type(x) is int for row in m.entries for x in row)
+        f = SymMatrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(5)]])
+        assert m == f and hash(m) == hash(f)
+
     def test_immutable(self):
         m = identity(2)
         with pytest.raises(AttributeError, match="immutable"):
@@ -143,7 +151,7 @@ class TestSampling:
     def test_sample_lies_in_pattern_and_is_invertible(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
         sample = sample_projective(p, seed=1)
-        assert pattern_contains(p, p.instantiate(sample.values))
+        assert pattern_contains(p, SymMatrix(p.rows(sample.values)))
         assert sample.det != 0
 
     def test_deterministic(self):
@@ -160,7 +168,7 @@ class TestSampling:
             for pat in (pattern_from_tree(t), pattern_from_graph(completion(derive_graph(t)))):
                 m = sample_point_reference(pat, seed=trial)
                 sample = sample_projective(pat, seed=trial)
-                assert pat.instantiate(sample.values) == m
+                assert SymMatrix(pat.rows(sample.values)) == m
                 c = Fraction(1, sample.det)
                 assert fraction_inverse(m.entries) == [
                     [c * a for a in row] for row in sample.adjugate.entries
@@ -199,10 +207,21 @@ class TestInversion:
         assert invert_exact(eye) == eye
 
     def test_diagonal(self):
-        m = SymMatrix.from_rows([[2, 0], [0, 4]])
-        assert invert_exact(m) == SymMatrix.from_rows(
+        m = SymMatrix([[2, 0], [0, 4]])
+        assert invert_exact(m) == SymMatrix(
             [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
         )
+
+    def test_integer_and_fraction_entries_agree(self):
+        # an int's denominator is 1, so integer K inverts as K in Fractions
+        rng = random.Random(5)
+        for n in range(1, 6):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-9, 9) + 20 * (i == j)
+            fractions = SymMatrix([[Fraction(x) for x in r] for r in rows])
+            assert invert_exact(SymMatrix(rows)) == invert_exact(fractions)
 
     def test_matches_adjugate_oracle(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
@@ -228,7 +247,7 @@ class TestInversion:
             assert invert_exact(invert_exact(m)) == m
 
     def test_singular_rejected(self):
-        m = SymMatrix.from_rows([[1, 1], [1, 1]])
+        m = SymMatrix([[1, 1], [1, 1]])
         with pytest.raises(SingularMatrixError):
             invert_exact(m)
 
@@ -266,7 +285,7 @@ class TestSerialization:
         values = {tok: Fraction(0) for tok in p.tokens()}
         for i, tok in enumerate(("1", "2", "3", "4")):
             values[tok] = Fraction(1)
-        m = p.instantiate(values)
+        m = SymMatrix(p.rows(values))
         assert m == identity(4)
         assert det_cofactor(m.entries) == 1
 
@@ -279,7 +298,7 @@ class TestPatternContains:
         # (0,3) shares the "blue" class with (1,3) and (2,3)
         rows[0][3] += Fraction(1, 7)
         rows[3][0] += Fraction(1, 7)
-        assert not pattern_contains(p, SymMatrix.from_rows(rows))
+        assert not pattern_contains(p, SymMatrix(rows))
 
     def test_structural_zero_violation_detected(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
@@ -287,7 +306,7 @@ class TestPatternContains:
         rows = [list(r) for r in m.entries]
         rows[0][2] = Fraction(1)
         rows[2][0] = Fraction(1)
-        assert not pattern_contains(p, SymMatrix.from_rows(rows))
+        assert not pattern_contains(p, SymMatrix(rows))
 
 
 # mostly zeros, so zero multipliers meet pivots p != prev in Bareiss
@@ -336,7 +355,7 @@ class TestLinalg:
                     x = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                     rows[i][j] = rows[j][i] = x
             try:
-                inv = invert_exact(SymMatrix.from_rows(rows))
+                inv = invert_exact(SymMatrix(rows))
             except SingularMatrixError:
                 continue
             for i in range(n):
