@@ -28,7 +28,6 @@ from .graphs import (
 from .ideals import (
     block_minor_binomials,
     cherry_binomials,
-    combined_generators,
     completion_binomials,
 )
 from .laplacians import (
@@ -41,10 +40,8 @@ from .matrices import (
     MatrixPattern,
     SymMatrix,
     invert_exact,
-    jordan_closed,
     pattern_contains,
     pattern_from_graph,
-    pattern_from_tree,
 )
 from .monomials import MonomialMap, exponent_rank, path_map
 from .pipeline import (

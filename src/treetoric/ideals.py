@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .binomials import Binomial, Var, coord_var, var_name
-from .classify import ClassificationReport, classify, coordinate_kind
+from .classify import ClassificationReport, coordinate_kind
 from .errors import NotApplicableError
 from .graphs import ColoredGraph, one_clique_separated_quadruples
 from .laplacians import pq_index_pairs
@@ -154,17 +154,6 @@ def combined_from_classification(
     block = block_minor_binomials(report.graph, kind)
     completion = completion_binomials(report.graph, kind)
     return sorted({*cherry, *block, *completion}), kind
-
-
-def combined_generators(t: ColoredTree) -> tuple[list[Binomial], str]:
-    """Generators of the combined toric ideal, with their coordinate kind.
-
-    Raises
-    ------
-    NotApplicableError
-        When classification is NONE; the report rides on the exception.
-    """
-    return combined_from_classification(classify(t))
 
 
 # -------------------------------------------------------------------- #

@@ -12,14 +12,17 @@ the G-derived map (x = q).
 Every off-diagonal entry is a single term -/+ x_ij, and the diagonal entry
 sigma_ii is x_0i plus terms in x_ab with a, b >= 1.  The system is therefore
 unitriangular and inverts in closed form by substitution.  Both directions
-are stored as sparse integer linear forms keyed by index pair.
+are stored as sparse integer linear forms keyed by index pair, and applied
+to plain lists: a matrix's rows one way, a coordinate list the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
+from operator import mul
 from typing import Mapping
 
 from .binomials import Var, coord_var, var_name
@@ -94,14 +97,6 @@ def gamma_laplacian(g: ColoredGraph) -> list[list[LinForm]]:
     return grid
 
 
-def _dot(form: LinForm, values: Mapping[tuple[int, int], Fraction]) -> Fraction:
-    # Integer values give an integer: the checks feed integer points.
-    acc = 0
-    for key, coeff in form.items():
-        acc += values[key] * coeff
-    return acc
-
-
 @dataclass(frozen=True)
 class CoordinateMap:
     """Invertible linear map between sigma-coordinates and p/q-coordinates.
@@ -110,6 +105,10 @@ class CoordinateMap:
     pair (order :func:`pq_index_pairs`); ``backward`` holds one linear form
     in coordinate pairs per sigma pair (order :func:`sigma_index_pairs`) and
     is the exact inverse of ``forward``.
+
+    The list kernels :meth:`coordinates` and :meth:`sigma_rows` do the
+    work; :meth:`apply` and :meth:`unapply` key their results by variable.
+    Integer input gives integer output.
     """
 
     n: int
@@ -117,15 +116,53 @@ class CoordinateMap:
     forward: dict[tuple[int, int], LinForm]
     backward: dict[tuple[int, int], LinForm]
 
+    @cached_property
+    def index(self) -> dict[Var, int]:
+        """Each coordinate variable's position in a coordinate list, the
+        order of :func:`pq_index_pairs`."""
+        return {
+            coord_var(self.kind, i, j): k for k, (i, j) in enumerate(pq_index_pairs(self.n))
+        }
+
+    @cached_property
+    def _forward_terms(self) -> list[tuple[list[int], list[int]]]:
+        # per coordinate: row-major cells of an n x n matrix, coefficients
+        n = self.n
+        return [
+            ([(i - 1) * n + j - 1 for i, j in form], list(form.values()))
+            for form in map(self.forward.__getitem__, pq_index_pairs(n))
+        ]
+
+    @cached_property
+    def _backward_terms(self) -> list[tuple[int, int, list[int], list[int]]]:
+        # per sigma pair: its 0-based cell, coordinate positions, coefficients
+        pos = {pair: k for k, pair in enumerate(pq_index_pairs(self.n))}
+        return [
+            (i - 1, j - 1, [pos[pair] for pair in form], list(form.values()))
+            for (i, j), form in self.backward.items()
+        ]
+
+    def coordinates(self, rows) -> list:
+        """Coordinate list of the symmetric matrix with these rows."""
+        flat = [*chain.from_iterable(rows)]
+        return [
+            sum(map(mul, map(flat.__getitem__, cells), coeffs))
+            for cells, coeffs in self._forward_terms
+        ]
+
+    def sigma_rows(self, values) -> list[list]:
+        """Rows of the symmetric matrix whose coordinate list is ``values``."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for i, j, positions, coeffs in self._backward_terms:
+            x = sum(map(mul, map(values.__getitem__, positions), coeffs))
+            rows[i][j] = rows[j][i] = x
+        return rows
+
     def apply(self, m: SymMatrix) -> dict[Var, Fraction]:
         """Coordinate vector of a symmetric matrix, keyed by variable."""
         if m.n != self.n:
             raise ValueError("dimension mismatch")
-        sigma = {(i, j): m[i - 1, j - 1] for i, j in self.backward}
-        return {
-            coord_var(self.kind, i, j): _dot(form, sigma)
-            for (i, j), form in self.forward.items()
-        }
+        return dict(zip(self.index, self.coordinates(m.entries)))
 
     def unapply(self, point: Mapping[Var, Fraction]) -> SymMatrix:
         """Symmetric matrix whose coordinate vector is the given point.
@@ -133,11 +170,7 @@ class CoordinateMap:
         Entries keep the type of the point's values: an integer point gives
         an integer matrix.
         """
-        coords = {(i, j): point[coord_var(self.kind, i, j)] for i, j in self.forward}
-        rows = [[0] * self.n for _ in range(self.n)]
-        for (i, j), form in self.backward.items():
-            rows[i - 1][j - 1] = rows[j - 1][i - 1] = _dot(form, coords)
-        return SymMatrix(tuple(map(tuple, rows)))
+        return SymMatrix(self.sigma_rows([point[v] for v in self.index]))
 
 
 def g_derived_laplacian_map(g: ColoredGraph) -> CoordinateMap:

@@ -16,25 +16,24 @@ one fraction-free elimination both certifies it invertible and gives its
 inverse as adj / det.  :func:`invert_exact` inverts a rational M the same
 way, on the integer matrix sM with s the lcm of M's denominators:
 M^{-1} = s adj(sM) / det(sM).  Symmetry is checked by comparing a matrix
-with its transpose, and pattern membership by comparing it with the
-pattern filled from its own entries.  Closure of a pattern's space under
-the Jordan product is decided symbolically, from the pattern alone.
+with its transpose.  Pattern membership compares, in one list comparison,
+each structural-zero cell with 0 and each other cell of a class with the
+first cell of that class; the cell pairs are read off the pattern once.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from typing import NamedTuple
 
 from . import linalg
 from .errors import SamplingError, SingularMatrixError
-from .graphs import ColoredGraph, derive_graph, edge
-from .trees import ColoredTree
+from .graphs import ColoredGraph, edge
 
 SAMPLE_BOUND = 10**6
 SAMPLE_RETRIES = 64
@@ -70,6 +69,30 @@ class MatrixPattern:
         return [
             [0 if tok is None else values[tok] for tok in row] for row in self.classes
         ]
+
+    @cached_property
+    def _membership_cells(self) -> tuple[list[int], list[int]]:
+        # Row-major cells of the upper triangle, each paired with the cell
+        # it must equal: a structural zero with the cell n*n past the end,
+        # which reads 0, and any other cell with the first of its class.
+        n = self.size
+        first: dict[str, int] = {}
+        cells, partners = [], []
+        for i, row in enumerate(self.classes):
+            for j in range(i, n):
+                cell, tok = i * n + j, row[j]
+                partner = n * n if tok is None else first.setdefault(tok, cell)
+                if partner != cell:
+                    cells.append(cell)
+                    partners.append(partner)
+        return cells, partners
+
+    def contains(self, rows) -> bool:
+        """Whether the symmetric matrix with these rows lies in the space:
+        0 at every structural zero and one value on each class."""
+        flat = [*chain.from_iterable(rows), 0]
+        cells, partners = self._membership_cells
+        return list(map(flat.__getitem__, cells)) == list(map(flat.__getitem__, partners))
 
 
 class SymMatrix:
@@ -113,13 +136,6 @@ class SymMatrix:
         return f"SymMatrix({[[str(x) for x in row] for row in self.entries]})"
 
 
-def pattern_from_tree(t: ColoredTree) -> MatrixPattern:
-    """Pattern of the tree's linear space: the pattern of its derived graph,
-    whose construction is the one place that reads entries off the tree's
-    leaf-pair lca table."""
-    return pattern_from_graph(derive_graph(t))
-
-
 def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
     """Pattern of the colored graph's linear space.
 
@@ -155,8 +171,8 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
     Each color token independently gets an integer uniform in
     [-10^6, 10^6]; resampled until the exact determinant is nonzero.
     Positive definiteness is not required.  Each try runs one fraction-free
-    Gauss-Jordan pass on K, which both decides invertibility and yields the
-    adjugate.
+    elimination on K (:func:`linalg.det_adjugate`), which both decides
+    invertibility and yields the adjugate.
 
     Raises
     ------
@@ -176,19 +192,11 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
 
 
 def pattern_contains(pattern: MatrixPattern, m: SymMatrix) -> bool:
-    """Exact membership: zeros at structural zeros, equal entries per class.
-
-    Fill the pattern with one entry of m per token.  If m lies in the
-    space, the filled pattern is m.  Otherwise some class holds two values
-    or some structural zero is nonzero, and either way the filled pattern
-    differs from m at that entry.
-    """
+    """Exact membership (:meth:`MatrixPattern.contains`): zeros at
+    structural zeros, equal entries per class."""
     if pattern.size != m.n:
         raise ValueError("size mismatch")
-    witness = dict(
-        zip(chain.from_iterable(pattern.classes), chain.from_iterable(m.entries))
-    )
-    return pattern.rows(witness) == list(map(list, m.entries))
+    return pattern.contains(m.entries)
 
 
 def invert_exact(m: SymMatrix) -> SymMatrix:
@@ -207,31 +215,3 @@ def invert_exact(m: SymMatrix) -> SymMatrix:
     if adj is None:
         raise SingularMatrixError("matrix is exactly singular")
     return SymMatrix(tuple(tuple(Fraction(s * x, det) for x in row) for row in adj))
-
-
-def jordan_closed(pattern: MatrixPattern) -> bool:
-    """Whether the pattern's space is closed under X o Y = (XY + YX)/2.
-
-    The product is bilinear, so by polarization the space is closed iff X^2
-    lies in it for the generic X = sum_c t_c E_c.  Entry (i,j) of X^2 is
-    sum_k t_c(i,k) t_c(k,j), a multiset of unordered token pairs with no
-    cancellation; X^2 lies in the space iff that multiset is empty at every
-    structural zero and the same on all entries of one class.
-    """
-    classes = pattern.classes
-    support = [[k for k, tok in enumerate(row) if tok is not None] for row in classes]
-    square_of: dict[str, Counter] = {}
-    for i, row in enumerate(classes):
-        for j in range(i, pattern.size):
-            square = Counter(
-                tuple(sorted((row[k], classes[k][j])))
-                for k in support[i]
-                if classes[k][j] is not None
-            )
-            token = row[j]
-            if token is None:
-                if square:
-                    return False
-            elif square_of.setdefault(token, square) != square:
-                return False
-    return True

@@ -49,12 +49,9 @@ class MonomialMap:
         return dict(zip(pq_index_pairs(self.n), self.rows))
 
     @cached_property
-    def _terms(self) -> list[tuple[Var, list[tuple[str, int]]]]:
-        """Each coordinate with the (parameter, exponent) pairs of its row."""
-        return [
-            (v, [(tok, e) for tok, e in zip(self.params, row) if e])
-            for v, row in zip(self.coords(), self.rows)
-        ]
+    def _terms(self) -> list[list[tuple[int, int]]]:
+        """Each row's (parameter position, exponent) pairs."""
+        return [[(k, e) for k, e in enumerate(row) if e] for row in self.rows]
 
     def row_of(self, v: Var) -> tuple[int, ...]:
         kind, i, j = v
@@ -82,12 +79,17 @@ class MonomialMap:
         """True iff both monomials map to the same parameter monomial."""
         return self.image_exponents(b.lead) == self.image_exponents(b.trail)
 
-    def evaluate(self, theta: Mapping[str, Fraction]) -> dict[Var, Fraction]:
-        """Point of the parametrized variety at the given parameter values.
+    def point(self, theta) -> list:
+        """Coordinate list (order :meth:`coords`) of the parametrized point
+        at parameter values listed in ``params`` order.
 
         Integer parameters give an integer point.
         """
-        return {v: evaluate_monomial(terms, theta) for v, terms in self._terms}
+        return [evaluate_monomial(terms, theta) for terms in self._terms]
+
+    def evaluate(self, theta: Mapping[str, Fraction]) -> dict[Var, Fraction]:
+        """:meth:`point` at parameter values keyed by token, keyed by variable."""
+        return dict(zip(self.coords(), self.point([theta[tok] for tok in self.params])))
 
 
 def exponent_rank(m: MonomialMap) -> int:

@@ -21,10 +21,13 @@ membership implies forward vanishing.  All arithmetic is exact, so a pass
 is an identity, not an approximation.  The two sampling checks run on
 integers: both draw integer points (matrix entries and positive path-map
 parameters), and matrices are inverted up to the scalar det as adjugates,
-from one fraction-free Gauss-Jordan pass.  That scalar cannot change the
-outcome, since pattern membership and the vanishing of a homogeneous
-binomial are invariant under nonzero scaling; a failing binomial's value is
-scaled back to the exact rational value at K^{-1}.  Each trial is a
+from one fraction-free symmetric sweep (:func:`linalg.det_adjugate`).
+That scalar cannot change the outcome, since pattern membership and the
+vanishing of a homogeneous binomial are invariant under nonzero scaling; a
+failing binomial's value is scaled back to the exact rational value at
+K^{-1}.  Points, matrices and parameters stay plain lists in the trials,
+and forward vanishing compares all generators of one degree at once, as
+columns of products.  Each trial is a
 Schwartz-Zippel identity test, as sound with integer draws as with rational
 ones.  Trials derive per-trial seeds from the master seed and are
 independent; reports are reproducible byte-for-byte.  The seed must be
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import mul
 import random
 
 from . import linalg
@@ -47,7 +51,6 @@ from .matrices import (
     MatrixPattern,
     SymMatrix,
     invert_exact,
-    pattern_contains,
     pattern_from_graph,
     sample_projective,
 )
@@ -123,6 +126,41 @@ def require_trials(trials: int, seed: int) -> None:
         raise ValueError("seed must be non-negative")
 
 
+def _vanishing_columns(
+    index: dict, gens: list[Binomial]
+) -> tuple[list[tuple[list[int], list[tuple[int, ...]]]], list[int]]:
+    """Homogeneous generators as factor columns, grouped by degree.
+
+    A generator of degree d >= 1 lists its lead and then its trail as d
+    coordinate positions each (a variable repeated by its exponent).  Each
+    group is (generator positions, columns): column f holds factor f of
+    every generator of the group, so columns[:d] are the leads and
+    columns[d:] the trails.  Any other generator's position is returned
+    apart.  A variable outside ``index`` raises ``KeyError``.
+    """
+    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+    apart: list[int] = []
+    for pos, b in enumerate(gens):
+        factors = [index[v] for v, e in b.lead for _ in range(e)]
+        d = len(factors)
+        factors += [index[v] for v, e in b.trail for _ in range(e)]
+        if not d or len(factors) != 2 * d:
+            apart.append(pos)
+            continue
+        positions, rows = groups.setdefault(d, ([], []))
+        positions.append(pos)
+        rows.append(factors)
+    return [(positions, list(zip(*rows))) for positions, rows in groups.values()], apart
+
+
+def _products(x: list, columns: list[tuple[int, ...]]) -> list:
+    """Per row of the columns, the product of the entries of x they name."""
+    values = map(x.__getitem__, columns[0])
+    for col in columns[1:]:
+        values = map(mul, values, map(x.__getitem__, col))
+    return list(values)
+
+
 def forward_vanishing(
     ctx: VerificationContext,
     trials: int,
@@ -134,19 +172,34 @@ def forward_vanishing(
     K has integer entries.  A homogeneous binomial of degree d is evaluated
     at the integer point x_int of adj(K): the point of K^{-1} is
     x_int / det K, so the value there is b(x_int) / (det K)^d and vanishes
-    exactly when b(x_int) does.  Any other binomial (the package emits
-    none) is evaluated at the exact rational point of K^{-1}.
+    exactly when b(x_int) does.  Each trial evaluates the homogeneous
+    generators a degree at a time, as lead and trail products over factor
+    columns (:func:`_vanishing_columns`), and compares the two lists.  Only
+    a generator whose products differ is evaluated again, through
+    :meth:`Binomial.evaluate`, for its exact value.  Any other binomial
+    (the package emits none) is evaluated at the exact rational point of
+    K^{-1}.  Failures are listed by trial, then in generator order.
     """
     require_trials(trials, seed)
     gens = ctx.generators if generators is None else generators
-    homogeneous = [b.is_homogeneous() for b in gens]
+    groups, apart = _vanishing_columns(ctx.cmap.index, gens)
     failures: list[dict] = []
     for k in range(trials):
         sample = sample_projective(ctx.pattern, _trial_seed(seed, k))
+        x = ctx.cmap.coordinates(sample.adjugate.entries)
+        suspects = list(apart)
+        for positions, columns in groups:
+            d = len(columns) // 2
+            lead, trail = _products(x, columns[:d]), _products(x, columns[d:])
+            if lead != trail:
+                suspects += [p for p, u, v in zip(positions, lead, trail) if u != v]
+        if not suspects:
+            continue
         point = ctx.cmap.apply(sample.adjugate)
         exact_point = None
-        for b, is_homogeneous in zip(gens, homogeneous):
-            if is_homogeneous:
+        for pos in sorted(suspects):
+            b = gens[pos]
+            if b.is_homogeneous():
                 value = b.evaluate(point)
                 if value:
                     value *= Fraction(1, sample.det) ** b.degree()
@@ -169,25 +222,27 @@ def forward_vanishing(
 def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) -> dict:
     """Push random positive parameters through the map and pull back.
 
-    Parameters theta are drawn as integers in [1, 10^4], so the path-map
-    point and its pull-back sigma are integer.  When det(sigma) != 0,
-    adj(sigma) is a nonzero multiple of sigma^{-1}, so it lies in the
-    pattern exactly when sigma^{-1} does.  Singular pull-backs are
-    legitimate boundary points of the closure and are counted as skips,
-    never failures.
+    Parameters theta are drawn as integers in [1, 10^4], in the order of
+    the path map's parameters, so the path-map point and its pull-back
+    sigma are integer.  When det(sigma) != 0, adj(sigma) is a nonzero
+    multiple of sigma^{-1}, so it lies in the pattern exactly when
+    sigma^{-1} does.  Singular pull-backs are legitimate boundary points of
+    the closure and are counted as skips, never failures.  Points and
+    matrices stay plain lists (:meth:`MonomialMap.point`,
+    :meth:`CoordinateMap.sigma_rows`, :meth:`MatrixPattern.contains`).
     """
     require_trials(trials, seed)
     failures: list[int] = []
     skipped = 0
     for k in range(trials):
         rng = random.Random(_trial_seed(seed, k))
-        theta = {tok: rng.randint(1, ROUNDTRIP_BOUND) for tok in ctx.mmap.params}
-        sigma = ctx.cmap.unapply(ctx.mmap.evaluate(theta))
-        det, adj = linalg.det_adjugate(sigma.entries)
+        theta = [rng.randint(1, ROUNDTRIP_BOUND) for _ in ctx.mmap.params]
+        sigma = ctx.cmap.sigma_rows(ctx.mmap.point(theta))
+        det, adj = linalg.det_adjugate(sigma)
         if not det:
             skipped += 1
             continue
-        if not pattern_contains(ctx.pattern, SymMatrix(adj)):
+        if not ctx.pattern.contains(adj):
             failures.append(k)
     return {
         "check": "roundtrip_parametrization",

@@ -11,7 +11,7 @@ from itertools import combinations
 from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_name
 from treetoric.classify import ClassificationReport
 from treetoric.errors import SamplingError, SingularMatrixError
-from treetoric.graphs import ColoredGraph, one_clique_separated_quadruples
+from treetoric.graphs import ColoredGraph, derive_graph, one_clique_separated_quadruples
 from treetoric.ideals import cherry_binomials
 from treetoric.matrices import (
     SAMPLE_BOUND,
@@ -19,6 +19,7 @@ from treetoric.matrices import (
     MatrixPattern,
     SymMatrix,
     pattern_contains,
+    pattern_from_graph,
 )
 from treetoric.pipeline import ROUNDTRIP_BOUND, VerificationContext, _trial_seed
 from treetoric.trees import ColoredTree
@@ -300,6 +301,12 @@ def path_row_oracle(t: ColoredTree, params: tuple[str, ...], i: int, j: int) -> 
     return tuple(counts[p] for p in params)
 
 
+def pattern_from_tree(t: ColoredTree) -> MatrixPattern:
+    """The tree's pattern as the package builds it: the pattern of its
+    derived graph, which reads entries off the tree's leaf-pair lca table."""
+    return pattern_from_graph(derive_graph(t))
+
+
 def pattern_from_lca(t: ColoredTree) -> MatrixPattern:
     """The tree's pattern read straight off the tree, as L_T is defined:
     entry (i,j) keyed by the color of lca(i,j), zero when that lca is zeroed."""
@@ -314,12 +321,40 @@ def pattern_from_lca(t: ColoredTree) -> MatrixPattern:
     return MatrixPattern(size=n, classes=tuple(tuple(r) for r in grid))
 
 
+def jordan_closed(pattern: MatrixPattern) -> bool:
+    """Whether the pattern's space is closed under X o Y = (XY + YX)/2.
+
+    The product is bilinear, so by polarization the space is closed iff X^2
+    lies in it for the generic X = sum_c t_c E_c.  Entry (i,j) of X^2 is
+    sum_k t_c(i,k) t_c(k,j), a multiset of unordered token pairs with no
+    cancellation; X^2 lies in the space iff that multiset is empty at every
+    structural zero and the same on all entries of one class.
+    """
+    classes = pattern.classes
+    support = [[k for k, tok in enumerate(row) if tok is not None] for row in classes]
+    square_of: dict[str, Counter] = {}
+    for i, row in enumerate(classes):
+        for j in range(i, pattern.size):
+            square = Counter(
+                tuple(sorted((row[k], classes[k][j])))
+                for k in support[i]
+                if classes[k][j] is not None
+            )
+            token = row[j]
+            if token is None:
+                if square:
+                    return False
+            elif square_of.setdefault(token, square) != square:
+                return False
+    return True
+
+
 def jordan_closed_by_basis(pattern: MatrixPattern) -> bool:
     """Jordan closure from the class indicator matrices E_c.
 
     The product is bilinear and the E_c span the space, so the space is
     closed iff E_a E_b + E_b E_a lies in it for every pair of classes a <= b.
-    Independent of ``matrices.jordan_closed``; the two must coincide.
+    Independent of :func:`jordan_closed`; the two must coincide.
     """
     n = pattern.size
     tokens = pattern.tokens()

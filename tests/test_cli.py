@@ -1,6 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
-from collections import OrderedDict, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 import hashlib
 import json
 import random
@@ -26,7 +26,12 @@ from treetoric.classify import (
     THM_MAIN,
     classify,
 )
-from treetoric.errors import SamplingError, SingularMatrixError, TreeError
+from treetoric.errors import (
+    NotApplicableError,
+    SamplingError,
+    SingularMatrixError,
+    TreeError,
+)
 from treetoric.trees import parse_tree
 
 from conftest import FIXTURES, TREE_FIXTURES, fixture_tree, random_tree
@@ -590,6 +595,13 @@ GOLDEN = {
 GOLDEN_RANDOM_SEEDS = (0, 2, 36, 3, 54, 82, 140, 12, 41, 99, 144, 1)
 GOLDEN_RANDOM = "39dba340d675ebdfdc6560cf222412543c3bfbbadcfda15e224e457402794e9c"
 
+# SHA-256 over the `verify_tree(trials=3)` reports of 166 random draws with
+# n 2-8, zeroing modes none/chain/random in turn, each draw seeded by its
+# index and verified under that seed: 100 applicable trees across the three
+# theorem regimes, and a "NONE" line for each of the 66 others.
+GOLDEN_RANDOM_VERIFY_DRAWS = 166
+GOLDEN_RANDOM_VERIFY = "a821975e9a3a8d824ff98f7de891cdb11e8b4a143856a3944e754ea615457938"
+
 
 # `laplacian` exit code and SHA-256 of its stdout, for every tree fixture.
 GOLDEN_LAPLACIAN = {
@@ -679,3 +691,22 @@ class TestGoldenArtifacts:
             digest.update(capsys.readouterr().out.encode())
         assert theorems == {THM_BLOCK_UNCOLORED, THM_MAIN, THM_COLORED_COMPLETE, NONE}
         assert digest.hexdigest() == GOLDEN_RANDOM
+
+    def test_random_tree_verify_digest(self):
+        digest = hashlib.sha256()
+        theorems = Counter()
+        for seed in range(GOLDEN_RANDOM_VERIFY_DRAWS):
+            zero_mode = ("none", "chain", "random")[seed % 3]
+            t = random_tree(random.Random(seed), zero_mode=zero_mode)
+            try:
+                report = pipeline.verify_tree(t, trials=3, seed=seed)
+            except NotApplicableError:
+                digest.update(f"{seed} NONE\n".encode())
+                continue
+            assert report.passed, t.to_dict()
+            theorems[report.theorem] += 1
+            text = json.dumps(report.to_dict(), sort_keys=True)
+            digest.update(f"{seed} {text}\n".encode())
+        assert set(theorems) == {THM_BLOCK_UNCOLORED, THM_MAIN, THM_COLORED_COMPLETE}
+        assert sum(theorems.values()) == 100
+        assert digest.hexdigest() == GOLDEN_RANDOM_VERIFY

@@ -16,7 +16,6 @@ from treetoric.ideals import (
     block_minor_binomials,
     cherry_binomials,
     combined_from_classification,
-    combined_generators,
     completion_binomials,
     generators_json,
     generators_m2,
@@ -236,7 +235,7 @@ class TestEmbeddings:
 class TestCombined:
     def test_leafcolor_g1_exact_set(self):
         t = fixture_tree("leafcolor_g1")
-        gens, kind = combined_generators(t)
+        gens, kind = combined_from_classification(classify(t))
         assert kind == "p"
         expected = set(cherry_binomials(t)) | {
             B("p14 - p24"),
@@ -246,7 +245,8 @@ class TestCombined:
         assert set(gens) == expected
 
     def test_zeroed_block_g2_is_the_reference_seven(self):
-        gens, kind = combined_generators(fixture_tree("zeroed_block_g2"))
+        report = classify(fixture_tree("zeroed_block_g2"))
+        gens, kind = combined_from_classification(report)
         assert kind == "q"
         assert set(gens) == {
             B("q03*q24 - q02*q34"),
@@ -259,7 +259,7 @@ class TestCombined:
         }
 
     def test_colored_star_contains_reference_generators(self):
-        gens, kind = combined_generators(fixture_tree("colored_star"))
+        gens, kind = combined_from_classification(classify(fixture_tree("colored_star")))
         assert kind == "q"
         reference = {
             B("q14 - q24"),
@@ -272,13 +272,14 @@ class TestCombined:
 
     def test_not_applicable_attaches_report(self):
         with pytest.raises(NotApplicableError) as exc:
-            combined_generators(fixture_tree("leafcolor_g3"))
+            combined_from_classification(classify(fixture_tree("leafcolor_g3")))
         assert exc.value.report is not None
         assert exc.value.report.theorem == "NONE"
 
     def test_deterministic_order(self):
         t = fixture_tree("colored_star")
-        assert combined_generators(t) == combined_generators(t)
+        first = combined_from_classification(classify(t))
+        assert combined_from_classification(classify(t)) == first
 
     def test_matches_sigma_construction_oracle(self):
         # the p/q families, deduped and sorted once, equal the sigma
@@ -300,21 +301,21 @@ class TestCombined:
 
 class TestExports:
     def test_text_lines(self):
-        gens, _ = combined_generators(fixture_tree("zeroed_block_g2"))
+        gens, _ = combined_from_classification(classify(fixture_tree("zeroed_block_g2")))
         text = generators_text(gens)
         lines = text.strip().split("\n")
         assert len(lines) == len(gens)
         assert all(parse_binomial(ln) in set(gens) for ln in lines)
 
     def test_json_shape(self):
-        gens, kind = combined_generators(fixture_tree("colored_star"))
+        gens, kind = combined_from_classification(classify(fixture_tree("colored_star")))
         doc = generators_json(gens, kind)
         assert doc["coordinates"] == "q"
         assert doc["count"] == len(gens)
         assert {"plus", "minus"} <= set(doc["generators"][0])
 
     def test_m2_script(self):
-        gens, kind = combined_generators(fixture_tree("colored_star"))
+        gens, kind = combined_from_classification(classify(fixture_tree("colored_star")))
         script = generators_m2(gens, kind, 4)
         assert script.startswith("R = QQ[q01, q02, q03, q04, q12")
         assert "I = ideal(" in script

@@ -18,11 +18,16 @@ from treetoric.laplacians import (
     pq_index_pairs,
     sigma_index_pairs,
 )
-from treetoric.matrices import SymMatrix, pattern_from_tree
+from treetoric.matrices import SymMatrix
 from treetoric.pipeline import build_context
 
 from conftest import random_tree
-from oracles import fraction_inverse, gamma_weights_oracle, sample_point_reference
+from oracles import (
+    fraction_inverse,
+    gamma_weights_oracle,
+    pattern_from_tree,
+    sample_point_reference,
+)
 from test_graphs import complete_graph, make_graph
 
 

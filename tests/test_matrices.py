@@ -17,22 +17,23 @@ from treetoric.matrices import (
     MatrixPattern,
     SymMatrix,
     invert_exact,
-    jordan_closed,
     pattern_contains,
     pattern_from_graph,
-    pattern_from_tree,
     sample_projective,
 )
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
+from random_trees import all_small_trees
 from oracles import (
     adjugate,
     adjugate_inverse,
     det_cofactor,
     fraction_inverse,
+    jordan_closed,
     jordan_closed_by_basis,
     pattern_from_lca,
+    pattern_from_tree,
     sample_point_reference,
 )
 
@@ -400,3 +401,78 @@ class TestLinalg:
             assert adj == tuple(map(tuple, adjugate(rows))), rows
             swapped += rows[0][0] == 0
         assert singular >= 13 and swapped >= 8
+
+    @staticmethod
+    def _symmetric(rows):
+        n = len(rows)
+        return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+    def test_symmetric_sweep_matches_cofactor_oracle(self):
+        rng = random.Random(19)
+        cases = []
+        for n in range(1, 8):
+            for _ in range(4 if n < 7 else 2):
+                dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                sparse = [
+                    [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                cases += [self._symmetric(dense), self._symmetric(sparse)]
+            if n > 1:
+                # a zero leading diagonal: the first pivot is index 1
+                rows = self._symmetric(dense)
+                rows[0][0], rows[1][1] = 0, rng.choice((-7, 5))
+                cases.append(rows)
+                # singular: C D C^T with C of rank below n
+                c = [[rng.randint(-4, 4) for _ in range(n - 1)] for _ in range(n)]
+                d = [rng.choice((-2, 1, 3)) for _ in range(n - 1)]
+                cases.append(
+                    [[sum(c[i][r] * d[r] * c[j][r] for r in range(n - 1)) for j in range(n)]
+                     for i in range(n)]
+                )
+            # singular: a zero row and column
+            rows = self._symmetric(dense)
+            rows[-1] = [0] * n
+            cases.append([row[:-1] + [0] for row in rows])
+        # stalls: every diagonal the sweep could pivot on is 0, at the start
+        # or after sweeping index 0 (the Schur complement [[0, 1], [1, 0]])
+        cases += [
+            [[0, 1], [1, 0]],
+            [[0, 2, 3], [2, 0, 5], [3, 5, 0]],
+            [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
+        ]
+        leading_zero = stalled = singular = 0
+        for rows in cases:
+            det, adj = linalg.det_adjugate(rows)
+            assert det == det_cofactor(rows), rows
+            swept = linalg._sweep(rows)
+            stalled += swept is None
+            if swept is not None:
+                assert swept == (det, adj), rows
+            if det == 0:
+                assert adj is None, rows
+                singular += 1
+                continue
+            assert adj == tuple(map(tuple, adjugate(rows))), rows
+            leading_zero += rows[0][0] == 0 and swept is not None
+        assert stalled >= 3 and leading_zero >= 6 and singular >= 13
+
+    def test_sweep_and_gauss_jordan_agree_on_pattern_samples(self):
+        # small draws make singular samples and stalls common
+        rng = random.Random(41)
+        compared = singular = stalled = 0
+        for t in all_small_trees(4):
+            pattern = pattern_from_tree(t)
+            for _ in range(3):
+                values = {tok: rng.randint(-3, 3) for tok in pattern.tokens()}
+                rows = pattern.rows(values)
+                expected = linalg._gauss_jordan([list(row) for row in rows])
+                assert linalg.det_adjugate(rows) == expected, rows
+                swept = linalg._sweep(rows)
+                if swept is None:
+                    stalled += 1
+                    continue
+                assert swept == expected, rows
+                compared += 1
+                singular += swept[0] == 0
+        assert compared >= 500 and singular >= 50 and stalled >= 5

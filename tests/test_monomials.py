@@ -8,7 +8,8 @@ import pytest
 from treetoric.binomials import coord_var, parse_binomial
 from treetoric.errors import GraphError
 from treetoric.graphs import derive_graph
-from treetoric.ideals import combined_generators
+from treetoric.classify import classify
+from treetoric.ideals import combined_from_classification
 from treetoric.monomials import MonomialMap, exponent_rank, path_map
 from treetoric.trees import ColoredTree
 
@@ -143,10 +144,8 @@ class TestEvaluate:
         # kernel membership implies exact vanishing at parametrized points
         for name in ("colored_star", "leafcolor_g1", "zeroed_block_g2"):
             t = fixture_tree(name)
-            gens, kind = combined_generators(t)
-            from treetoric.classify import classify
-
             report = classify(t)
+            gens, kind = combined_from_classification(report)
             mm = path_map(report.working_tree, report.graph)
             assert mm.kind == kind
             rng = random.Random(hash(name) % 10**6)

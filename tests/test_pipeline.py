@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from treetoric.binomials import parse_binomial
+from treetoric.binomials import Binomial, monomial, parse_binomial
 from treetoric.classify import (
     NONE,
     THM_BLOCK_UNCOLORED,
@@ -34,7 +34,7 @@ from treetoric.pipeline import (
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
-from oracles import forward_vanishing_reference, roundtrip_reference
+from oracles import forward_vanishing_reference, pattern_from_tree, roundtrip_reference
 from random_trees import all_small_trees
 
 
@@ -132,8 +132,6 @@ class TestContraction:
         )
         t2 = contract_internal_colors(t)
         assert t2.zeroed == {5}
-        from treetoric.matrices import pattern_from_tree
-
         assert pattern_from_tree(t2) == pattern_from_tree(t)
 
 
@@ -331,3 +329,44 @@ class TestIntegerChecksMatchReference:
             roundtrip = roundtrip_parametrization(ctx, trials=3, seed=idx)
             assert roundtrip == roundtrip_reference(ctx, 3, idx), t.to_dict()
         assert applicable >= 10
+
+    @staticmethod
+    def _times(b, v):
+        """The binomial b multiplied by the variable v, still in the ideal."""
+        lead, trail = (monomial([v, *(u for u, e in m for _ in range(e))]) for m in b)
+        return Binomial.make(lead, trail)
+
+    def test_same_reports_for_every_degree_shape(self):
+        # quadrics, cubics with and without a squared variable, and failing
+        # binomials of degree 2 and 3 before and after the passing ones
+        rng = random.Random(31)
+        squared = 0
+        for idx in range(40):
+            t = random_tree(rng)
+            try:
+                ctx = build_context(t)
+            except NotApplicableError:
+                continue
+            quadrics = [b for b in ctx.generators if b.degree() == 2]
+            if not quadrics:
+                continue
+            k = ctx.report.coordinates
+            v = quadrics[0].lead[0][0]
+            cubics = [self._times(b, v) for b in quadrics[:4]]
+            squared += any(e == 2 for b in cubics for _, e in b.lead + b.trail)
+            failing = [
+                parse_binomial(f"{k}01*{k}02 - {k}12^2"),
+                parse_binomial(f"{k}01^2*{k}12 - {k}02^3"),
+            ]
+            gens = failing[:1] + ctx.generators + cubics + failing[1:]
+            forward = forward_vanishing(ctx, trials=3, seed=idx, generators=gens)
+            assert forward == forward_vanishing_reference(ctx, 3, idx, gens), t.to_dict()
+            expected = [b.text() for b in gens if not ctx.mmap.in_kernel(b)]
+            assert [f["generator"] for f in forward["failures"]] == expected * 3
+        assert squared >= 5
+
+    def test_variable_outside_coordinates_raises_key_error(self):
+        ctx = build_context(fixture_tree("colored_star"))
+        for text in ("q01 - q0_99", "q01*q02 - q12*q0_99", "q01 - q02*q0_99", "p01 - p02"):
+            with pytest.raises(KeyError):
+                forward_vanishing(ctx, trials=1, seed=0, generators=[parse_binomial(text)])
