@@ -105,12 +105,6 @@ class Binomial(NamedTuple):
     def text(self) -> str:
         return f"{monomial_name(self.lead)} - {monomial_name(self.trail)}"
 
-    def to_dict(self) -> dict:
-        return {
-            "plus": [(var_name(v), e) for v, e in self.lead],
-            "minus": [(var_name(v), e) for v, e in self.trail],
-        }
-
     def __str__(self) -> str:
         return self.text()
 

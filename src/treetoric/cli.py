@@ -14,9 +14,11 @@ matrix), 2 tree outside the toric regimes, 3 input error (including a
 generator variable outside the tree's coordinates).  Identical
 configurations produce byte-identical artifacts.
 
-JSON artifacts are written by :func:`_json`, which reproduces the layout of
-``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte without the
-standard library's pure-Python indented encoder: containers are joined with
+Every JSON artifact has the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True)`` plus a newline.  The generators document is rendered by
+:func:`ideals.generators_json`, whose layout is fixed.  The others are
+written by :func:`_json`, which reproduces that layout without the standard
+library's pure-Python indented encoder: containers are joined with
 ``str.join`` and strings are escaped by the C ``encode_basestring_ascii``.
 Dict keys must be strings; any other key raises ``TypeError`` (the standard
 library converts int, float, bool and None keys to strings).  Values are
@@ -63,9 +65,10 @@ def _write(o, nl: str) -> str:
     """``o`` as the indented encoder lays it out; ``nl`` is the newline and
     indent of the line ``o`` starts on."""
     # Exact-type tests, for speed: on the analyze, generators and verify
-    # documents of two rounds of both perfbench mixes this writer took
-    # 1.69 s, an isinstance chain that memoized repeated arrays 1.75 s, and
-    # an isinstance chain without the memo 2.07 s (Python 3.11, Xeon).
+    # documents of two rounds of both perfbench mixes (the generators
+    # documents then also went through this writer) it took 1.69 s, an
+    # isinstance chain that memoized repeated arrays 1.75 s, and an
+    # isinstance chain without the memo 2.07 s (Python 3.11, Xeon).
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
@@ -110,7 +113,7 @@ def _cmd_generators(args: argparse.Namespace) -> int:
     if args.fmt == "text":
         _emit(generators_text(gens), args.out)
     elif args.fmt == "json":
-        _emit(_json(generators_json(gens, kind)), args.out)
+        _emit(generators_json(gens, kind), args.out)
     else:
         _emit(generators_m2(gens, kind, tree.n_leaves), args.out)
     return EXIT_OK

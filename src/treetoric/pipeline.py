@@ -37,7 +37,7 @@ trial.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 import random
@@ -291,7 +291,20 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order; values are shared, not copied."""
+        # dataclasses.asdict deep-copied every check, failure record and
+        # generator string: 0.11 s of 1.9 s under cProfile of two perfbench
+        # sweep rounds.
+        return {
+            "tree": self.tree,
+            "theorem": self.theorem,
+            "coordinates": self.coordinates,
+            "seed": self.seed,
+            "trials": self.trials,
+            "generators": self.generators,
+            "checks": self.checks,
+            "passed": self.passed,
+        }
 
 
 def verify_tree(t: ColoredTree, trials: int = 100, seed: int = 0) -> VerificationReport:

@@ -79,6 +79,23 @@ def minor_by_make(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
     )
 
 
+def generators_doc(gens: list[Binomial], kind: str) -> dict:
+    """The generators document as a dict, the form it had before
+    ``ideals.generators_json`` rendered it directly: each generator's
+    monomials as lists of ``(name, exponent)`` pairs."""
+    return {
+        "coordinates": kind,
+        "count": len(gens),
+        "generators": [
+            {
+                "plus": [(var_name(v), e) for v, e in b.lead],
+                "minus": [(var_name(v), e) for v, e in b.trail],
+            }
+            for b in gens
+        ],
+    }
+
+
 # -------------------------------------------------------------------- #
 # the sigma-variable construction, the reference for the p/q families    #
 # -------------------------------------------------------------------- #

@@ -479,7 +479,9 @@ class TestJsonWriter:
                 cli._json({"a": [value]})
 
     def test_every_fixture_document(self, monkeypatch, tmp_path, capsys):
-        """Each JSON document the subcommands write, checked as it is written."""
+        """Each JSON document the subcommands write, checked as it is written;
+        the generators document, rendered by ``ideals.generators_json``, is
+        checked from stdout."""
         real, written = cli._json, []
 
         def checked(obj):
@@ -498,7 +500,11 @@ class TestJsonWriter:
             expected += 2
             if main(["generators", "--tree", tree, "--out", str(gens)]) != EXIT_OK:
                 continue
+            capsys.readouterr()
             main(["generators", "--tree", tree, "--format", "json"])
+            text = capsys.readouterr().out
+            assert stdlib_json(json.loads(text)) == text
+            written.append(text)
             main(["verify", "--tree", tree, "--trials", "2"])
             main(["kernel", "--tree", tree, "--generators", str(gens)])
             expected += 3

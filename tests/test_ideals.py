@@ -1,6 +1,7 @@
 """Generator families: cherry quadrics, block minors, completion linears,
 the sigma -> p/q variable rule, and the combined construction."""
 
+import json
 import random
 from itertools import combinations
 
@@ -31,9 +32,12 @@ from oracles import (
     combined_via_sigma,
     depth_oracle,
     embed,
+    generators_doc,
     lca_oracle,
     minor_by_make,
 )
+from random_trees import all_small_trees
+from test_cli import GOLDEN_RANDOM_SEEDS
 from test_graphs import complete_graph, make_graph
 
 
@@ -309,10 +313,37 @@ class TestExports:
 
     def test_json_shape(self):
         gens, kind = combined_from_classification(classify(fixture_tree("colored_star")))
-        doc = generators_json(gens, kind)
+        doc = json.loads(generators_json(gens, kind))
         assert doc["coordinates"] == "q"
         assert doc["count"] == len(gens)
         assert {"plus", "minus"} <= set(doc["generators"][0])
+
+    def test_json_matches_dict_form_through_stdlib(self):
+        cases = [
+            combined_from_classification(report)
+            for report in (classify(fixture_tree(name)) for name in TREE_FIXTURES)
+            if report.applicable
+        ]
+        cases += [
+            combined_from_classification(report)
+            for report in map(classify, all_small_trees())
+            if report.applicable
+        ]
+        for seed in GOLDEN_RANDOM_SEEDS:
+            report = classify(random_tree(random.Random(seed), n_min=8, n_max=14))
+            if report.applicable:
+                cases.append(combined_from_classification(report))
+        assert {kind for _, kind in cases} == {"p", "q"}
+        two_digit = {v for gens, _ in cases for b in gens for v in b.variables() if v[2] > 9}
+        assert two_digit  # names such as q3_12
+        squared = parse_binomial("q01*q23 - q12^2")
+        # a constant monomial renders as an empty array
+        constant = Binomial(((coord_var("p", 1, 2), 1),), ())
+        for kind in ("p", "q"):
+            cases += [([], kind), ([squared], kind), ([constant, squared], kind)]
+        for gens, kind in cases:
+            expected = json.dumps(generators_doc(gens, kind), indent=2, sort_keys=True)
+            assert generators_json(gens, kind) == expected + "\n"
 
     def test_m2_script(self):
         gens, kind = combined_from_classification(classify(fixture_tree("colored_star")))

@@ -1,7 +1,7 @@
 """Classification, contraction, and the exact verification checks."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 import random
 
 import pytest
@@ -29,6 +29,7 @@ from treetoric.pipeline import (
     forward_vanishing,
     kernel_membership,
     roundtrip_parametrization,
+    VerificationReport,
     verify_tree,
 )
 from treetoric.trees import ColoredTree
@@ -267,6 +268,12 @@ class TestVerifyTree:
         a = verify_tree(fixture_tree("zeroed_block_g2"), trials=8, seed=5)
         b = verify_tree(fixture_tree("zeroed_block_g2"), trials=8, seed=5)
         assert a.to_dict() == b.to_dict()
+
+    def test_to_dict_is_every_field_in_order(self):
+        report = verify_tree(fixture_tree("zeroed_block_g2"), trials=3, seed=5)
+        doc = report.to_dict()
+        assert list(doc) == [f.name for f in fields(VerificationReport)]
+        assert doc == asdict(report)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
