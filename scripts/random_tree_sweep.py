@@ -34,6 +34,8 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=10)
     ap.add_argument("--n-max", type=int, default=8)
     args = ap.parse_args()
+    if args.count < 0:
+        ap.error("--count must be non-negative")
     if args.n_max < 2:
         ap.error("--n-max must be at least 2")
     # the tree generator's seed aliases by absolute value as the trials' do

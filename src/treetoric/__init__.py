@@ -19,7 +19,6 @@ from .errors import (
 )
 from .graphs import (
     ColoredGraph,
-    completion,
     derive_graph,
     is_vertex_regular,
     one_clique_separated_quadruples,

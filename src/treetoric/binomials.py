@@ -87,15 +87,6 @@ class Binomial(NamedTuple):
     def variables(self) -> set[Var]:
         return {v for v, _ in self.lead} | {v for v, _ in self.trail}
 
-    def degree(self) -> int:
-        return max(
-            sum(e for _, e in self.lead), sum(e for _, e in self.trail)
-        )
-
-    def is_homogeneous(self) -> bool:
-        """Both monomials have the same degree, so b(c x) = c^d b(x)."""
-        return sum(e for _, e in self.lead) == sum(e for _, e in self.trail)
-
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
         """Exact value of lead - trail at the point."""
         return evaluate_monomial(self.lead, point) - evaluate_monomial(

@@ -216,28 +216,3 @@ def one_clique_separated_quadruples(
     parts = [(p, {part[u] for u in p if u != c}) for p in combinations(g.vertices(), 2)]
     return {(p, q) for (p, s), (q, t) in combinations(parts, 2) if s.isdisjoint(t)}
 
-
-def completion(g: ColoredGraph) -> ColoredGraph:
-    """Vertex-regular completion: complete graph carrying only the vertex
-    symmetries of g.
-
-    Edge classes are the finest partition of all pairs closed under
-    "same-colored vertices i,j force {i,k} ~ {j,k} for every k".  That is
-    the partition by the color pair {color i, color j}: the rule keeps the
-    pair, and connects all edges carrying it.  Between two color classes
-    it moves one end at a time; inside one class of m >= 3 vertices it
-    links the pairs as in the Johnson graph J(m,2), which is connected.
-    Each class is named after its least pair (i,j) as ``E{i}_{j}``, with
-    the prefix lengthened to ``EE``, ``EEE``, ... until no vertex token
-    starts with it, so edge and vertex tokens never meet.
-    """
-    prefix = "E"
-    while any(c.startswith(prefix) for c in g.vertex_color.values()):
-        prefix += "E"
-    color = g.vertex_color
-    least: dict[frozenset[str], tuple[int, int]] = {}
-    edge_color = {}
-    for i, j in combinations(g.vertices(), 2):  # lexicographic: least pair first
-        a, b = least.setdefault(frozenset((color[i], color[j])), (i, j))
-        edge_color[(i, j)] = f"{prefix}{a}_{b}"
-    return ColoredGraph(n=g.n, vertex_color=color, edge_color=edge_color)

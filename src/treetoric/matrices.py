@@ -7,13 +7,13 @@ the vertex and edge classes of a colored graph.  The pattern of a tree is
 that of its derived graph, which keys entry (i,j) by the color of lca(i,j)
 from the tree's leaf-pair table and gives zeroed lcas structural zeros.
 
-All numeric work happens on :class:`SymMatrix`, a symmetric matrix that
-keeps the exact entries it is given: integers for sampled matrices and
-their adjugates, ``Fraction`` for exact inverses.  Sampling and inversion
-are exact; there is no floating point and hence no tolerance anywhere.  A
-sample has integer entries and comes with its determinant and adjugate, so
-one fraction-free elimination both certifies it invertible and gives its
-inverse as adj / det.  :func:`invert_exact` inverts a rational M the same
+A :class:`SymMatrix` is a symmetric matrix that keeps the exact entries it
+is given: integers, or ``Fraction`` for exact inverses.  Sampling and
+inversion are exact; there is no floating point and hence no tolerance
+anywhere.  A sample has integer entries and comes with its determinant and
+its adjugate, as plain integer row tuples, so one fraction-free
+elimination both certifies it invertible and gives its inverse as
+adj / det.  :func:`invert_exact` inverts a rational M the same
 way, on the integer matrix sM with s the lcm of M's denominators:
 M^{-1} = s adj(sM) / det(sM).  Symmetry is checked by comparing a matrix
 with its transpose.  Pattern membership compares, in one list comparison,
@@ -154,14 +154,16 @@ class ProjectiveSample(NamedTuple):
     """An invertible integer K that :func:`sample_projective` draws from a
     pattern, with its determinant and adjugate.
 
-    K^{-1} = adjugate / det.  Pattern membership and the vanishing of
-    homogeneous polynomials ignore nonzero scalars, so checks can run on the
-    integer ``adjugate`` alone.
+    K^{-1} = adjugate / det, with the adjugate held as the integer row
+    tuples that :func:`linalg.det_adjugate` returns.  Checks run on those
+    rows: pattern membership ignores the nonzero scalar det, and a
+    monomial of degree d in linear coordinates of K^{-1} is its value on
+    the adjugate over det^d.
     """
 
     values: dict[str, int]  # token -> sampled entry of K
     det: int
-    adjugate: SymMatrix
+    adjugate: tuple[tuple[int, ...], ...]
 
 
 def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
@@ -185,7 +187,7 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
         values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
         det, adj = linalg.det_adjugate(pattern.rows(values))
         if det:
-            return ProjectiveSample(values, det, SymMatrix(adj))
+            return ProjectiveSample(values, det, adj)
     raise SamplingError(
         f"no invertible matrix in the pattern after {SAMPLE_RETRIES} tries"
     )

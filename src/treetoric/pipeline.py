@@ -22,17 +22,18 @@ is an identity, not an approximation.  The two sampling checks run on
 integers: both draw integer points (matrix entries and positive path-map
 parameters), and matrices are inverted up to the scalar det as adjugates,
 from one fraction-free symmetric sweep (:func:`linalg.det_adjugate`).
-That scalar cannot change the outcome, since pattern membership and the
-vanishing of a homogeneous binomial are invariant under nonzero scaling; a
-failing binomial's value is scaled back to the exact rational value at
-K^{-1}.  Points, matrices and parameters stay plain lists in the trials,
-and forward vanishing compares all generators of one degree at once, as
-columns of products.  Each trial is a
-Schwartz-Zippel identity test, as sound with integer draws as with rational
-ones.  Trials derive per-trial seeds from the master seed and are
-independent; reports are reproducible byte-for-byte.  The seed must be
-non-negative and the trial count at most 1 000 003, so no two runs share a
-trial.
+Pattern membership ignores that scalar.  Forward vanishing reads every
+binomial's value at K^{-1} off integer products at the adjugate's point:
+with lead degree d and trail degree e, the lower-degree side is scaled by
+a power of det so both sides share the denominator det^max(d, e), and a
+failing value is the difference of the two scaled products over it.
+Points, matrices and parameters stay plain lists in the trials, and
+forward vanishing compares all generators of one shape (d, e) at once, as
+columns of products.  Each trial is a Schwartz-Zippel identity test, as
+sound with integer draws as with rational ones.  Trials derive per-trial
+seeds from the master seed and are independent; reports are reproducible
+byte-for-byte.  The seed must be non-negative and the trial count at most
+1 000 003, so no two runs share a trial.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from .ideals import combined_from_classification
 from .laplacians import CoordinateMap, g_derived_laplacian_map
 from .matrices import (
     MatrixPattern,
-    SymMatrix,
-    invert_exact,
+    invert_exact,  # unused; perfbench's tracer test pins this binding
     pattern_from_graph,
     sample_projective,
 )
@@ -128,33 +128,33 @@ def require_trials(trials: int, seed: int) -> None:
 
 def _vanishing_columns(
     index: dict, gens: list[Binomial]
-) -> tuple[list[tuple[list[int], list[tuple[int, ...]]]], list[int]]:
-    """Homogeneous generators as factor columns, grouped by degree.
+) -> list[tuple[int, int, list[int], list[tuple[int, ...]]]]:
+    """Generators as factor columns, grouped by shape.
 
-    A generator of degree d >= 1 lists its lead and then its trail as d
-    coordinate positions each (a variable repeated by its exponent).  Each
-    group is (generator positions, columns): column f holds factor f of
-    every generator of the group, so columns[:d] are the leads and
-    columns[d:] the trails.  Any other generator's position is returned
-    apart.  A variable outside ``index`` raises ``KeyError``.
+    A generator whose lead has degree d and trail degree e lists d lead
+    positions and then e trail positions in the coordinate list (a variable
+    repeated by its exponent).  Each group is (d, e, generator positions,
+    columns): column f holds factor f of every generator of the group, so
+    columns[:d] are the leads and columns[d:] the trails.  A variable
+    outside ``index`` raises ``KeyError``.
     """
-    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
-    apart: list[int] = []
+    groups: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
     for pos, b in enumerate(gens):
-        factors = [index[v] for v, e in b.lead for _ in range(e)]
-        d = len(factors)
-        factors += [index[v] for v, e in b.trail for _ in range(e)]
-        if not d or len(factors) != 2 * d:
-            apart.append(pos)
-            continue
-        positions, rows = groups.setdefault(d, ([], []))
+        lead = [index[v] for v, e in b.lead for _ in range(e)]
+        trail = [index[v] for v, e in b.trail for _ in range(e)]
+        positions, rows = groups.setdefault((len(lead), len(trail)), ([], []))
         positions.append(pos)
-        rows.append(factors)
-    return [(positions, list(zip(*rows))) for positions, rows in groups.values()], apart
+        rows.append(lead + trail)
+    return [
+        (d, e, positions, list(zip(*rows))) for (d, e), (positions, rows) in groups.items()
+    ]
 
 
-def _products(x: list, columns: list[tuple[int, ...]]) -> list:
-    """Per row of the columns, the product of the entries of x they name."""
+def _products(x: list, columns: list[tuple[int, ...]], count: int) -> list:
+    """Per row of the columns, the product of the entries of x they name;
+    1 for each of the ``count`` rows when there are no columns."""
+    if not columns:
+        return [1] * count
     values = map(x.__getitem__, columns[0])
     for col in columns[1:]:
         values = map(mul, values, map(x.__getitem__, col))
@@ -169,47 +169,43 @@ def forward_vanishing(
 ) -> dict:
     """Sample K in the pattern, invert, map, and demand exact zeros.
 
-    K has integer entries.  A homogeneous binomial of degree d is evaluated
-    at the integer point x_int of adj(K): the point of K^{-1} is
-    x_int / det K, so the value there is b(x_int) / (det K)^d and vanishes
-    exactly when b(x_int) does.  Each trial evaluates the homogeneous
-    generators a degree at a time, as lead and trail products over factor
-    columns (:func:`_vanishing_columns`), and compares the two lists.  Only
-    a generator whose products differ is evaluated again, through
-    :meth:`Binomial.evaluate`, for its exact value.  Any other binomial
-    (the package emits none) is evaluated at the exact rational point of
-    K^{-1}.  Failures are listed by trial, then in generator order.
+    K has integer entries, and the point of K^{-1} is x_int / det K with
+    x_int the integer point of adj(K).  A binomial whose lead has degree d
+    and trail degree e therefore has the value
+    (lead(x_int) det^(m-d) - trail(x_int) det^(m-e)) / det^m there, with
+    m = max(d, e).  Each trial evaluates the generators a shape (d, e) at a
+    time, as lead and trail products over factor columns
+    (:func:`_vanishing_columns`), scales the lower-degree side and compares
+    the two lists; when d = e the scale is 1.  A generator whose scaled
+    products u and v differ fails with the exact value (u - v) / det^m.
+    Failures are listed by trial, then in generator order.
     """
     require_trials(trials, seed)
     gens = ctx.generators if generators is None else generators
-    groups, apart = _vanishing_columns(ctx.cmap.index, gens)
+    groups = _vanishing_columns(ctx.cmap.index, gens)
     failures: list[dict] = []
     for k in range(trials):
         sample = sample_projective(ctx.pattern, _trial_seed(seed, k))
-        x = ctx.cmap.coordinates(sample.adjugate.entries)
-        suspects = list(apart)
-        for positions, columns in groups:
-            d = len(columns) // 2
-            lead, trail = _products(x, columns[:d]), _products(x, columns[d:])
+        x = ctx.cmap.coordinates(sample.adjugate)
+        failing = []
+        for d, e, positions, columns in groups:
+            lead = _products(x, columns[:d], len(positions))
+            trail = _products(x, columns[d:], len(positions))
+            if d != e:
+                scale = sample.det ** abs(d - e)
+                if d < e:
+                    lead = [u * scale for u in lead]
+                else:
+                    trail = [v * scale for v in trail]
             if lead != trail:
-                suspects += [p for p, u, v in zip(positions, lead, trail) if u != v]
-        if not suspects:
-            continue
-        point = ctx.cmap.apply(sample.adjugate)
-        exact_point = None
-        for pos in sorted(suspects):
-            b = gens[pos]
-            if b.is_homogeneous():
-                value = b.evaluate(point)
-                if value:
-                    value *= Fraction(1, sample.det) ** b.degree()
-            else:
-                if exact_point is None:
-                    k_exact = SymMatrix(ctx.pattern.rows(sample.values))
-                    exact_point = ctx.cmap.apply(invert_exact(k_exact))
-                value = b.evaluate(exact_point)
-            if value != 0:
-                failures.append({"trial": k, "generator": b.text(), "value": str(value)})
+                denominator = sample.det ** max(d, e)
+                failing += [
+                    (p, Fraction(u - v, denominator))
+                    for p, u, v in zip(positions, lead, trail)
+                    if u != v
+                ]
+        for pos, value in sorted(failing):
+            failures.append({"trial": k, "generator": gens[pos].text(), "value": str(value)})
     return {
         "check": "forward_vanishing",
         "trials": trials,

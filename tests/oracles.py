@@ -1,5 +1,6 @@
 """Independent oracles for the tests: slow, obviously-correct second
-implementations that the package's own algorithms must agree with."""
+implementations that the package's own algorithms must agree with, and
+constructions only the tests use (the vertex-regular completion)."""
 
 from __future__ import annotations
 
@@ -511,3 +512,29 @@ def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dic
         "failures": failures,
         "passed": not failures,
     }
+
+
+def completion(g: ColoredGraph) -> ColoredGraph:
+    """Vertex-regular completion: complete graph carrying only the vertex
+    symmetries of g.
+
+    Edge classes are the finest partition of all pairs closed under
+    "same-colored vertices i,j force {i,k} ~ {j,k} for every k".  That is
+    the partition by the color pair {color i, color j}: the rule keeps the
+    pair, and connects all edges carrying it.  Between two color classes
+    it moves one end at a time; inside one class of m >= 3 vertices it
+    links the pairs as in the Johnson graph J(m,2), which is connected.
+    Each class is named after its least pair (i,j) as ``E{i}_{j}``, with
+    the prefix lengthened to ``EE``, ``EEE``, ... until no vertex token
+    starts with it, so edge and vertex tokens never meet.
+    """
+    prefix = "E"
+    while any(c.startswith(prefix) for c in g.vertex_color.values()):
+        prefix += "E"
+    color = g.vertex_color
+    least: dict[frozenset[str], tuple[int, int]] = {}
+    edge_color = {}
+    for i, j in combinations(g.vertices(), 2):  # lexicographic: least pair first
+        a, b = least.setdefault(frozenset((color[i], color[j])), (i, j))
+        edge_color[(i, j)] = f"{prefix}{a}_{b}"
+    return ColoredGraph(n=g.n, vertex_color=color, edge_color=edge_color)

@@ -23,7 +23,6 @@ from treetoric.classify import (
 from treetoric.cli import EXIT_OK, main
 from treetoric.errors import NotApplicableError
 from treetoric.graphs import (
-    completion,
     derive_graph,
     is_vertex_regular,
     star_decomposition,
@@ -40,6 +39,7 @@ from treetoric.pipeline import (
 
 from conftest import FIXTURES, TREE_FIXTURES, fixture_tree, random_tree
 from oracles import (
+    completion,
     four_point_check,
     has_non_adjacent_internal_merge,
     jordan_closed,

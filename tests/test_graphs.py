@@ -11,7 +11,6 @@ from treetoric.classify import contract_internal_colors
 from treetoric.errors import GraphError, TreeError
 from treetoric.graphs import (
     ColoredGraph,
-    completion,
     derive_graph,
     edge,
     is_vertex_regular,
@@ -22,6 +21,7 @@ from treetoric.trees import parse_tree
 
 from conftest import fixture_tree, random_tree
 from oracles import (
+    completion,
     connected_components,
     four_point_check,
     has_non_adjacent_internal_merge,

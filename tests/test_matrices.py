@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from treetoric import linalg
 from treetoric.classify import classify
 from treetoric.errors import SamplingError, SingularMatrixError
-from treetoric.graphs import completion, derive_graph
+from treetoric.graphs import derive_graph
 from treetoric.matrices import (
     SAMPLE_BOUND,
     MatrixPattern,
@@ -28,6 +28,7 @@ from random_trees import all_small_trees
 from oracles import (
     adjugate,
     adjugate_inverse,
+    completion,
     det_cofactor,
     fraction_inverse,
     jordan_closed,
@@ -172,7 +173,7 @@ class TestSampling:
                 assert SymMatrix(pat.rows(sample.values)) == m
                 c = Fraction(1, sample.det)
                 assert fraction_inverse(m.entries) == [
-                    [c * a for a in row] for row in sample.adjugate.entries
+                    [c * a for a in row] for row in sample.adjugate
                 ]
 
     def test_integer_draws_within_hadamard_bound(self):

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from treetoric.binomials import Binomial, monomial, parse_binomial
+from treetoric import matrices, pipeline
+from treetoric.binomials import Binomial, coord_var, monomial, parse_binomial
 from treetoric.classify import (
     NONE,
     THM_BLOCK_UNCOLORED,
@@ -20,6 +21,7 @@ from treetoric.classify import (
 from treetoric.errors import NotApplicableError, TreeError
 from treetoric.graphs import derive_graph
 from treetoric.ideals import cherry_binomials
+from treetoric.laplacians import CoordinateMap
 from treetoric.matrices import sample_projective
 from treetoric.pipeline import (
     _SEED_STRIDE,
@@ -314,6 +316,17 @@ class TestIntegerChecksMatchReference:
     """The integer-projective checks report exactly what the Fraction
     checks report, failing binomials and their values included."""
 
+    @staticmethod
+    def _failing_of_every_shape(k):
+        """Binomials outside the ideal whose lead degree d and trail degree
+        e have d = e, d > e, d < e, and a constant trail (e = 0)."""
+        return [
+            parse_binomial(f"{k}01 - {k}12"),
+            parse_binomial(f"{k}01 - {k}01*{k}12"),
+            parse_binomial(f"{k}12 - {k}01*{k}02"),
+            Binomial.make(monomial([coord_var(k, 0, 1)]), ()),
+        ]
+
     @pytest.mark.parametrize("zero_mode", ["none", "chain", "random"])
     def test_same_reports(self, zero_mode):
         rng = random.Random(29)
@@ -326,8 +339,9 @@ class TestIntegerChecksMatchReference:
                 continue
             applicable += 1
             k = ctx.report.coordinates
-            # an injected x_0a - x_ab and a non-homogeneous binomial
-            extra = [parse_binomial(f"{k}01 - {k}12"), parse_binomial(f"{k}01 - {k}01*{k}12")]
+            # an injected x_0a - x_ab and non-homogeneous binomials, the
+            # lead's degree above and below the trail's, one trail constant
+            extra = self._failing_of_every_shape(k)
             gens = ctx.generators + extra
             forward = forward_vanishing(ctx, trials=3, seed=idx, generators=gens)
             assert forward == forward_vanishing_reference(ctx, 3, idx, gens), t.to_dict()
@@ -354,7 +368,7 @@ class TestIntegerChecksMatchReference:
                 ctx = build_context(t)
             except NotApplicableError:
                 continue
-            quadrics = [b for b in ctx.generators if b.degree() == 2]
+            quadrics = [b for b in ctx.generators if sum(e for _, e in b.lead) == 2]
             if not quadrics:
                 continue
             k = ctx.report.coordinates
@@ -371,6 +385,34 @@ class TestIntegerChecksMatchReference:
             expected = [b.text() for b in gens if not ctx.mmap.in_kernel(b)]
             assert [f["generator"] for f in forward["failures"]] == expected * 3
         assert squared >= 5
+
+    def test_failing_values_come_from_the_products_alone(self, monkeypatch):
+        # every shape's failing value is read off the integer column
+        # products: no dict point, no Binomial.evaluate, no exact inverse
+        rng = random.Random(37)
+        cases = []
+        while len(cases) < 8:
+            t = random_tree(rng)
+            try:
+                ctx = build_context(t)
+            except NotApplicableError:
+                continue
+            extra = self._failing_of_every_shape(ctx.report.coordinates)
+            gens = extra[:2] + ctx.generators + extra[2:]
+            seed = len(cases)
+            reference = forward_vanishing_reference(ctx, 3, seed, gens)
+            assert {f["generator"] for f in reference["failures"]} == {b.text() for b in extra}
+            cases.append((ctx, gens, seed, reference))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("forward vanishing left the integer path")
+
+        monkeypatch.setattr(Binomial, "evaluate", forbidden)
+        monkeypatch.setattr(CoordinateMap, "apply", forbidden)
+        monkeypatch.setattr(matrices, "invert_exact", forbidden)
+        monkeypatch.setattr(pipeline, "invert_exact", forbidden)
+        for ctx, gens, seed, reference in cases:
+            assert forward_vanishing(ctx, trials=3, seed=seed, generators=gens) == reference
 
     def test_variable_outside_coordinates_raises_key_error(self):
         ctx = build_context(fixture_tree("colored_star"))

@@ -51,6 +51,7 @@ def test_run_fixture_suite(tmp_path):
         ("random_tree_sweep.py", ["--seed", "-1"], "seed must be non-negative"),
         ("run_fixture_suite.py", ["--trials", "0"], "trials must be at least 1"),
         ("run_fixture_suite.py", ["--seed", "-1"], "seed must be non-negative"),
+        ("random_tree_sweep.py", ["--count", "-3"], "--count must be non-negative"),
     ],
 )
 def test_bad_arguments_exit_2_before_any_work(tmp_path, name, args, message):
