@@ -39,7 +39,6 @@ from .matrices import (
     MatrixPattern,
     SymMatrix,
     invert_exact,
-    pattern_contains,
     pattern_from_graph,
 )
 from .monomials import MonomialMap, exponent_rank, path_map

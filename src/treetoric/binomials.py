@@ -84,9 +84,6 @@ class Binomial(NamedTuple):
             return None
         return Binomial(max(m1, m2), min(m1, m2))
 
-    def variables(self) -> set[Var]:
-        return {v for v, _ in self.lead} | {v for v, _ in self.trail}
-
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
         """Exact value of lead - trail at the point."""
         return evaluate_monomial(self.lead, point) - evaluate_monomial(

@@ -1,9 +1,9 @@
 """Exact linear algebra on integer matrices.
 
 Fraction-free kernels (Bareiss, Math. Comp. 1968): forward elimination for
-rank, and det(A) with adj(A) together, from a sweep of the upper triangle
-when A is symmetric (every matrix the package inverts is) and from one
-Gauss-Jordan pass on ``[A | I]`` otherwise.  No floating point anywhere.
+rank, and det(A) with adj(A) together from one sweep of the upper triangle
+of a symmetric A (every matrix the package inverts is).  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -43,20 +43,21 @@ def bareiss_echelon(rows: list[list[int]]) -> list[int]:
 
 
 def det_adjugate(int_rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-    """det(A) and adj(A) of a square integer matrix, from one elimination.
+    """det(A) and adj(A) of a symmetric integer matrix, from one sweep of its
+    upper triangle (:func:`_sweep`).
 
-    A symmetric matrix is swept on its upper triangle (:func:`_sweep`); any
-    other matrix, and a symmetric one on which the sweep stalls, takes one
-    row-swapping Gauss-Jordan pass (:func:`_gauss_jordan`).  Both give the
-    same unique pair.  The adjugate comes as a tuple of row tuples; a
-    singular matrix gives ``(0, None)``.
+    The adjugate comes as a tuple of row tuples; a singular matrix gives
+    ``(0, None)``.
+
+    Raises
+    ------
+    ValueError
+        When the matrix is not symmetric.
     """
     work = [list(map(int, row)) for row in int_rows]
-    if tuple(map(tuple, work)) == tuple(zip(*work)):
-        swept = _sweep(work)
-        if swept is not None:
-            return swept
-    return _gauss_jordan(work)
+    if tuple(map(tuple, work)) != tuple(zip(*work)):
+        raise ValueError("matrix must be symmetric")
+    return _sweep(work)
 
 
 class _Triangle(NamedTuple):
@@ -85,9 +86,20 @@ def _triangle(n: int) -> _Triangle:
     )
 
 
-def _sweep(rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | None] | None:
+def _add_index(v: list[int], layout: _Triangle, a: int, b: int) -> None:
+    """Add index a into index b of the symmetric matrix stored in ``v``, in
+    place: the congruence E V E^T with E = I + e_b e_a^T, so
+    v_rb += v_ra for r != b and v_bb += 2 v_ab + v_aa."""
+    into, added = layout.column[b], layout.column[a]
+    v[into[b]] += 2 * v[into[a]] + v[added[a]]
+    for r, (t, s) in enumerate(zip(into, added)):
+        if r != b:
+            v[t] += v[s]
+
+
+def _sweep(rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
     """Fraction-free symmetric sweep (Goodnight, Amer. Statist. 1979) on the
-    upper triangle of a symmetric A: ``(det, adj)``, or ``None`` on a stall.
+    upper triangle of a symmetric A: ``(det, adj)``.
 
     The sweep operator on index k maps a symmetric W to W' with
     w'_kk = -1/w_kk, w'_ik = w_ik/w_kk and w'_ij = w_ij - w_ik w_kj/w_kk;
@@ -101,23 +113,36 @@ def _sweep(rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | No
 
     Each sweep takes the first unswept index with a nonzero diagonal.  The
     unswept block of V is -det(A_SS) times the Schur complement of A_SS,
-    so an unswept block that is all zero proves A singular, and a zero
-    unswept diagonal with a nonzero entry off it is a stall.
+    so an unswept block that is all zero proves A singular.  When every
+    unswept diagonal is 0 but some unswept v_ij is not (a stall), index j
+    is added into index i (:func:`_add_index`), which makes v_ii = 2 v_ij.
+    That is V for the unimodular congruence E A E^T, E = I + e_i e_j^T,
+    which leaves A_SS, every pivot so far and det(A) as they are, and the
+    sweep goes on from index i.  Each stall is followed by a sweep, so
+    there are at most n - 1.  The last sweep leaves adj(E A E^T), and
+    adj(A) = E^T adj(E A E^T) E: each congruence is undone, last first,
+    by adding index i into index j.
     """
     n = len(rows)
     layout = _triangle(n)
     neg = [-x for x in chain.from_iterable(rows)]
     v = list(map(neg.__getitem__, layout.cells))
     unswept = list(range(n))
+    stalls = []
     prev = 1
     while unswept:
         for k in unswept:
             if v[layout.diagonal[k]]:
                 break
         else:
-            if any(v[layout.column[i][j]] for i in unswept for j in unswept):
-                return None
-            return 0, None
+            stall = next(
+                ((i, j) for i in unswept for j in unswept if v[layout.column[i][j]]), None
+            )
+            if stall is None:
+                return 0, None
+            k, j = stall
+            _add_index(v, layout, j, k)
+            stalls.append(stall)
         unswept.remove(k)
         kept = layout.column[k]
         col = list(map(v.__getitem__, kept))
@@ -132,49 +157,7 @@ def _sweep(rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | No
             v[t] = x
         v[kept[k]] = prev
         prev = -q
+    for i, j in reversed(stalls):
+        _add_index(v, layout, i, j)
     adj = list(map(v.__getitem__, layout.full))
     return prev, tuple(tuple(adj[i * n : i * n + n]) for i in range(n))
-
-
-def _gauss_jordan(work: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-    """Fraction-free Gauss-Jordan on ``[A | I]``, in place: ``(det, adj)``.
-
-    At step k every row i != k becomes ``(p_k row_i - a_ik row_k) // p_{k-1}``,
-    an exact division, with p_k the k-th pivot (p_{-1} = 1) and rows swapped
-    in for zero pivots.  The pass ends at ``[d I | d A^{-1}]`` with
-    d = +-det(A), the sign set by the swaps.  A singular matrix stops the
-    pass at the first column without a pivot.
-
-    Only n of the 2n columns are stored.  Before step k the right block is
-    p_{k-1} times a permutation in every column it has not yet mixed, so
-    stored column k trades the left column it eliminates for the right
-    column with p_{k-1} in row k; ``label`` records which one that is.
-    """
-    n = len(work)
-    label = list(range(n))
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if work[i][k]), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            label[k], label[piv] = label[piv], label[k]
-            sign = -sign
-        pivot_row = work[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i == k:
-                continue
-            a = work[i][k]
-            work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], pivot_row)]
-            work[i][k] = -a
-        pivot_row[k] = prev
-        prev = p
-    adj = [[0] * n for _ in range(n)]
-    for out, row in zip(adj, work):
-        for j, x in zip(label, row):
-            out[j] = sign * x
-    return sign * prev, tuple(map(tuple, adj))
-

@@ -193,14 +193,6 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
     )
 
 
-def pattern_contains(pattern: MatrixPattern, m: SymMatrix) -> bool:
-    """Exact membership (:meth:`MatrixPattern.contains`): zeros at
-    structural zeros, equal entries per class."""
-    if pattern.size != m.n:
-        raise ValueError("size mismatch")
-    return pattern.contains(m.entries)
-
-
 def invert_exact(m: SymMatrix) -> SymMatrix:
     """Exact inverse s adj(sm) / det(sm), with s the lcm of the denominators
     of m, from one fraction-free elimination on the integer matrix sm.

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from treetoric import graphs, trees
+from treetoric import graphs, linalg, trees
 from treetoric.trees import ColoredTree, load_tree
 
 from random_trees import random_tree  # noqa: F401  (re-exported for the tests)
@@ -74,4 +74,20 @@ def leaf_lca_passes(monkeypatch):
         return original(t)
 
     monkeypatch.setattr(trees, "_leaf_lca", counted)
+    return calls
+
+
+@pytest.fixture
+def congruences(monkeypatch):
+    """Index pairs (a, b) passed to ``linalg._add_index``, one per call: a
+    sweep stall adds one pair, and undoing it on a nonsingular matrix one
+    more."""
+    calls = []
+    original = linalg._add_index
+
+    def counted(v, layout, a, b):
+        calls.append((a, b))
+        return original(v, layout, a, b)
+
+    monkeypatch.setattr(linalg, "_add_index", counted)
     return calls

@@ -19,7 +19,6 @@ from treetoric.matrices import (
     SAMPLE_RETRIES,
     MatrixPattern,
     SymMatrix,
-    pattern_contains,
     pattern_from_graph,
 )
 from treetoric.pipeline import ROUNDTRIP_BOUND, VerificationContext, _trial_seed
@@ -391,7 +390,7 @@ def jordan_closed_by_basis(pattern: MatrixPattern) -> bool:
                     for j in positions[b][k]:
                         rows[i][j] += 1
                         rows[j][i] += 1
-            if not pattern_contains(pattern, SymMatrix(tuple(map(tuple, rows)))):
+            if not pattern.contains(rows):
                 return False
     return True
 
@@ -503,7 +502,7 @@ def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dic
         if inverse is None:
             skipped += 1
             continue
-        if not pattern_contains(ctx.pattern, SymMatrix(inverse)):
+        if not ctx.pattern.contains(inverse):
             failures.append(k)
     return {
         "check": "roundtrip_parametrization",

@@ -98,7 +98,7 @@ class TestCherryBinomials:
             t = fixture_tree(name)
             assert coordinate_kind(t) == kind
             gens = cherry_binomials(t)
-            assert gens and all(v[0] == kind for b in gens for v in b.variables())
+            assert gens and all(v[0] == kind for b in gens for v, _ in b.lead + b.trail)
 
     def test_split_agrees_with_deepest_lca_pairing(self):
         # the rule cherry_binomials relies on, between two oracles: the
@@ -334,7 +334,7 @@ class TestExports:
             if report.applicable:
                 cases.append(combined_from_classification(report))
         assert {kind for _, kind in cases} == {"p", "q"}
-        two_digit = {v for gens, _ in cases for b in gens for v in b.variables() if v[2] > 9}
+        two_digit = {v for gens, _ in cases for b in gens for v, _ in b.lead + b.trail if v[2] > 9}
         assert two_digit  # names such as q3_12
         squared = parse_binomial("q01*q23 - q12^2")
         # a constant monomial renders as an empty array

@@ -17,7 +17,6 @@ from treetoric.matrices import (
     MatrixPattern,
     SymMatrix,
     invert_exact,
-    pattern_contains,
     pattern_from_graph,
     sample_projective,
 )
@@ -153,7 +152,7 @@ class TestSampling:
     def test_sample_lies_in_pattern_and_is_invertible(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
         sample = sample_projective(p, seed=1)
-        assert pattern_contains(p, SymMatrix(p.rows(sample.values)))
+        assert p.contains(p.rows(sample.values))
         assert sample.det != 0
 
     def test_deterministic(self):
@@ -300,7 +299,7 @@ class TestPatternContains:
         # (0,3) shares the "blue" class with (1,3) and (2,3)
         rows[0][3] += Fraction(1, 7)
         rows[3][0] += Fraction(1, 7)
-        assert not pattern_contains(p, SymMatrix(rows))
+        assert not p.contains(rows)
 
     def test_structural_zero_violation_detected(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
@@ -308,7 +307,7 @@ class TestPatternContains:
         rows = [list(r) for r in m.entries]
         rows[0][2] = Fraction(1)
         rows[2][0] = Fraction(1)
-        assert not pattern_contains(p, SymMatrix(rows))
+        assert not p.contains(rows)
 
 
 # mostly zeros, so zero multipliers meet pivots p != prev in Bareiss
@@ -367,9 +366,28 @@ class TestLinalg:
             inverted += 1
         assert inverted >= 15
 
-    def test_det_adjugate_matches_cofactor_oracle(self):
+    @staticmethod
+    def _symmetric(rows):
+        n = len(rows)
+        return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+    @staticmethod
+    def _checked(rows, congruences):
+        """det_adjugate(rows) against the cofactor oracle: (det, stalls)."""
+        congruences.clear()
+        det, adj = linalg.det_adjugate(rows)
+        assert det == det_cofactor(rows), rows
+        if det == 0:
+            assert adj is None, rows
+            return det, len(congruences)
+        assert adj == tuple(map(tuple, adjugate(rows))), rows
+        # a nonsingular matrix undoes each stall's congruence once
+        return det, len(congruences) // 2
+
+    def test_det_adjugate_matches_cofactor_oracle(self, congruences):
         rng = random.Random(17)
         cases = []
+        raw = []
         for n in range(1, 8):
             for _ in range(4 if n < 7 else 2):
                 dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -377,38 +395,40 @@ class TestLinalg:
                     [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
                     for _ in range(n)
                 ]
-                cases += [dense, sparse]
-            # zero leading pivots force row swaps: a signed permutation with
-            # a_00 = 0, and the same matrix with its rows rotated
+                raw += [dense, sparse]
+            # a zero leading diagonal: a signed permutation with a_00 = 0, and
+            # the same matrix with its rows rotated; symmetrized, they stall
             perm = list(range(n))
             rng.shuffle(perm)
             if n > 1 and perm[0] == 0:
                 perm[0], perm[1] = perm[1], perm[0]
             signed = [[rng.choice((-3, 2)) * (perm[i] == j) for j in range(n)] for i in range(n)]
-            cases += [signed, signed[1:] + signed[:1]]
-            # singular: a zero column, and a row that doubles another
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            cases.append([[0] + row[1:] for row in rows])
+            raw += [signed, signed[1:] + signed[:1]]
+            # singular: a zero row and column, and a row and column that
+            # double the first
+            rows = self._symmetric([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            cases.append([row[:-1] + [0] for row in rows[:-1]] + [[0] * n])
             if n > 1:
-                cases.append(rows[:-1] + [[2 * x for x in rows[0]]])
-        swapped = singular = 0
+                first = [2 * x for x in rows[0][:-1]]
+                cases.append(
+                    [row[:-1] + [y] for row, y in zip(rows[:-1], first)]
+                    + [first + [2 * first[0]]]
+                )
+        rejected = 0
+        for rows in raw:
+            cases.append(self._symmetric(rows))
+            if rows != cases[-1]:
+                with pytest.raises(ValueError, match="symmetric"):
+                    linalg.det_adjugate(rows)
+                rejected += 1
+        stalled = singular = 0
         for rows in cases:
-            det, adj = linalg.det_adjugate(rows)
-            assert det == det_cofactor(rows), rows
-            if det == 0:
-                assert adj is None
-                singular += 1
-                continue
-            assert adj == tuple(map(tuple, adjugate(rows))), rows
-            swapped += rows[0][0] == 0
-        assert singular >= 13 and swapped >= 8
+            det, stalls = self._checked(rows, congruences)
+            singular += det == 0
+            stalled += stalls > 0
+        assert rejected >= 40 and singular >= 13 and stalled >= 8
 
-    @staticmethod
-    def _symmetric(rows):
-        n = len(rows)
-        return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-
-    def test_symmetric_sweep_matches_cofactor_oracle(self):
+    def test_symmetric_sweep_matches_cofactor_oracle(self, congruences):
         rng = random.Random(19)
         cases = []
         for n in range(1, 8):
@@ -444,21 +464,15 @@ class TestLinalg:
         ]
         leading_zero = stalled = singular = 0
         for rows in cases:
-            det, adj = linalg.det_adjugate(rows)
-            assert det == det_cofactor(rows), rows
-            swept = linalg._sweep(rows)
-            stalled += swept is None
-            if swept is not None:
-                assert swept == (det, adj), rows
+            det, stalls = self._checked(rows, congruences)
+            stalled += stalls > 0
             if det == 0:
-                assert adj is None, rows
                 singular += 1
                 continue
-            assert adj == tuple(map(tuple, adjugate(rows))), rows
-            leading_zero += rows[0][0] == 0 and swept is not None
+            leading_zero += rows[0][0] == 0 and not stalls
         assert stalled >= 3 and leading_zero >= 6 and singular >= 13
 
-    def test_sweep_and_gauss_jordan_agree_on_pattern_samples(self):
+    def test_sweep_matches_cofactor_oracle_on_pattern_samples(self, congruences):
         # small draws make singular samples and stalls common
         rng = random.Random(41)
         compared = singular = stalled = 0
@@ -466,14 +480,27 @@ class TestLinalg:
             pattern = pattern_from_tree(t)
             for _ in range(3):
                 values = {tok: rng.randint(-3, 3) for tok in pattern.tokens()}
-                rows = pattern.rows(values)
-                expected = linalg._gauss_jordan([list(row) for row in rows])
-                assert linalg.det_adjugate(rows) == expected, rows
-                swept = linalg._sweep(rows)
-                if swept is None:
-                    stalled += 1
-                    continue
-                assert swept == expected, rows
+                det, stalls = self._checked(pattern.rows(values), congruences)
                 compared += 1
-                singular += swept[0] == 0
+                singular += det == 0
+                stalled += stalls > 0
         assert compared >= 500 and singular >= 50 and stalled >= 5
+
+    def test_sweep_undoes_several_congruences(self, congruences):
+        # a 0/1 adjacency matrix has a zero diagonal, so the sweep stalls at
+        # its first step, and again wherever a Schur complement has one
+        matrices = set()
+        for t in all_small_trees(5):
+            g = derive_graph(t)
+            matrices.add(
+                tuple(
+                    tuple(int((min(i, j), max(i, j)) in g.edges) for j in g.vertices())
+                    for i in g.vertices()
+                )
+            )
+        stalled = two = 0
+        for rows in matrices:
+            det, stalls = self._checked(rows, congruences)
+            stalled += stalls > 0
+            two += det != 0 and stalls == 2
+        assert len(matrices) == 267 and stalled == 267 and two >= 24
