@@ -13,7 +13,8 @@ Every off-diagonal entry is a single term -/+ x_ij, and the diagonal entry
 sigma_ii is x_0i plus terms in x_ab with a, b >= 1.  The system is therefore
 unitriangular and inverts in closed form by substitution.  Both directions
 are stored as sparse integer linear forms keyed by index pair, and applied
-to plain lists: a matrix's rows one way, a coordinate list the other.
+to plain lists: a matrix's upper triangle (order :func:`sigma_index_pairs`)
+one way, a coordinate list the other.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from operator import mul
 from typing import Mapping
 
+from . import linalg
 from .binomials import Var, coord_var, var_name
 from .graphs import ColoredGraph, edge
 from .matrices import SymMatrix
@@ -33,8 +35,9 @@ LinForm = dict[tuple[int, int], int]  # index pair -> coefficient
 
 
 def sigma_index_pairs(n: int) -> list[tuple[int, int]]:
-    """(i,j) with 1 <= i <= j <= n, lexicographic."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    """(i,j) with 1 <= i <= j <= n, lexicographic: :func:`linalg.upper_pairs`
+    shifted by one, so a list in this order is a matrix's upper triangle."""
+    return [(i + 1, j + 1) for i, j in linalg.upper_pairs(n)]
 
 
 def pq_index_pairs(n: int) -> list[tuple[int, int]]:
@@ -106,9 +109,10 @@ class CoordinateMap:
     in coordinate pairs per sigma pair (order :func:`sigma_index_pairs`) and
     is the exact inverse of ``forward``.
 
-    The list kernels :meth:`coordinates` and :meth:`sigma_rows` do the
-    work; :meth:`apply` and :meth:`unapply` key their results by variable.
-    Integer input gives integer output.
+    The list kernels :meth:`coordinates` and :meth:`sigma_upper` do the
+    work on upper triangles; :meth:`apply` and :meth:`unapply` take and
+    give a :class:`SymMatrix` and key the coordinates by variable.  Integer
+    input gives integer output.
     """
 
     n: int
@@ -124,45 +128,44 @@ class CoordinateMap:
             coord_var(self.kind, i, j): k for k, (i, j) in enumerate(pq_index_pairs(self.n))
         }
 
+    @staticmethod
+    def _terms(forms, pairs, into) -> list[tuple[list[int], list[int]]]:
+        # per form, in the order of pairs: positions in the list it reads
+        # (order of into), coefficients
+        pos = {pair: k for k, pair in enumerate(into)}
+        return [
+            ([pos[p] for p in form], list(form.values()))
+            for form in map(forms.__getitem__, pairs)
+        ]
+
     @cached_property
     def _forward_terms(self) -> list[tuple[list[int], list[int]]]:
-        # per coordinate: row-major cells of an n x n matrix, coefficients
-        n = self.n
-        return [
-            ([(i - 1) * n + j - 1 for i, j in form], list(form.values()))
-            for form in map(self.forward.__getitem__, pq_index_pairs(n))
-        ]
+        return self._terms(self.forward, pq_index_pairs(self.n), sigma_index_pairs(self.n))
 
     @cached_property
-    def _backward_terms(self) -> list[tuple[int, int, list[int], list[int]]]:
-        # per sigma pair: its 0-based cell, coordinate positions, coefficients
-        pos = {pair: k for k, pair in enumerate(pq_index_pairs(self.n))}
+    def _backward_terms(self) -> list[tuple[list[int], list[int]]]:
+        return self._terms(self.backward, sigma_index_pairs(self.n), pq_index_pairs(self.n))
+
+    def coordinates(self, upper) -> list:
+        """Coordinate list of the symmetric matrix with this upper triangle."""
         return [
-            (i - 1, j - 1, [pos[pair] for pair in form], list(form.values()))
-            for (i, j), form in self.backward.items()
+            sum(map(mul, map(upper.__getitem__, positions), coeffs))
+            for positions, coeffs in self._forward_terms
         ]
 
-    def coordinates(self, rows) -> list:
-        """Coordinate list of the symmetric matrix with these rows."""
-        flat = [*chain.from_iterable(rows)]
+    def sigma_upper(self, values) -> list:
+        """Upper triangle of the symmetric matrix whose coordinate list is
+        ``values``."""
         return [
-            sum(map(mul, map(flat.__getitem__, cells), coeffs))
-            for cells, coeffs in self._forward_terms
+            sum(map(mul, map(values.__getitem__, positions), coeffs))
+            for positions, coeffs in self._backward_terms
         ]
-
-    def sigma_rows(self, values) -> list[list]:
-        """Rows of the symmetric matrix whose coordinate list is ``values``."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for i, j, positions, coeffs in self._backward_terms:
-            x = sum(map(mul, map(values.__getitem__, positions), coeffs))
-            rows[i][j] = rows[j][i] = x
-        return rows
 
     def apply(self, m: SymMatrix) -> dict[Var, Fraction]:
         """Coordinate vector of a symmetric matrix, keyed by variable."""
         if m.n != self.n:
             raise ValueError("dimension mismatch")
-        return dict(zip(self.index, self.coordinates(m.entries)))
+        return dict(zip(self.index, self.coordinates(m.upper())))
 
     def unapply(self, point: Mapping[Var, Fraction]) -> SymMatrix:
         """Symmetric matrix whose coordinate vector is the given point.
@@ -170,7 +173,7 @@ class CoordinateMap:
         Entries keep the type of the point's values: an integer point gives
         an integer matrix.
         """
-        return SymMatrix(self.sigma_rows([point[v] for v in self.index]))
+        return SymMatrix.from_upper(self.n, self.sigma_upper([point[v] for v in self.index]))
 
 
 def g_derived_laplacian_map(g: ColoredGraph) -> CoordinateMap:

@@ -2,14 +2,15 @@
 
 Fraction-free kernels (Bareiss, Math. Comp. 1968): forward elimination for
 rank, and det(A) with adj(A) together from one sweep of the upper triangle
-of a symmetric A (every matrix the package inverts is).  No floating point
+of a symmetric A (every matrix the package inverts is).  A symmetric
+matrix is given and returned as that triangle alone, listed row by row
+(:func:`upper_pairs`), so it cannot be asymmetric.  No floating point
 anywhere.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 
@@ -42,47 +43,31 @@ def bareiss_echelon(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def det_adjugate(int_rows) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-    """det(A) and adj(A) of a symmetric integer matrix, from one sweep of its
-    upper triangle (:func:`_sweep`).
-
-    The adjugate comes as a tuple of row tuples; a singular matrix gives
-    ``(0, None)``.
-
-    Raises
-    ------
-    ValueError
-        When the matrix is not symmetric.
-    """
-    work = [list(map(int, row)) for row in int_rows]
-    if tuple(map(tuple, work)) != tuple(zip(*work)):
-        raise ValueError("matrix must be symmetric")
-    return _sweep(work)
+def upper_pairs(n: int) -> list[tuple[int, int]]:
+    """(i, j) with 0 <= i <= j < n, row by row: the order in which the package
+    lists the upper triangle of a symmetric n x n matrix."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 class _Triangle(NamedTuple):
-    """The upper triangle of an n x n matrix, stored row by row in a list."""
+    """Positions in an upper triangle listed in the order of :func:`upper_pairs`."""
 
-    cells: tuple[int, ...]  # row-major index i*n + j of each stored entry (i <= j)
     rows: tuple[int, ...]  # i of each stored entry
     cols: tuple[int, ...]  # j of each stored entry
     column: tuple[tuple[int, ...], ...]  # column[k][i]: where entry (i, k) is stored
     diagonal: tuple[int, ...]  # where entry (k, k) is stored
-    full: tuple[int, ...]  # where entry (i, j) is stored, row-major over all (i, j)
 
 
 @lru_cache(maxsize=None)
 def _triangle(n: int) -> _Triangle:
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pairs = upper_pairs(n)
     at = {pair: t for t, pair in enumerate(pairs)}
     column = tuple(tuple(at[min(i, k), max(i, k)] for i in range(n)) for k in range(n))
     return _Triangle(
-        cells=tuple(i * n + j for i, j in pairs),
         rows=tuple(i for i, _ in pairs),
         cols=tuple(j for _, j in pairs),
         column=column,
         diagonal=tuple(column[k][k] for k in range(n)),
-        full=tuple(at[min(i, j), max(i, j)] for i in range(n) for j in range(n)),
     )
 
 
@@ -97,9 +82,13 @@ def _add_index(v: list[int], layout: _Triangle, a: int, b: int) -> None:
             v[t] += v[s]
 
 
-def _sweep(rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
-    """Fraction-free symmetric sweep (Goodnight, Amer. Statist. 1979) on the
-    upper triangle of a symmetric A: ``(det, adj)``.
+def det_adjugate(n: int, upper) -> tuple[int, list[int] | None]:
+    """det(A) and adj(A) of the symmetric integer n x n matrix A whose upper
+    triangle is ``upper``, in the order of :func:`upper_pairs`, from one
+    fraction-free symmetric sweep (Goodnight, Amer. Statist. 1979).
+
+    The adjugate comes as its upper triangle in the same order; a singular
+    matrix gives ``(0, None)``.  ``upper`` is not changed.
 
     The sweep operator on index k maps a symmetric W to W' with
     w'_kk = -1/w_kk, w'_ik = w_ik/w_kk and w'_ij = w_ij - w_ik w_kj/w_kk;
@@ -123,10 +112,8 @@ def _sweep(rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | No
     adj(A) = E^T adj(E A E^T) E: each congruence is undone, last first,
     by adding index i into index j.
     """
-    n = len(rows)
     layout = _triangle(n)
-    neg = [-x for x in chain.from_iterable(rows)]
-    v = list(map(neg.__getitem__, layout.cells))
+    v = [-x for x in upper]
     unswept = list(range(n))
     stalls = []
     prev = 1
@@ -159,5 +146,4 @@ def _sweep(rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...] | No
         prev = -q
     for i, j in reversed(stalls):
         _add_index(v, layout, i, j)
-    adj = list(map(v.__getitem__, layout.full))
-    return prev, tuple(tuple(adj[i * n : i * n + n]) for i in range(n))
+    return prev, v

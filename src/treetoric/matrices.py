@@ -7,18 +7,25 @@ the vertex and edge classes of a colored graph.  The pattern of a tree is
 that of its derived graph, which keys entry (i,j) by the color of lca(i,j)
 from the tree's leaf-pair table and gives zeroed lcas structural zeros.
 
-A :class:`SymMatrix` is a symmetric matrix that keeps the exact entries it
-is given: integers, or ``Fraction`` for exact inverses.  Sampling and
-inversion are exact; there is no floating point and hence no tolerance
-anywhere.  A sample has integer entries and comes with its determinant and
-its adjugate, as plain integer row tuples, so one fraction-free
-elimination both certifies it invertible and gives its inverse as
-adj / det.  :func:`invert_exact` inverts a rational M the same
-way, on the integer matrix sM with s the lcm of M's denominators:
-M^{-1} = s adj(sM) / det(sM).  Symmetry is checked by comparing a matrix
-with its transpose.  Pattern membership compares, in one list comparison,
-each structural-zero cell with 0 and each other cell of a class with the
-first cell of that class; the cell pairs are read off the pattern once.
+Sampling and inversion are exact; there is no floating point and hence no
+tolerance anywhere.  On the sampling path a symmetric matrix is its upper
+triangle alone, a plain list in the order of :func:`linalg.upper_pairs`,
+so it cannot be asymmetric.  A sample has integer entries and comes with
+its determinant and its adjugate, as that triangle, so one fraction-free
+sweep both certifies it invertible and gives its inverse as adj / det.
+Pattern membership compares, in one list comparison, each structural-zero
+position of a triangle with 0 and each other position of a class with the
+first position of that class; the position pairs are read off the pattern
+once.
+
+A :class:`SymMatrix` is a symmetric matrix, in rows, that keeps the exact
+entries it is given: integers, or ``Fraction`` for exact inverses.  It is
+the input and output of :func:`invert_exact` and of
+:meth:`CoordinateMap.apply` and :meth:`~CoordinateMap.unapply`, which
+convert to and from the triangle at their boundary; no sampling check
+builds one.  Its constructor checks symmetry by comparing the rows with
+their transpose.  :func:`invert_exact` inverts a rational M on the integer
+matrix sM, with s the lcm of M's denominators: M^{-1} = s adj(sM) / det(sM).
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import lcm
 from typing import NamedTuple
 
@@ -64,44 +70,46 @@ class MatrixPattern:
         seen = {c for row in self.classes for c in row if c is not None}
         return sorted(seen)
 
-    def rows(self, values: dict) -> list[list]:
-        """Grid with each token replaced by its value and zeros kept."""
-        return [
-            [0 if tok is None else values[tok] for tok in row] for row in self.classes
-        ]
+    @cached_property
+    def _upper_classes(self) -> tuple[str | None, ...]:
+        return tuple(self.classes[i][j] for i, j in linalg.upper_pairs(self.size))
+
+    def upper(self, values: dict) -> list:
+        """Upper triangle (order :func:`linalg.upper_pairs`) with each token
+        replaced by its value and zeros kept."""
+        return [0 if tok is None else values[tok] for tok in self._upper_classes]
 
     @cached_property
     def _membership_cells(self) -> tuple[list[int], list[int]]:
-        # Row-major cells of the upper triangle, each paired with the cell
-        # it must equal: a structural zero with the cell n*n past the end,
-        # which reads 0, and any other cell with the first of its class.
-        n = self.size
+        # Positions in the upper triangle, each paired with the position it
+        # must equal: a structural zero with the position just past the
+        # end, which reads 0, and any other with the first of its class.
+        end = len(self._upper_classes)
         first: dict[str, int] = {}
         cells, partners = [], []
-        for i, row in enumerate(self.classes):
-            for j in range(i, n):
-                cell, tok = i * n + j, row[j]
-                partner = n * n if tok is None else first.setdefault(tok, cell)
-                if partner != cell:
-                    cells.append(cell)
-                    partners.append(partner)
+        for t, tok in enumerate(self._upper_classes):
+            partner = end if tok is None else first.setdefault(tok, t)
+            if partner != t:
+                cells.append(t)
+                partners.append(partner)
         return cells, partners
 
-    def contains(self, rows) -> bool:
-        """Whether the symmetric matrix with these rows lies in the space:
-        0 at every structural zero and one value on each class."""
-        flat = [*chain.from_iterable(rows), 0]
+    def contains(self, upper) -> bool:
+        """Whether the symmetric matrix with this upper triangle (order
+        :func:`linalg.upper_pairs`) lies in the space: 0 at every structural
+        zero and one value on each class."""
+        x = [*upper, 0]
         cells, partners = self._membership_cells
-        return list(map(flat.__getitem__, cells)) == list(map(flat.__getitem__, partners))
+        return list(map(x.__getitem__, cells)) == list(map(x.__getitem__, partners))
 
 
 class SymMatrix:
     """Immutable symmetric matrix with exact entries.
 
     The constructor keeps the entries it is given, in tuple rows, so
-    integer matrices (samples, adjugates) stay integer.  Equality and
-    hashing are those of the entry tuples, so an integer matrix equals, and
-    hashes like, the same matrix written with ``Fraction`` entries.
+    integer matrices stay integer.  Equality and hashing are those of the
+    entry tuples, so an integer matrix equals, and hashes like, the same
+    matrix written with ``Fraction`` entries.
     """
 
     __slots__ = ("entries",)
@@ -114,6 +122,19 @@ class SymMatrix:
             raise ValueError("matrix must be square")
         if tuple(zip(*entries)) != entries:
             raise ValueError("matrix must be exactly symmetric")
+
+    @classmethod
+    def from_upper(cls, n: int, upper) -> SymMatrix:
+        """The n x n symmetric matrix with this upper triangle (order
+        :func:`linalg.upper_pairs`)."""
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(linalg.upper_pairs(n), upper):
+            rows[i][j] = rows[j][i] = x
+        return cls(rows)
+
+    def upper(self) -> list:
+        """The upper triangle, in the order of :func:`linalg.upper_pairs`."""
+        return [self.entries[i][j] for i, j in linalg.upper_pairs(self.n)]
 
     def __setattr__(self, *args):
         raise AttributeError("SymMatrix is immutable")
@@ -154,16 +175,16 @@ class ProjectiveSample(NamedTuple):
     """An invertible integer K that :func:`sample_projective` draws from a
     pattern, with its determinant and adjugate.
 
-    K^{-1} = adjugate / det, with the adjugate held as the integer row
-    tuples that :func:`linalg.det_adjugate` returns.  Checks run on those
-    rows: pattern membership ignores the nonzero scalar det, and a
+    K^{-1} = adjugate / det, with the adjugate held as the integer upper
+    triangle that :func:`linalg.det_adjugate` returns.  Checks run on that
+    triangle: pattern membership ignores the nonzero scalar det, and a
     monomial of degree d in linear coordinates of K^{-1} is its value on
     the adjugate over det^d.
     """
 
     values: dict[str, int]  # token -> sampled entry of K
     det: int
-    adjugate: tuple[tuple[int, ...], ...]
+    adjugate: list[int]  # upper triangle, order linalg.upper_pairs
 
 
 def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
@@ -173,8 +194,8 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
     Each color token independently gets an integer uniform in
     [-10^6, 10^6]; resampled until the exact determinant is nonzero.
     Positive definiteness is not required.  Each try runs one fraction-free
-    elimination on K (:func:`linalg.det_adjugate`), which both decides
-    invertibility and yields the adjugate.
+    sweep of K's upper triangle (:func:`linalg.det_adjugate`), which both
+    decides invertibility and yields the adjugate.
 
     Raises
     ------
@@ -185,7 +206,7 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
     tokens = pattern.tokens()
     for _ in range(SAMPLE_RETRIES):
         values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
-        det, adj = linalg.det_adjugate(pattern.rows(values))
+        det, adj = linalg.det_adjugate(pattern.size, pattern.upper(values))
         if det:
             return ProjectiveSample(values, det, adj)
     raise SamplingError(
@@ -195,17 +216,17 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
 
 def invert_exact(m: SymMatrix) -> SymMatrix:
     """Exact inverse s adj(sm) / det(sm), with s the lcm of the denominators
-    of m, from one fraction-free elimination on the integer matrix sm.
+    of m, from one fraction-free sweep of the upper triangle of the integer
+    matrix sm.
 
     Raises
     ------
     SingularMatrixError
         When det(m) = 0.
     """
-    s = lcm(*(x.denominator for row in m.entries for x in row))
-    det, adj = linalg.det_adjugate(
-        [[x.numerator * (s // x.denominator) for x in row] for row in m.entries]
-    )
+    upper = m.upper()
+    s = lcm(*(x.denominator for x in upper))
+    det, adj = linalg.det_adjugate(m.n, [x.numerator * (s // x.denominator) for x in upper])
     if adj is None:
         raise SingularMatrixError("matrix is exactly singular")
-    return SymMatrix(tuple(tuple(Fraction(s * x, det) for x in row) for row in adj))
+    return SymMatrix.from_upper(m.n, [Fraction(s * x, det) for x in adj])

@@ -63,9 +63,6 @@ class MonomialMap:
         except KeyError:
             raise KeyError(f"variable {var_name(v)} outside coordinate range") from None
 
-    def row_of(self, v: Var) -> tuple[int, ...]:
-        return self.rows[self._position(v)]
-
     def image_exponents(self, m: Monomial) -> tuple[int, ...]:
         """Total parameter exponent vector of the image of a monomial."""
         total = [0] * len(self.params)

@@ -27,13 +27,15 @@ binomial's value at K^{-1} off integer products at the adjugate's point:
 with lead degree d and trail degree e, the lower-degree side is scaled by
 a power of det so both sides share the denominator det^max(d, e), and a
 failing value is the difference of the two scaled products over it.
-Points, matrices and parameters stay plain lists in the trials, and
-forward vanishing compares all generators of one shape (d, e) at once, as
-columns of products.  Each trial is a Schwartz-Zippel identity test, as
-sound with integer draws as with rational ones.  Trials derive per-trial
-seeds from the master seed and are independent; reports are reproducible
-byte-for-byte.  The seed must be non-negative and the trial count at most
-1 000 003, so no two runs share a trial.
+Points and parameters stay plain lists in the trials, and a matrix is
+the list of its upper triangle (:func:`linalg.upper_pairs`) from draw to
+membership test: no trial builds n x n rows.  Forward vanishing compares
+all generators of one shape (d, e) at once, as columns of products.  Each
+trial is a Schwartz-Zippel identity test, as sound with integer draws as
+with rational ones.  Trials derive per-trial seeds from the master seed
+and are independent; reports are reproducible byte-for-byte.  The seed
+must be non-negative and the trial count at most 1 000 003, so no two
+runs share a trial.
 """
 
 from __future__ import annotations
@@ -224,8 +226,9 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
     multiple of sigma^{-1}, so it lies in the pattern exactly when
     sigma^{-1} does.  Singular pull-backs are legitimate boundary points of
     the closure and are counted as skips, never failures.  Points and
-    matrices stay plain lists (:meth:`MonomialMap.point`,
-    :meth:`CoordinateMap.sigma_rows`, :meth:`MatrixPattern.contains`).
+    matrices stay plain lists, a matrix as its upper triangle
+    (:meth:`MonomialMap.point`, :meth:`CoordinateMap.sigma_upper`,
+    :meth:`MatrixPattern.contains`).
     """
     require_trials(trials, seed)
     failures: list[int] = []
@@ -233,8 +236,8 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
     for k in range(trials):
         rng = random.Random(_trial_seed(seed, k))
         theta = [rng.randint(1, ROUNDTRIP_BOUND) for _ in ctx.mmap.params]
-        sigma = ctx.cmap.sigma_rows(ctx.mmap.point(theta))
-        det, adj = linalg.det_adjugate(sigma)
+        sigma = ctx.cmap.sigma_upper(ctx.mmap.point(theta))
+        det, adj = linalg.det_adjugate(ctx.cmap.n, sigma)
         if not det:
             skipped += 1
             continue

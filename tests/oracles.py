@@ -25,6 +25,30 @@ from treetoric.pipeline import ROUNDTRIP_BOUND, VerificationContext, _trial_seed
 from treetoric.trees import ColoredTree
 
 
+def upper_of(rows) -> list:
+    """The upper triangle of a square matrix's rows, row by row: the format
+    in which the package's sampling checks hold a symmetric matrix."""
+    n = len(rows)
+    return [rows[i][j] for i in range(n) for j in range(i, n)]
+
+
+def rows_of(n: int, upper) -> list[list]:
+    """The rows of the symmetric n x n matrix with this upper triangle."""
+    entries = iter(upper)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(entries)
+    return rows
+
+
+def pattern_rows(pattern: MatrixPattern, values: dict) -> list[list]:
+    """The pattern's grid with each token replaced by its value and zeros kept."""
+    return [
+        [0 if tok is None else values[tok] for tok in row] for row in pattern.classes
+    ]
+
+
 def adjugate(rows) -> list[list[Fraction]]:
     """Adjugate by cofactors: adj(M)[i][j] = (-1)^(i+j) det(M without row j, col i).
 
@@ -390,7 +414,7 @@ def jordan_closed_by_basis(pattern: MatrixPattern) -> bool:
                     for j in positions[b][k]:
                         rows[i][j] += 1
                         rows[j][i] += 1
-            if not pattern.contains(rows):
+            if not pattern.contains(upper_of(rows)):
                 return False
     return True
 
@@ -459,7 +483,7 @@ def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
     tokens = pattern.tokens()
     for _ in range(SAMPLE_RETRIES):
         values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
-        m = SymMatrix(pattern.rows(values))
+        m = SymMatrix(pattern_rows(pattern, values))
         if fraction_inverse(m.entries) is not None:
             return m
     raise SamplingError("no invertible sample")
@@ -502,7 +526,7 @@ def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dic
         if inverse is None:
             skipped += 1
             continue
-        if not ctx.pattern.contains(inverse):
+        if not ctx.pattern.contains(upper_of(inverse)):
             failures.append(k)
     return {
         "check": "roundtrip_parametrization",

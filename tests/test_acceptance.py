@@ -100,7 +100,7 @@ def test_criterion_2_uncolored_regression():
     def image(i, j):
         return {
             tok: e
-            for tok, e in zip(mm.params, mm.row_of(coord_var("p", i, j)))
+            for tok, e in zip(mm.params, mm.image_exponents(((coord_var("p", i, j), 1),)))
             if e
         }
 

@@ -28,6 +28,7 @@ from oracles import (
     pattern_from_tree,
     sample_point_reference,
 )
+from random_trees import all_small_trees
 from test_graphs import complete_graph, make_graph
 
 
@@ -208,3 +209,16 @@ class TestGDerivedMap:
         cmap = g_derived_laplacian_map(derive_graph(colored_star))
         m = sample_point_reference(pattern_from_tree(colored_star), seed=9)
         assert cmap.unapply(cmap.apply(m)) == m
+
+    def test_triangle_kernels_are_inverse(self):
+        # the list kernels alone, on integer coordinate lists and integer
+        # upper triangles of every derived graph's map
+        rng = random.Random(23)
+        for t in all_small_trees(5):
+            cmap = g_derived_laplacian_map(derive_graph(t))
+            size = len(sigma_index_pairs(cmap.n))
+            assert size == len(pq_index_pairs(cmap.n))
+            x = [rng.randint(-99, 99) for _ in range(size)]
+            u = [rng.randint(-99, 99) for _ in range(size)]
+            assert cmap.coordinates(cmap.sigma_upper(x)) == x, t.to_dict()
+            assert cmap.sigma_upper(cmap.coordinates(u)) == u, t.to_dict()

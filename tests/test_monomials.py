@@ -22,7 +22,7 @@ def tree_map(t):
 
 
 def images(mm, i, j):
-    row = mm.row_of(coord_var(mm.kind, i, j))
+    row = mm.image_exponents(((coord_var(mm.kind, i, j), 1),))
     return {tok: e for tok, e in zip(mm.params, row) if e}
 
 

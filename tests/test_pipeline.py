@@ -22,7 +22,7 @@ from treetoric.errors import NotApplicableError, TreeError
 from treetoric.graphs import derive_graph
 from treetoric.ideals import cherry_binomials
 from treetoric.laplacians import CoordinateMap
-from treetoric.matrices import sample_projective
+from treetoric.matrices import SymMatrix, sample_projective
 from treetoric.pipeline import (
     _SEED_STRIDE,
     _trial_seed,
@@ -413,6 +413,25 @@ class TestIntegerChecksMatchReference:
         monkeypatch.setattr(pipeline, "invert_exact", forbidden)
         for ctx, gens, seed, reference in cases:
             assert forward_vanishing(ctx, trials=3, seed=seed, generators=gens) == reference
+
+    def test_trials_hold_every_matrix_as_its_upper_triangle(self, monkeypatch):
+        # both sampling checks pass on every applicable fixture with the
+        # row-matrix boundary patched to raise: no exact inverse, no
+        # SymMatrix, no rows <-> triangle conversion on the trial path
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial left the upper triangle")
+
+        monkeypatch.setattr(matrices, "invert_exact", forbidden)
+        monkeypatch.setattr(pipeline, "invert_exact", forbidden)
+        monkeypatch.setattr(CoordinateMap, "apply", forbidden)
+        monkeypatch.setattr(CoordinateMap, "unapply", forbidden)
+        for name in ("__init__", "upper", "from_upper"):
+            monkeypatch.setattr(SymMatrix, name, forbidden)
+        applicable = [name for name, thm in EXPECTED_CLASSIFICATION.items() if thm != NONE]
+        for name in applicable:
+            report = verify_tree(fixture_tree(name), trials=10, seed=3)
+            assert report.passed, name
+        assert len(applicable) == 8
 
     def test_variable_outside_coordinates_raises_key_error(self):
         ctx = build_context(fixture_tree("colored_star"))
