@@ -67,8 +67,11 @@ class MatrixPattern:
 
     def tokens(self) -> list[str]:
         """Sorted color tokens occurring in the pattern."""
-        seen = {c for row in self.classes for c in row if c is not None}
-        return sorted(seen)
+        return list(self._tokens)
+
+    @cached_property
+    def _tokens(self) -> tuple[str, ...]:
+        return tuple(sorted({c for row in self.classes for c in row if c is not None}))
 
     @cached_property
     def _upper_classes(self) -> tuple[str | None, ...]:
@@ -203,7 +206,7 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
         After 64 failed tries (the pattern forces singularity).
     """
     rng = random.Random(seed)
-    tokens = pattern.tokens()
+    tokens = pattern._tokens
     for _ in range(SAMPLE_RETRIES):
         values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
         det, adj = linalg.det_adjugate(pattern.size, pattern.upper(values))

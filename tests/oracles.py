@@ -13,7 +13,11 @@ from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_nam
 from treetoric.classify import ClassificationReport
 from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import ColoredGraph, derive_graph, one_clique_separated_quadruples
-from treetoric.ideals import cherry_binomials
+from treetoric.ideals import (
+    block_minor_binomials,
+    cherry_binomials,
+    completion_binomials,
+)
 from treetoric.matrices import (
     SAMPLE_BOUND,
     SAMPLE_RETRIES,
@@ -178,6 +182,16 @@ def combined_via_sigma(report: ClassificationReport) -> list[Binomial]:
     kind = report.coordinates
     sigma = sigma_block_minors(report.graph) | sigma_completion_linears(report.graph)
     return sorted(set(cherry_binomials(report.working_tree)) | {embed(b, kind) for b in sigma})
+
+
+def combined_reference(report: ClassificationReport) -> list[Binomial]:
+    """The three families united by a set and sorted by tuple comparison,
+    as ``ideals.combined_from_classification`` first combined them."""
+    kind = report.coordinates
+    cherry = cherry_binomials(report.working_tree)
+    block = block_minor_binomials(report.graph, kind)
+    completion = completion_binomials(report.graph, kind)
+    return sorted({*cherry, *block, *completion})
 
 
 def connected_components(g: ColoredGraph, removed: int | None = None) -> list[set[int]]:

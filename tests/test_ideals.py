@@ -12,8 +12,7 @@ from treetoric.classify import classify, coordinate_kind
 from treetoric.errors import NotApplicableError
 from treetoric.graphs import derive_graph, star_decomposition
 from treetoric.ideals import (
-    _linear,
-    _minor,
+    _Builder,
     block_minor_binomials,
     cherry_binomials,
     combined_from_classification,
@@ -29,6 +28,7 @@ from conftest import TREE_FIXTURES, fixture_tree, random_tree
 from oracles import (
     bfs_path_oracle,
     connected_components,
+    combined_reference,
     combined_via_sigma,
     depth_oracle,
     embed,
@@ -43,6 +43,36 @@ from test_graphs import complete_graph, make_graph
 
 def B(text: str) -> Binomial:
     return parse_binomial(text)
+
+
+def _minor(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
+    """One minor from a fresh builder over the indices 0..7."""
+    return _Builder(kind, 7).minor(i, j, k, l)
+
+
+def _linear(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
+    """One linear from a fresh builder over the indices 0..7."""
+    return _Builder(kind, 7).linear(i, j, k, l)
+
+
+def relabel_leaves(t: ColoredTree, pi: dict[int, int]) -> ColoredTree:
+    """The tree with leaf i renamed pi[i]; internal nodes keep their ids."""
+    n = t.n_leaves
+    return ColoredTree(
+        n,
+        {pi[v] if v <= n else v: p for v, p in t.parent.items()},
+        {pi[v] if v <= n else v: c for v, c in t.color.items()},
+        t.zeroed,
+    )
+
+
+def rename_leaves(b: Binomial, pi: dict[int, int]) -> Binomial:
+    """The binomial with every x_ij renamed x_pi(i)pi(j) (pi fixes 0)."""
+
+    def rename(m):
+        return tuple(sorted((coord_var(v[0], pi[v[1]], pi[v[2]]), e) for v, e in m))
+
+    return Binomial.make(rename(b.lead), rename(b.trail))
 
 
 class TestMinor:
@@ -62,6 +92,43 @@ class TestMinor:
         for i, j, k, l in combinations(range(7), 4):
             for a, b, c, d in ((i, j, k, l), (i, k, j, l), (i, l, j, k)):
                 assert _minor(kind, a, b, c, d) == minor_by_make(kind, a, b, c, d)
+
+
+class TestBuilderKeys:
+    def test_key_order_is_tuple_order(self):
+        # minors and linears over one (kind, n), each from a fresh builder so
+        # that two binomials sharing a key cannot hide behind the dedupe:
+        # the keys must order exactly as the (lead, trail) tuples do
+        rng = random.Random(4242)
+        shapes = {"squared": 0, "diagonal": 0, "linear": 0}
+        for _ in range(80):
+            n, kind = rng.randint(2, 14), rng.choice("pq")
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+            keyed = []
+            for _ in range(60):
+                builder = _Builder(kind, n)
+                draw = rng.randrange(3)
+                if draw == 0 and n >= 3:  # distinct indices, as the cherry quadrics
+                    got = builder.minor(*rng.sample(range(n + 1), 4))
+                elif draw == 1:  # i < j, k < l over the vertices, as the block minors
+                    i, j = sorted(rng.sample(range(1, n + 1), 2))
+                    k, l = sorted(rng.sample(range(1, n + 1), 2))
+                    if rng.random() < 0.2:  # x_0i x_0j - x_ij^2
+                        k, l = i, j
+                    got = builder.minor(i, j, k, l)
+                else:  # diagonal pairs land on x_0i, as the completion linears
+                    (i, j), (k, l) = rng.sample(pairs, 2)
+                    got = builder.linear(i, j, k, l)
+                (key,) = builder.gens
+                keyed.append((key, got))
+                terms = got.lead + got.trail
+                shapes["squared"] += any(e == 2 for _, e in terms)
+                shapes["diagonal"] += any(v[1] == 0 for v, _ in terms) and draw > 0
+                shapes["linear"] += len(got.lead) == 1
+            by_key = [b for _, b in sorted(keyed, key=lambda kb: kb[0])]
+            assert by_key == sorted(b for _, b in keyed), (kind, n)
+            assert len({k for k, _ in keyed}) == len({b for _, b in keyed}), (kind, n)
+        assert min(shapes.values()) >= 50, shapes
 
 
 class TestCherryBinomials:
@@ -301,6 +368,50 @@ class TestCombined:
             assert kind == report.coordinates
             assert gens == combined_via_sigma(report), t.to_dict()
         assert applicable >= 100
+
+    def test_matches_set_and_sort_reference(self):
+        # the keyed build against the families deduped by a set and sorted
+        # by tuple comparison, as an ordered list
+        trees = list(all_small_trees(5))
+        trees += [
+            random_tree(random.Random(seed), n_min=8, n_max=14)
+            for seed in GOLDEN_RANDOM_SEEDS
+        ]
+        rng = random.Random(606)
+        trees += [
+            random_tree(rng, n_min=6, n_max=14, zero_mode=mode)
+            for mode in ("none", "chain", "random")
+            for _ in range(70)
+        ]
+        applicable = 0
+        for t in trees:
+            report = classify(t)
+            if report.applicable:
+                applicable += 1
+                gens, _ = combined_from_classification(report)
+                assert gens == combined_reference(report), t.to_dict()
+        assert applicable >= 1000
+
+    def test_leaf_relabelling_is_equivariant(self):
+        # renaming the leaves by a permutation keeps the theorem and the
+        # coordinate kind, and renames the generators with the leaves
+        rng = random.Random(5)
+        checked = 0
+        for t in all_small_trees(5):
+            leaves = t.leaves()
+            pi = dict(zip([0] + leaves, [0] + rng.sample(leaves, len(leaves))))
+            report, moved = classify(t), classify(relabel_leaves(t, pi))
+            assert (moved.theorem, moved.coordinates) == (
+                report.theorem,
+                report.coordinates,
+            ), (t.to_dict(), pi)
+            if report.applicable:
+                gens, _ = combined_from_classification(report)
+                got, _ = combined_from_classification(moved)
+                renamed = {rename_leaves(b, pi) for b in gens}
+                assert renamed == set(got), (t.to_dict(), pi)
+                checked += 1
+        assert checked >= 1000
 
 
 class TestExports:

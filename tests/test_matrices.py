@@ -73,6 +73,10 @@ class TestPatterns:
             (None, None, y, b),
             (b, b, b, g),
         )
+        tokens = p.tokens()
+        assert tokens == [b, c, g, r, y]
+        tokens.append("extra")
+        assert p.tokens() == [b, c, g, r, y]  # a fresh list each call
 
     def test_uncolored_pattern(self):
         p = pattern_from_tree(fixture_tree("uncolored_binary"))
