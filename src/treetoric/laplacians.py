@@ -14,7 +14,9 @@ sigma_ii is x_0i plus terms in x_ab with a, b >= 1.  The system is therefore
 unitriangular and inverts in closed form by substitution.  Both directions
 are stored as sparse integer linear forms keyed by index pair, and applied
 to plain lists: a matrix's upper triangle (order :func:`sigma_index_pairs`)
-one way, a coordinate list the other.
+one way, a coordinate list the other.  Evaluation gathers the first term
+of every form at once and adds the other terms only for the forms that
+have them, x_0j and sigma_jj.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import linalg
 from .binomials import Var, coord_var, var_name
@@ -100,6 +102,46 @@ def gamma_laplacian(g: ColoredGraph) -> list[list[LinForm]]:
     return grid
 
 
+class _Split(NamedTuple):
+    """Linear forms over the entries of a list, split for evaluation: the
+    first term of every form, and the further terms of the few forms that
+    have more than one (x_0j in sigma, sigma_jj in x)."""
+
+    firsts: tuple[int, ...]  # per form: where its first term reads the list
+    coeffs: tuple[int, ...]  # per form: the coefficient of its first term
+    more: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # form, positions, coefficients
+
+
+def _split(forms, pairs, into) -> _Split:
+    """The forms listed in the order of ``pairs``, each reading a list in
+    the order of ``into``.  An empty form is the first term 0 times the
+    first entry."""
+    pos = {pair: k for k, pair in enumerate(into)}
+    terms = [
+        [(pos[p], c) for p, c in form.items()] or [(0, 0)]
+        for form in map(forms.__getitem__, pairs)
+    ]
+    return _Split(
+        firsts=tuple(form[0][0] for form in terms),
+        coeffs=tuple(form[0][1] for form in terms),
+        more=tuple(
+            (f, tuple(p for p, _ in form[1:]), tuple(c for _, c in form[1:]))
+            for f, form in enumerate(terms)
+            if len(form) > 1
+        ),
+    )
+
+
+def _evaluate(split: _Split, values) -> list:
+    """The value of every form of the split at the list ``values``: one
+    signed gather of the first terms, then sums for the longer forms."""
+    value = values.__getitem__
+    out = list(map(mul, map(value, split.firsts), split.coeffs))
+    for f, positions, coeffs in split.more:
+        out[f] += sum(map(mul, map(value, positions), coeffs))
+    return out
+
+
 @dataclass(frozen=True)
 class CoordinateMap:
     """Invertible linear map between sigma-coordinates and p/q-coordinates.
@@ -128,38 +170,22 @@ class CoordinateMap:
             coord_var(self.kind, i, j): k for k, (i, j) in enumerate(pq_index_pairs(self.n))
         }
 
-    @staticmethod
-    def _terms(forms, pairs, into) -> list[tuple[list[int], list[int]]]:
-        # per form, in the order of pairs: positions in the list it reads
-        # (order of into), coefficients
-        pos = {pair: k for k, pair in enumerate(into)}
-        return [
-            ([pos[p] for p in form], list(form.values()))
-            for form in map(forms.__getitem__, pairs)
-        ]
+    @cached_property
+    def _forward_terms(self) -> _Split:
+        return _split(self.forward, pq_index_pairs(self.n), sigma_index_pairs(self.n))
 
     @cached_property
-    def _forward_terms(self) -> list[tuple[list[int], list[int]]]:
-        return self._terms(self.forward, pq_index_pairs(self.n), sigma_index_pairs(self.n))
-
-    @cached_property
-    def _backward_terms(self) -> list[tuple[list[int], list[int]]]:
-        return self._terms(self.backward, sigma_index_pairs(self.n), pq_index_pairs(self.n))
+    def _backward_terms(self) -> _Split:
+        return _split(self.backward, sigma_index_pairs(self.n), pq_index_pairs(self.n))
 
     def coordinates(self, upper) -> list:
         """Coordinate list of the symmetric matrix with this upper triangle."""
-        return [
-            sum(map(mul, map(upper.__getitem__, positions), coeffs))
-            for positions, coeffs in self._forward_terms
-        ]
+        return _evaluate(self._forward_terms, upper)
 
     def sigma_upper(self, values) -> list:
         """Upper triangle of the symmetric matrix whose coordinate list is
         ``values``."""
-        return [
-            sum(map(mul, map(values.__getitem__, positions), coeffs))
-            for positions, coeffs in self._backward_terms
-        ]
+        return _evaluate(self._backward_terms, values)
 
     def apply(self, m: SymMatrix) -> dict[Var, Fraction]:
         """Coordinate vector of a symmetric matrix, keyed by variable."""

@@ -1,8 +1,9 @@
 """Exact linear algebra on integer matrices.
 
 Fraction-free kernels (Bareiss, Math. Comp. 1968): forward elimination for
-rank, and det(A) with adj(A) together from one sweep of the upper triangle
-of a symmetric A (every matrix the package inverts is).  A symmetric
+rank, and det(A) with adj(A) together of a symmetric A (every matrix the
+package inverts is), bordered on one index at a time with
+(n - 1)n(n + 1)/6 exact divisions, 84 at n = 8.  A symmetric
 matrix is given and returned as that triangle alone, listed row by row
 (:func:`upper_pairs`), so it cannot be asymmetric.  No floating point
 anywhere.
@@ -11,6 +12,7 @@ anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 
@@ -49,101 +51,152 @@ def upper_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-class _Triangle(NamedTuple):
-    """Positions in an upper triangle listed in the order of :func:`upper_pairs`."""
+@lru_cache(maxsize=None)
+def _columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """columns[k][i]: where entry (i, k) is stored in an upper triangle
+    listed in the order of :func:`upper_pairs`."""
+    at = {pair: t for t, pair in enumerate(upper_pairs(n))}
+    return tuple(tuple(at[min(i, k), max(i, k)] for i in range(n)) for k in range(n))
 
-    rows: tuple[int, ...]  # i of each stored entry
-    cols: tuple[int, ...]  # j of each stored entry
-    column: tuple[tuple[int, ...], ...]  # column[k][i]: where entry (i, k) is stored
-    diagonal: tuple[int, ...]  # where entry (k, k) is stored
+
+def _at(r: int, c: int) -> int:
+    """Where entry (r, c) of a symmetric matrix is stored when its triangle
+    is held column by column: column c holds entries (0, c) to (c, c)."""
+    r, c = min(r, c), max(r, c)
+    return c * (c + 1) // 2 + r
+
+
+class _Bordered(NamedTuple):
+    """Positions in the column-by-column triangle of an n x n symmetric
+    matrix.  Its first m columns are the triangle of the leading m x m
+    block, so each of these serves every m <= n, cut to length."""
+
+    lines: tuple[tuple[int, ...], ...]  # lines[r][c]: where entry (r, c) is stored
+    rows: tuple[int, ...]  # r of each stored entry
+    cols: tuple[int, ...]  # c of each stored entry
 
 
 @lru_cache(maxsize=None)
-def _triangle(n: int) -> _Triangle:
-    pairs = upper_pairs(n)
-    at = {pair: t for t, pair in enumerate(pairs)}
-    column = tuple(tuple(at[min(i, k), max(i, k)] for i in range(n)) for k in range(n))
-    return _Triangle(
-        rows=tuple(i for i, _ in pairs),
-        cols=tuple(j for _, j in pairs),
-        column=column,
-        diagonal=tuple(column[k][k] for k in range(n)),
+def _bordered(n: int) -> _Bordered:
+    stored = [(r, c) for c in range(n) for r in range(c + 1)]
+    return _Bordered(
+        lines=tuple(tuple(_at(r, c) for c in range(n)) for r in range(n)),
+        rows=tuple(r for r, _ in stored),
+        cols=tuple(c for _, c in stored),
     )
 
 
-def _add_index(v: list[int], layout: _Triangle, a: int, b: int) -> None:
-    """Add index a into index b of the symmetric matrix stored in ``v``, in
+@lru_cache(maxsize=256)
+def _unbordering(order: tuple[int, ...]) -> tuple[int, ...]:
+    """Where each entry of the upper triangle, in the order of
+    :func:`upper_pairs`, is stored in the column-by-column triangle over
+    the indices listed in ``order``."""
+    rank = {k: r for r, k in enumerate(order)}
+    return tuple(_at(rank[i], rank[j]) for i, j in upper_pairs(len(order)))
+
+
+def _add_index(v: list[int], columns, a: int, b: int) -> None:
+    """Add index a into index b of the symmetric matrix stored in ``v`` (an
+    upper triangle with the positions ``columns`` of :func:`_columns`), in
     place: the congruence E V E^T with E = I + e_b e_a^T, so
     v_rb += v_ra for r != b and v_bb += 2 v_ab + v_aa."""
-    into, added = layout.column[b], layout.column[a]
+    into, added = columns[b], columns[a]
     v[into[b]] += 2 * v[into[a]] + v[added[a]]
     for r, (t, s) in enumerate(zip(into, added)):
         if r != b:
             v[t] += v[s]
 
 
+def _stall(a, columns, order, rest, adj, lines, det) -> tuple[int, int] | None:
+    """The first unbordered pair (i, j) at which D times the Schur
+    complement of A_SS, a_ij D - b_i.u_j, is nonzero; None when there is
+    none."""
+    terms = {}
+    for k in rest:
+        b = [a[columns[k][i]] for i in order]
+        terms[k] = b, [sum(map(mul, b, map(adj.__getitem__, line))) for line in lines]
+    return next(
+        (
+            (i, j)
+            for i in rest
+            for j in rest
+            if a[columns[i][j]] * det != sum(map(mul, terms[i][0], terms[j][1]))
+        ),
+        None,
+    )
+
+
 def det_adjugate(n: int, upper) -> tuple[int, list[int] | None]:
     """det(A) and adj(A) of the symmetric integer n x n matrix A whose upper
-    triangle is ``upper``, in the order of :func:`upper_pairs`, from one
-    fraction-free symmetric sweep (Goodnight, Amer. Statist. 1979).
+    triangle is ``upper``, in the order of :func:`upper_pairs`, built by
+    bordering (Faddeev and Faddeeva, 1963) made fraction-free as in Bareiss
+    (Math. Comp. 1968).
 
     The adjugate comes as its upper triangle in the same order; a singular
     matrix gives ``(0, None)``.  ``upper`` is not changed.
 
-    The sweep operator on index k maps a symmetric W to W' with
-    w'_kk = -1/w_kk, w'_ik = w_ik/w_kk and w'_ij = w_ij - w_ik w_kj/w_kk;
-    sweeping every index turns A into -A^{-1}.  Here V holds -det(A_SS)
-    times A swept on the set S, which is integer: V starts as -A, and
-    sweeping k with q = v_kk sets ``v_ij = (v_ik v_kj - q v_ij) // prev``
-    for i, j != k, an exact division by the previous pivot (1 at first),
-    keeps row and column k, and sets ``v_kk = prev``.  The pivot -q is the
-    principal minor det(A_SS) of the indices swept so far, k among them,
-    so after all n sweeps V = adj(A) and det(A) is the last pivot.
+    The indices are bordered on one at a time.  With S the indices bordered
+    so far, D = det(A_SS) (1 for S empty) and the integer adj(A_SS) in
+    hand, bordering k takes b = A[S, k] and u = adj(A_SS) b.  The bordered
+    block has determinant d = a_kk D - b.u, and its adjugate keeps
+    (d x + u_r u_c) / D in place of each entry x = adj(A_SS)_rc, an exact
+    division, gains the column (-u, D) for k, and d becomes the new D.
+    With |S| = m that is m(m + 1)/2 divisions, (n - 1)n(n + 1)/6 in all.
+    The adjugate is held as a triangle column by column in the bordered
+    order, so bordering appends a column; only the result is put back into
+    the order of :func:`upper_pairs`.
 
-    Each sweep takes the first unswept index with a nonzero diagonal.  The
-    unswept block of V is -det(A_SS) times the Schur complement of A_SS,
-    so an unswept block that is all zero proves A singular.  When every
-    unswept diagonal is 0 but some unswept v_ij is not (a stall), index j
-    is added into index i (:func:`_add_index`), which makes v_ii = 2 v_ij.
-    That is V for the unimodular congruence E A E^T, E = I + e_i e_j^T,
-    which leaves A_SS, every pivot so far and det(A) as they are, and the
-    sweep goes on from index i.  Each stall is followed by a sweep, so
-    there are at most n - 1.  The last sweep leaves adj(E A E^T), and
-    adj(A) = E^T adj(E A E^T) E: each congruence is undone, last first,
-    by adding index i into index j.
+    Each step borders the first unbordered index k with d != 0.  d / D is
+    the diagonal entry of the Schur complement of A_SS, so a Schur
+    complement with every entry zero proves A singular.  When every
+    diagonal entry is 0 but some a_ij D - b_i.u_j is not (a stall), index
+    j is added into index i (:func:`_add_index`) on a copy of A.  That is
+    the unimodular congruence E A E^T, E = I + e_i e_j^T, which leaves A_SS
+    and det(A) as they are and makes i the one index with d != 0, twice
+    that entry.  Each stall is followed by a bordering, so there are at
+    most n - 1.  The result is adj(E A E^T), and
+    adj(A) = E^T adj(E A E^T) E: each congruence is undone, last first, by
+    adding index i into index j.
     """
-    layout = _triangle(n)
-    v = [-x for x in upper]
-    unswept = list(range(n))
+    columns = _columns(n)
+    lines, rows, cols = _bordered(n)
+    a = upper
+    if n and a[0]:
+        # a nonzero a_00 is bordered first, and leaves the 1 x 1 adjugate 1
+        det, adj, order, rest = a[0], [1], [0], list(range(1, n))
+    else:
+        det, adj, order, rest = 1, [], [], list(range(n))
     stalls = []
-    prev = 1
-    while unswept:
-        for k in unswept:
-            if v[layout.diagonal[k]]:
+    while rest:
+        # lines, rows and cols cover all n indices: each dot product stops at
+        # the end of b (|S| entries), and the update at the end of adj
+        held = lines[: len(order)]
+        for k in rest:
+            col = columns[k]
+            b = [a[col[i]] for i in order]
+            u = [sum(map(mul, b, map(adj.__getitem__, line))) for line in held]
+            d = a[col[k]] * det - sum(map(mul, b, u))
+            if d:
                 break
         else:
-            stall = next(
-                ((i, j) for i in unswept for j in unswept if v[layout.column[i][j]]), None
-            )
+            stall = _stall(a, columns, order, rest, adj, held, det)
             if stall is None:
                 return 0, None
-            k, j = stall
-            _add_index(v, layout, j, k)
+            if not stalls:
+                a = list(a)
+            _add_index(a, columns, stall[1], stall[0])
             stalls.append(stall)
-        unswept.remove(k)
-        kept = layout.column[k]
-        col = list(map(v.__getitem__, kept))
-        q = col[k]
-        v = [
-            (a * b - q * x) // prev
-            for x, a, b in zip(
-                v, map(col.__getitem__, layout.rows), map(col.__getitem__, layout.cols)
-            )
+            continue
+        adj = [
+            (d * x + p * q) // det
+            for x, p, q in zip(adj, map(u.__getitem__, rows), map(u.__getitem__, cols))
         ]
-        for t, x in zip(kept, col):
-            v[t] = x
-        v[kept[k]] = prev
-        prev = -q
+        adj += [-x for x in u]
+        adj.append(det)
+        det = d
+        order.append(k)
+        rest.remove(k)
+    adj = list(map(adj.__getitem__, _unbordering(tuple(order))))
     for i, j in reversed(stalls):
-        _add_index(v, layout, i, j)
-    return prev, v
+        _add_index(adj, columns, i, j)
+    return det, adj

@@ -12,7 +12,8 @@ tolerance anywhere.  On the sampling path a symmetric matrix is its upper
 triangle alone, a plain list in the order of :func:`linalg.upper_pairs`,
 so it cannot be asymmetric.  A sample has integer entries and comes with
 its determinant and its adjugate, as that triangle, so one fraction-free
-sweep both certifies it invertible and gives its inverse as adj / det.
+bordered build (:func:`linalg.det_adjugate`) both certifies it invertible
+and gives its inverse as adj / det.
 Pattern membership compares, in one list comparison, each structural-zero
 position of a triangle with 0 and each other position of a class with the
 first position of that class; the position pairs are read off the pattern
@@ -197,8 +198,8 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
     Each color token independently gets an integer uniform in
     [-10^6, 10^6]; resampled until the exact determinant is nonzero.
     Positive definiteness is not required.  Each try runs one fraction-free
-    sweep of K's upper triangle (:func:`linalg.det_adjugate`), which both
-    decides invertibility and yields the adjugate.
+    bordered build on K's upper triangle (:func:`linalg.det_adjugate`),
+    which both decides invertibility and yields the adjugate.
 
     Raises
     ------
@@ -219,8 +220,8 @@ def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
 
 def invert_exact(m: SymMatrix) -> SymMatrix:
     """Exact inverse s adj(sm) / det(sm), with s the lcm of the denominators
-    of m, from one fraction-free sweep of the upper triangle of the integer
-    matrix sm.
+    of m, from one fraction-free bordered build on the upper triangle of the
+    integer matrix sm (:func:`linalg.det_adjugate`).
 
     Raises
     ------

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Mapping
 
 from . import linalg
-from .binomials import Binomial, Monomial, Var, coord_var, evaluate_monomial, var_name
+from .binomials import Binomial, Monomial, Var, coord_var, var_name
 from .classify import coordinate_kind
 from .errors import GraphError
 from .graphs import ColoredGraph, star_decomposition
@@ -54,6 +55,11 @@ class MonomialMap:
         """Each row's (parameter position, exponent) pairs."""
         return [[(k, e) for k, e in enumerate(row) if e] for row in self.rows]
 
+    @cached_property
+    def _factors(self) -> tuple[tuple[int, ...], ...]:
+        """Each row's parameter positions, each repeated by its exponent."""
+        return tuple(tuple(k for k, e in terms for _ in range(e)) for terms in self._terms)
+
     def _position(self, v: Var) -> int:
         kind, i, j = v
         if kind != self.kind:
@@ -82,7 +88,8 @@ class MonomialMap:
 
         Integer parameters give an integer point.
         """
-        return [evaluate_monomial(terms, theta) for terms in self._terms]
+        value = theta.__getitem__
+        return [prod(map(value, factors)) for factors in self._factors]
 
     def evaluate(self, theta: Mapping[str, Fraction]) -> dict[Var, Fraction]:
         """:meth:`point` at parameter values keyed by token, keyed by variable."""

@@ -21,7 +21,7 @@ membership implies forward vanishing.  All arithmetic is exact, so a pass
 is an identity, not an approximation.  The two sampling checks run on
 integers: both draw integer points (matrix entries and positive path-map
 parameters), and matrices are inverted up to the scalar det as adjugates,
-from one fraction-free symmetric sweep (:func:`linalg.det_adjugate`).
+from one fraction-free bordered build (:func:`linalg.det_adjugate`).
 Pattern membership ignores that scalar.  Forward vanishing reads every
 binomial's value at K^{-1} off integer products at the adjugate's point:
 with lead degree d and trail degree e, the lower-degree side is scaled by

@@ -80,14 +80,13 @@ def leaf_lca_passes(monkeypatch):
 @pytest.fixture
 def congruences(monkeypatch):
     """Index pairs (a, b) passed to ``linalg._add_index``, one per call: a
-    sweep stall adds one pair, and undoing it on a nonsingular matrix one
-    more."""
+    stall adds one pair, and undoing it on a nonsingular matrix one more."""
     calls = []
     original = linalg._add_index
 
-    def counted(v, layout, a, b):
+    def counted(v, columns, a, b):
         calls.append((a, b))
-        return original(v, layout, a, b)
+        return original(v, columns, a, b)
 
     monkeypatch.setattr(linalg, "_add_index", counted)
     return calls

@@ -490,6 +490,34 @@ def fraction_inverse(rows) -> list[list[Fraction]] | None:
     return [row[n:] for row in work]
 
 
+def fraction_det(rows) -> Fraction:
+    """Determinant by textbook Gaussian elimination over ``Fraction``."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            det = -det
+        p = work[c][c]
+        det *= p
+        for i in range(c + 1, n):
+            f = work[i][c] / p
+            if f:
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return det
+
+
+def linear_forms_at(forms: dict, pairs, into, values) -> list:
+    """Each form of ``forms``, listed in the order of ``pairs``, summed term
+    by term at ``values``, a list whose entries are keyed by ``into``."""
+    at = dict(zip(into, values))
+    return [sum(c * at[p] for p, c in forms[pair].items()) for pair in pairs]
+
+
 def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
     """The point K of ``matrices.sample_projective``: its seeded draws,
     redrawn until a ``Fraction`` elimination finds the matrix invertible."""

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treetoric.binomials import coord_var
+from treetoric.classify import classify
 from treetoric.errors import NotApplicableError
 from treetoric.graphs import derive_graph, edge, star_decomposition
 from treetoric.laplacians import (
+    CoordinateMap,
     g_derived_laplacian_map,
     gamma_graph,
     gamma_laplacian,
@@ -25,6 +27,7 @@ from conftest import random_tree
 from oracles import (
     fraction_inverse,
     gamma_weights_oracle,
+    linear_forms_at,
     pattern_from_tree,
     sample_point_reference,
 )
@@ -222,3 +225,43 @@ class TestGDerivedMap:
             u = [rng.randint(-99, 99) for _ in range(size)]
             assert cmap.coordinates(cmap.sigma_upper(x)) == x, t.to_dict()
             assert cmap.sigma_upper(cmap.coordinates(u)) == u, t.to_dict()
+
+    def test_triangle_kernels_match_per_form_oracle(self):
+        # both directions on every applicable tree's map, at entries of the
+        # size the round trip's adjugates reach
+        rng = random.Random(31)
+        bound = 2**200
+        applicable = 0
+        for t in all_small_trees(5):
+            report = classify(t)
+            if report.theorem == "NONE":
+                continue
+            applicable += 1
+            cmap = g_derived_laplacian_map(report.graph)
+            sigma, pq = sigma_index_pairs(cmap.n), pq_index_pairs(cmap.n)
+            u = [rng.randint(-bound, bound) for _ in sigma]
+            x = [rng.randint(-bound, bound) for _ in pq]
+            assert cmap.coordinates(u) == linear_forms_at(cmap.forward, pq, sigma, u)
+            assert cmap.sigma_upper(x) == linear_forms_at(cmap.backward, sigma, pq, x)
+        assert applicable == 1286
+
+    def test_triangle_kernels_take_any_form(self):
+        # the derived maps have only coefficients +-1 and no empty form; the
+        # kernels do not rely on either
+        forward = {
+            (0, 1): {(1, 1): 3, (1, 2): -2},
+            (0, 2): {},
+            (1, 2): {(2, 2): -5},
+        }
+        backward = {
+            (1, 1): {},
+            (1, 2): {(0, 1): 2, (0, 2): -1, (1, 2): 7},
+            (2, 2): {(1, 2): 1},
+        }
+        cmap = CoordinateMap(n=2, kind="q", forward=forward, backward=backward)
+        sigma, pq = sigma_index_pairs(2), pq_index_pairs(2)
+        for values in ([2**70, -3, 11], [Fraction(1, 3), Fraction(-5, 2), Fraction(7)]):
+            assert cmap.coordinates(values) == linear_forms_at(forward, pq, sigma, values)
+            assert cmap.sigma_upper(values) == linear_forms_at(backward, sigma, pq, values)
+        assert cmap.coordinates([4, 5, 6]) == [12 - 10, 0, -30]
+        assert cmap.sigma_upper([4, 5, 6]) == [0, 8 - 5 + 42, 6]

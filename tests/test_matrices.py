@@ -1,5 +1,6 @@
 """Patterns, exact sampling, inversion and Jordan closure."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -29,6 +30,7 @@ from oracles import (
     adjugate_inverse,
     completion,
     det_cofactor,
+    fraction_det,
     fraction_inverse,
     jordan_closed,
     jordan_closed_by_basis,
@@ -336,6 +338,37 @@ def _int_rows(entries):
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
+def _pattern_samples() -> list[tuple[MatrixPattern, dict]]:
+    """Three seeded draws from each pattern of ``all_small_trees(4)``; the
+    small entries make singular samples and stalls common."""
+    rng = random.Random(41)
+    samples = []
+    for t in all_small_trees(4):
+        pattern = pattern_from_tree(t)
+        for _ in range(3):
+            samples.append((pattern, {tok: rng.randint(-3, 3) for tok in pattern.tokens()}))
+    return samples
+
+
+def _adjacency(t: ColoredTree) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 adjacency matrix of the tree's derived graph.  Its diagonal
+    is zero, so det_adjugate stalls at its first step, and again wherever a
+    Schur complement has one."""
+    g = derive_graph(t)
+    return tuple(
+        tuple(int((min(i, j), max(i, j)) in g.edges) for j in g.vertices())
+        for i in g.vertices()
+    )
+
+
+def _adjacency_matrices(leaves: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The distinct adjacency matrices of ``all_small_trees(leaves)``, sorted."""
+    return sorted(set(map(_adjacency, all_small_trees(leaves))))
+
+
+GOLDEN_CONGRUENCES = "f2d1cec92984ffd6b418394a1544818f7c2ecdca10dec23bde00f8be24265e26"
+
+
 class TestLinalg:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -441,7 +474,7 @@ class TestLinalg:
             stalled += stalls > 0
         assert singular >= 13 and stalled >= 8
 
-    def test_symmetric_sweep_matches_cofactor_oracle(self, congruences):
+    def test_symmetric_cases_match_cofactor_oracle(self, congruences):
         rng = random.Random(19)
         cases = []
         for n in range(1, 8):
@@ -468,8 +501,8 @@ class TestLinalg:
             rows = self._symmetric(dense)
             rows[-1] = [0] * n
             cases.append([row[:-1] + [0] for row in rows])
-        # stalls: every diagonal the sweep could pivot on is 0, at the start
-        # or after sweeping index 0 (the Schur complement [[0, 1], [1, 0]])
+        # stalls: every diagonal that could be bordered on is 0, at the start
+        # or after bordering index 0 (the Schur complement [[0, 1], [1, 0]])
         cases += [
             [[0, 1], [1, 0]],
             [[0, 2, 3], [2, 0, 5], [3, 5, 0]],
@@ -485,37 +518,72 @@ class TestLinalg:
             leading_zero += rows[0][0] == 0 and not stalls
         assert stalled >= 3 and leading_zero >= 6 and singular >= 13
 
-    def test_sweep_matches_cofactor_oracle_on_pattern_samples(self, congruences):
-        # small draws make singular samples and stalls common
-        rng = random.Random(41)
+    def test_matches_cofactor_oracle_on_pattern_samples(self, congruences):
         compared = singular = stalled = 0
-        for t in all_small_trees(4):
-            pattern = pattern_from_tree(t)
-            for _ in range(3):
-                values = {tok: rng.randint(-3, 3) for tok in pattern.tokens()}
-                rows = pattern_rows(pattern, values)
-                assert pattern.upper(values) == upper_of(rows)
-                det, stalls = self._checked(rows, congruences)
-                compared += 1
-                singular += det == 0
-                stalled += stalls > 0
+        for pattern, values in _pattern_samples():
+            rows = pattern_rows(pattern, values)
+            assert pattern.upper(values) == upper_of(rows)
+            det, stalls = self._checked(rows, congruences)
+            compared += 1
+            singular += det == 0
+            stalled += stalls > 0
         assert compared >= 500 and singular >= 50 and stalled >= 5
 
-    def test_sweep_undoes_several_congruences(self, congruences):
-        # a 0/1 adjacency matrix has a zero diagonal, so the sweep stalls at
-        # its first step, and again wherever a Schur complement has one
-        matrices = set()
-        for t in all_small_trees(5):
-            g = derive_graph(t)
-            matrices.add(
-                tuple(
-                    tuple(int((min(i, j), max(i, j)) in g.edges) for j in g.vertices())
-                    for i in g.vertices()
-                )
-            )
+    def test_undoes_several_congruences(self, congruences):
+        matrices = _adjacency_matrices(5)
         stalled = two = 0
         for rows in matrices:
             det, stalls = self._checked(rows, congruences)
             stalled += stalls > 0
             two += det != 0 and stalls == 2
         assert len(matrices) == 267 and stalled == 267 and two >= 24
+
+    def test_matches_fraction_oracle_at_larger_n(self, congruences):
+        # the sizes the round trip reaches (entries near 2^60 and 2^200) at
+        # n = 8-10, where the cofactor oracle is out of reach; hollow
+        # matrices and n = 8 adjacency matrices stall
+        rng = random.Random(43)
+        cases = []
+        for n in (8, 9, 10):
+            for bits in (60, 200):
+                for hollow in (False, False, True):
+                    rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)]
+                    for i in range(n if hollow else 0):
+                        rows[i][i] = 0
+                    cases.append(self._symmetric(rows))
+        adjacency = set()
+        while len(adjacency) < 24:
+            zero_mode = rng.choice(("chain", "random"))
+            adjacency.add(_adjacency(random_tree(rng, 8, 8, zero_mode=zero_mode)))
+        cases += sorted(adjacency)
+        stalled = singular = 0
+        for rows in cases:
+            congruences.clear()
+            upper = upper_of(rows)
+            det, adj = linalg.det_adjugate(len(rows), upper)
+            assert upper == upper_of(rows)
+            stalled += bool(congruences)
+            inverse = fraction_inverse(rows)
+            if inverse is None:
+                assert (det, adj) == (0, None), rows
+                singular += 1
+                continue
+            d = fraction_det(rows)
+            assert det == d, rows
+            assert adj == upper_of([[d * x for x in row] for row in inverse]), rows
+        # every hollow and adjacency case stalls, and some of the stalled
+        # adjacency matrices are invertible
+        assert len(cases) == 42 and stalled == 30 and 12 <= singular < 24
+
+    def test_pivot_and_stall_sequence_is_pinned(self, congruences):
+        # every congruence, in order, over the adjacency matrices and the
+        # pattern samples: a change of pivot or stall rule changes the digest
+        cases = _adjacency_matrices(5) + [
+            pattern_rows(pattern, values) for pattern, values in _pattern_samples()
+        ]
+        digest = hashlib.sha256()
+        for rows in cases:
+            congruences.clear()
+            linalg.det_adjugate(len(rows), upper_of(rows))
+            digest.update(f"{congruences}\n".encode())
+        assert digest.hexdigest() == GOLDEN_CONGRUENCES

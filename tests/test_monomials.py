@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -14,6 +15,7 @@ from treetoric.monomials import MonomialMap, exponent_rank, path_map
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree
+from random_trees import all_small_trees
 from test_matrices import rank_oracle
 
 
@@ -134,6 +136,20 @@ class TestEvaluate:
         theta = {tok: Fraction(1) for tok in mm.params}
         theta["green"] = Fraction(3)
         assert mm.evaluate(theta)[coord_var("q", 0, 4)] == 9
+
+    def test_point_is_the_product_of_powers(self):
+        # every row of every applicable small tree, the squared center too
+        rng = random.Random(13)
+        for t in all_small_trees(5):
+            report = classify(t)
+            if report.theorem == "NONE":
+                continue
+            mm = path_map(report.working_tree, report.graph)
+            theta = [rng.randint(1, 10**4) for _ in mm.params]
+            expected = [
+                prod(value**e for value, e in zip(theta, row)) for row in mm.rows
+            ]
+            assert mm.point(theta) == expected, t.to_dict()
 
     def test_missing_parameter(self):
         mm = tree_map(fixture_tree("colored_star"))
