@@ -5,14 +5,17 @@ rank, and det(A) with adj(A) together of a symmetric A (every matrix the
 package inverts is), bordered on one index at a time with
 (n - 1)n(n + 1)/6 exact divisions, 84 at n = 8.  A symmetric
 matrix is given and returned as that triangle alone, listed row by row
-(:func:`upper_pairs`), so it cannot be asymmetric.  No floating point
-anywhere.
+(:func:`upper_pairs`), so it cannot be asymmetric.  A batch of such
+matrices is bordered together in index order, each entry held as one
+list across the batch (:func:`det_adjugates`); a matrix meeting a zero
+leading principal minor is handed to the one-matrix build
+(:func:`det_adjugate`).  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import add, floordiv, mul, neg, sub
 from typing import NamedTuple
 
 
@@ -200,3 +203,61 @@ def det_adjugate(n: int, upper) -> tuple[int, list[int] | None]:
     for i, j in reversed(stalls):
         _add_index(adj, columns, i, j)
     return det, adj
+
+
+def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
+    """:func:`det_adjugate` of each symmetric integer n x n matrix whose
+    upper triangle is listed in ``uppers``, in the same order.
+
+    The matrices are bordered together on the indices 0, 1, ..., n - 1 in
+    turn, with each entry held as one list across the matrices, so each
+    step of the bordering is a few ``map`` passes over the batch instead of
+    one Python step per matrix.  A matrix meeting a zero leading principal
+    minor (a singular one, a zero a_00, or one that would stall) leaves the
+    batch at that step and is built alone by :func:`det_adjugate`.  det and
+    adj are invariants of the matrix, so every result equals
+    :func:`det_adjugate`'s.  ``uppers`` is not changed.  Each entry list is
+    as long as the batch, so the caller bounds memory by the batch size.
+    """
+    if not n or not uppers:
+        return [(1, []) for _ in uppers]
+    columns = _columns(n)
+    lines, rows, cols = _bordered(n)
+    results: list = [None] * len(uppers)
+    alive = list(range(len(uppers)))
+    a = list(zip(*uppers))  # a[t]: entry t of each triangle
+    det, adj = [1] * len(uppers), []
+    for k in range(n):
+        col = columns[k]
+        b = [a[col[i]] for i in range(k)]
+        u = []
+        for line in lines[:k]:
+            terms = map(mul, b[0], adj[line[0]])
+            for bc, t in zip(b[1:], line[1:k]):
+                terms = map(add, terms, map(mul, bc, adj[t]))
+            u.append(list(terms))
+        d = map(mul, a[col[k]], det)
+        for br, ur in zip(b, u):
+            d = map(sub, d, map(mul, br, ur))
+        d = list(d)
+        if not all(d):
+            for i, x in zip(alive, d):
+                if not x:
+                    results[i] = det_adjugate(n, uppers[i])
+            # the rest stay: cut every list held across the batch to them
+            keep = [j for j, x in enumerate(d) if x]
+            (alive, det, d), a, adj, u = (
+                [list(map(row.__getitem__, keep)) for row in held]
+                for held in ([alive, det, d], a, adj, u)
+            )
+        adj = [
+            list(map(floordiv, map(add, map(mul, d, x), map(mul, u[r], u[c])), det))
+            for x, r, c in zip(adj, rows, cols)
+        ]
+        adj += [list(map(neg, ur)) for ur in u]
+        adj.append(det)
+        det = d
+    adjugates = zip(*map(adj.__getitem__, _unbordering(tuple(range(n)))))
+    for i, x, y in zip(alive, det, adjugates):
+        results[i] = (x, list(y))
+    return results

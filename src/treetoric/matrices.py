@@ -12,8 +12,10 @@ tolerance anywhere.  On the sampling path a symmetric matrix is its upper
 triangle alone, a plain list in the order of :func:`linalg.upper_pairs`,
 so it cannot be asymmetric.  A sample has integer entries and comes with
 its determinant and its adjugate, as that triangle, so one fraction-free
-bordered build (:func:`linalg.det_adjugate`) both certifies it invertible
-and gives its inverse as adj / det.
+bordered build both certifies it invertible and gives its inverse as
+adj / det.  :func:`sample_projectives` draws one sample per seed, each
+from its own seeded generator, and builds each round of tries as one
+batch (:func:`linalg.det_adjugates`).
 Pattern membership compares, in one list comparison, each structural-zero
 position of a triangle with 0 and each other position of a class with the
 first position of that class; the position pairs are read off the pattern
@@ -176,7 +178,7 @@ def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
 
 
 class ProjectiveSample(NamedTuple):
-    """An invertible integer K that :func:`sample_projective` draws from a
+    """An invertible integer K that :func:`sample_projectives` draws from a
     pattern, with its determinant and adjugate.
 
     K^{-1} = adjugate / det, with the adjugate held as the integer upper
@@ -191,28 +193,43 @@ class ProjectiveSample(NamedTuple):
     adjugate: list[int]  # upper triangle, order linalg.upper_pairs
 
 
-def sample_projective(pattern: MatrixPattern, seed: int) -> ProjectiveSample:
-    """Deterministic invertible integer sample from the pattern, with its
-    determinant and adjugate.
+def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> list[ProjectiveSample]:
+    """One deterministic invertible integer sample from the pattern for each
+    seed, with its determinant and adjugate, in the order of ``seeds``.
 
-    Each color token independently gets an integer uniform in
-    [-10^6, 10^6]; resampled until the exact determinant is nonzero.
-    Positive definiteness is not required.  Each try runs one fraction-free
-    bordered build on K's upper triangle (:func:`linalg.det_adjugate`),
-    which both decides invertibility and yields the adjugate.
+    Each seed drives its own ``random.Random``: each color token
+    independently gets an integer uniform in [-10^6, 10^6], redrawn until
+    the exact determinant is nonzero.  Positive definiteness is not
+    required.  A sample depends on its seed alone, not on the other seeds.
+    Each round of tries, one per seed still without a sample, is one
+    batched fraction-free bordered build on the upper triangles
+    (:func:`linalg.det_adjugates`), which both decides invertibility and
+    yields the adjugates; the memory it holds grows with ``len(seeds)``.
 
     Raises
     ------
     SamplingError
-        After 64 failed tries (the pattern forces singularity).
+        When a seed fails 64 tries (the pattern forces singularity).
     """
-    rng = random.Random(seed)
+    rngs = [random.Random(seed) for seed in seeds]
     tokens = pattern._tokens
+    samples: list = [None] * len(rngs)
+    pending = list(range(len(rngs)))
     for _ in range(SAMPLE_RETRIES):
-        values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
-        det, adj = linalg.det_adjugate(pattern.size, pattern.upper(values))
-        if det:
-            return ProjectiveSample(values, det, adj)
+        draws = [
+            {tok: rngs[i].randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
+            for i in pending
+        ]
+        built = linalg.det_adjugates(pattern.size, [pattern.upper(v) for v in draws])
+        retry = []
+        for i, values, (det, adj) in zip(pending, draws, built):
+            if det:
+                samples[i] = ProjectiveSample(values, det, adj)
+            else:
+                retry.append(i)
+        pending = retry
+        if not pending:
+            return samples
     raise SamplingError(
         f"no invertible matrix in the pattern after {SAMPLE_RETRIES} tries"
     )

@@ -21,12 +21,15 @@ membership implies forward vanishing.  All arithmetic is exact, so a pass
 is an identity, not an approximation.  The two sampling checks run on
 integers: both draw integer points (matrix entries and positive path-map
 parameters), and matrices are inverted up to the scalar det as adjugates,
-from one fraction-free bordered build (:func:`linalg.det_adjugate`).
-Pattern membership ignores that scalar.  Forward vanishing reads every
-binomial's value at K^{-1} off integer products at the adjugate's point:
-with lead degree d and trail degree e, the lower-degree side is scaled by
-a power of det so both sides share the denominator det^max(d, e), and a
-failing value is the difference of the two scaled products over it.
+by fraction-free bordering; pattern membership ignores that scalar.
+Both run their trials in chunks of :data:`TRIAL_CHUNK`: the matrices of
+a chunk are built in one batch (:func:`linalg.det_adjugates`), which
+bounds the memory a run holds, and every other step stays per trial.
+Forward vanishing reads every binomial's value at K^{-1} off integer
+products at the adjugate's point: with lead degree d and trail degree e,
+the lower-degree side is scaled by a power of det so both sides share the
+denominator det^max(d, e), and a failing value is the difference of the
+two scaled products over it.
 Points and parameters stay plain lists in the trials, and a matrix is
 the list of its upper triangle (:func:`linalg.upper_pairs`) from draw to
 membership test: no trial builds n x n rows.  Forward vanishing compares
@@ -54,17 +57,25 @@ from .matrices import (
     MatrixPattern,
     invert_exact,  # unused; perfbench's tracer test pins this binding
     pattern_from_graph,
-    sample_projective,
+    sample_projectives,
 )
 from .monomials import MonomialMap, exponent_rank, path_map
 from .trees import ColoredTree
 
 _SEED_STRIDE = 1_000_003
 ROUNDTRIP_BOUND = 10**4
+# Trials whose matrices are inverted in one batch (linalg.det_adjugates);
+# every entry of a batch is held as a list this long, so it bounds memory.
+TRIAL_CHUNK = 64
 
 
 def _trial_seed(seed: int, index: int) -> int:
     return seed * _SEED_STRIDE + index
+
+
+def _chunks(trials: int):
+    """The trial indices 0..trials - 1 as ranges of at most TRIAL_CHUNK."""
+    return (range(s, min(s + TRIAL_CHUNK, trials)) for s in range(0, trials, TRIAL_CHUNK))
 
 
 @dataclass
@@ -186,28 +197,31 @@ def forward_vanishing(
     gens = ctx.generators if generators is None else generators
     groups = _vanishing_columns(ctx.cmap.index, gens)
     failures: list[dict] = []
-    for k in range(trials):
-        sample = sample_projective(ctx.pattern, _trial_seed(seed, k))
-        x = ctx.cmap.coordinates(sample.adjugate)
-        failing = []
-        for d, e, positions, columns in groups:
-            lead = _products(x, columns[:d], len(positions))
-            trail = _products(x, columns[d:], len(positions))
-            if d != e:
-                scale = sample.det ** abs(d - e)
-                if d < e:
-                    lead = [u * scale for u in lead]
-                else:
-                    trail = [v * scale for v in trail]
-            if lead != trail:
-                denominator = sample.det ** max(d, e)
-                failing += [
-                    (p, Fraction(u - v, denominator))
-                    for p, u, v in zip(positions, lead, trail)
-                    if u != v
-                ]
-        for pos, value in sorted(failing):
-            failures.append({"trial": k, "generator": gens[pos].text(), "value": str(value)})
+    for chunk in _chunks(trials):
+        samples = sample_projectives(ctx.pattern, [_trial_seed(seed, k) for k in chunk])
+        for k, sample in zip(chunk, samples):
+            x = ctx.cmap.coordinates(sample.adjugate)
+            failing = []
+            for d, e, positions, columns in groups:
+                lead = _products(x, columns[:d], len(positions))
+                trail = _products(x, columns[d:], len(positions))
+                if d != e:
+                    scale = sample.det ** abs(d - e)
+                    if d < e:
+                        lead = [u * scale for u in lead]
+                    else:
+                        trail = [v * scale for v in trail]
+                if lead != trail:
+                    denominator = sample.det ** max(d, e)
+                    failing += [
+                        (p, Fraction(u - v, denominator))
+                        for p, u, v in zip(positions, lead, trail)
+                        if u != v
+                    ]
+            for pos, value in sorted(failing):
+                failures.append(
+                    {"trial": k, "generator": gens[pos].text(), "value": str(value)}
+                )
     return {
         "check": "forward_vanishing",
         "trials": trials,
@@ -233,16 +247,17 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
     require_trials(trials, seed)
     failures: list[int] = []
     skipped = 0
-    for k in range(trials):
-        rng = random.Random(_trial_seed(seed, k))
-        theta = [rng.randint(1, ROUNDTRIP_BOUND) for _ in ctx.mmap.params]
-        sigma = ctx.cmap.sigma_upper(ctx.mmap.point(theta))
-        det, adj = linalg.det_adjugate(ctx.cmap.n, sigma)
-        if not det:
-            skipped += 1
-            continue
-        if not ctx.pattern.contains(adj):
-            failures.append(k)
+    for chunk in _chunks(trials):
+        sigmas = []
+        for k in chunk:
+            rng = random.Random(_trial_seed(seed, k))
+            theta = [rng.randint(1, ROUNDTRIP_BOUND) for _ in ctx.mmap.params]
+            sigmas.append(ctx.cmap.sigma_upper(ctx.mmap.point(theta)))
+        for k, (det, adj) in zip(chunk, linalg.det_adjugates(ctx.cmap.n, sigmas)):
+            if not det:
+                skipped += 1
+            elif not ctx.pattern.contains(adj):
+                failures.append(k)
     return {
         "check": "roundtrip_parametrization",
         "trials": trials,

@@ -519,8 +519,9 @@ def linear_forms_at(forms: dict, pairs, into, values) -> list:
 
 
 def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
-    """The point K of ``matrices.sample_projective``: its seeded draws,
-    redrawn until a ``Fraction`` elimination finds the matrix invertible."""
+    """The point K that ``matrices.sample_projectives`` draws for the seed:
+    its seeded draws, redrawn until a ``Fraction`` elimination finds the
+    matrix invertible."""
     rng = random.Random(seed)
     tokens = pattern.tokens()
     for _ in range(SAMPLE_RETRIES):

@@ -345,10 +345,10 @@ class TestErrors:
         ids=["sampling", "singular"],
     )
     def test_uncertifiable_check_exits_1(self, monkeypatch, capsys, exc):
-        def fail(pattern, seed):
+        def fail(pattern, seeds):
             raise exc
 
-        monkeypatch.setattr(pipeline, "sample_projective", fail)
+        monkeypatch.setattr(pipeline, "sample_projectives", fail)
         code = main(["verify", "--tree", tree_path("colored_star"), "--trials", "1"])
         assert code == EXIT_CHECK_FAILED
         captured = capsys.readouterr()

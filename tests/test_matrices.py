@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treetoric import linalg
+from treetoric import linalg, matrices
 from treetoric.classify import classify
 from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import derive_graph
@@ -19,12 +19,13 @@ from treetoric.matrices import (
     SymMatrix,
     invert_exact,
     pattern_from_graph,
-    sample_projective,
+    sample_projectives,
 )
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
 from random_trees import all_small_trees
+import oracles
 from oracles import (
     adjugate,
     adjugate_inverse,
@@ -169,24 +170,24 @@ class TestSymMatrix:
 class TestSampling:
     def test_sample_lies_in_pattern_and_is_invertible(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
-        sample = sample_projective(p, seed=1)
+        (sample,) = sample_projectives(p, [1])
         assert p.contains(p.upper(sample.values))
         assert sample.det != 0
 
     def test_deterministic(self):
         p = pattern_from_tree(fixture_tree("uncolored_binary"))
-        assert sample_projective(p, seed=3) == sample_projective(p, seed=3)
-        assert sample_projective(p, seed=3) != sample_projective(p, seed=4)
+        first, again, other = sample_projectives(p, [3, 3, 4])
+        assert first == again != other
 
     def test_same_points_as_reference_sampler(self):
         # the integer retry loop draws exactly the Fraction sampler's points,
-        # and sample_projective's adjugate triangle is the inverse up to det
+        # and the sample's adjugate triangle is the inverse up to det
         rng = random.Random(13)
         for trial in range(60):
             t = random_tree(rng)
             for pat in (pattern_from_tree(t), pattern_from_graph(completion(derive_graph(t)))):
                 m = sample_point_reference(pat, seed=trial)
-                sample = sample_projective(pat, seed=trial)
+                (sample,) = sample_projectives(pat, [trial])
                 assert pat.upper(sample.values) == upper_of(m.entries)
                 c = Fraction(1, sample.det)
                 assert fraction_inverse(m.entries) == [
@@ -202,7 +203,7 @@ class TestSampling:
         trees.append(random_tree(rng, 20, 20, "distinct", "distinct", "chain"))
         for idx, t in enumerate(trees):
             pat = pattern_from_tree(t)
-            sample = sample_projective(pat, seed=idx)
+            (sample,) = sample_projectives(pat, [idx])
             assert all(
                 type(v) is int and -SAMPLE_BOUND <= v <= SAMPLE_BOUND
                 for v in sample.values.values()
@@ -213,11 +214,43 @@ class TestSampling:
             assert sample.det**2 <= bound, t.to_dict()
         assert trees[-1].n_leaves == 20 and trees[-1].zeroed
 
+    def test_batched_retries_match_one_seed_samples(self, monkeypatch):
+        # entries in {-1, 0, 1}, so first tries are often singular: each
+        # seed's retries are its own, whatever else shares its batch
+        monkeypatch.setattr(matrices, "SAMPLE_BOUND", 1)
+        monkeypatch.setattr(oracles, "SAMPLE_BOUND", 1)
+        rounds = []
+        original = linalg.det_adjugates
+
+        def recorded(n, uppers):
+            rounds.append(len(uppers))
+            return original(n, uppers)
+
+        monkeypatch.setattr(linalg, "det_adjugates", recorded)
+        retried = 0
+        for name in ("colored_star", "uncolored_binary", "zeroed_block_g2"):
+            p = pattern_from_tree(fixture_tree(name))
+            seeds = list(range(100))
+            samples = sample_projectives(p, seeds)
+            assert samples == [sample_projectives(p, [seed])[0] for seed in seeds], name
+            for seed, sample in zip(seeds, samples):
+                m = sample_point_reference(p, seed)
+                assert p.upper(sample.values) == upper_of(m.entries), (name, seed)
+                first = random.Random(seed)
+                retried += sample.values != {tok: first.randint(-1, 1) for tok in p.tokens()}
+        assert retried >= 100
+        # a pattern that forces singularity fails after 64 rounds of tries
+        allsame = MatrixPattern(2, (("a", "a"), ("a", "a")))
+        rounds.clear()
+        with pytest.raises(SamplingError, match="after 64 tries"):
+            sample_projectives(allsame, [0, 1, 2])
+        assert rounds == [3] * matrices.SAMPLE_RETRIES == [3] * 64
+
     def test_forced_singular_pattern(self):
         # every entry in one shared class: rank-1 matrices only
         allsame = MatrixPattern(2, (("a", "a"), ("a", "a")))
         with pytest.raises(SamplingError):
-            sample_projective(allsame, seed=0)
+            sample_projectives(allsame, [0])
 
 
 class TestInversion:
@@ -587,3 +620,67 @@ class TestLinalg:
             linalg.det_adjugate(len(rows), upper_of(rows))
             digest.update(f"{congruences}\n".encode())
         assert digest.hexdigest() == GOLDEN_CONGRUENCES
+
+    def test_batches_match_single_builds_and_cofactor_oracle(self, monkeypatch):
+        # mixed batches at each n = 0..6: the adjacency matrices (each stalls
+        # at a_00), and generic matrices with singular ones and a zero a_00
+        # among them; the matrices built alone are exactly those with a zero
+        # leading principal minor
+        rng = random.Random(47)
+        cases = {n: [] for n in range(7)}
+        for rows in _adjacency_matrices(5):
+            cases[len(rows)].append(rows)
+        for n, rows_list in cases.items():
+            for _ in range(13):
+                generic = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                generic = self._symmetric(generic)
+                rows_list.append(generic)
+            if n:
+                # generic, with a zero a_00, and singular by a zero last row
+                zero_lead = [list(row) for row in generic]
+                zero_lead[0][0] = 0
+                zero_last = [row[:-1] + [0] for row in generic[:-1]] + [[0] * n]
+                rows_list += [zero_lead, zero_last]
+            if n > 1:
+                # singular by a last row and column that double the first
+                first = [2 * x for x in generic[0][:-1]]
+                rows_list.append(
+                    [row[:-1] + [y] for row, y in zip(generic[:-1], first)]
+                    + [first + [2 * first[0]]]
+                )
+            rng.shuffle(rows_list)
+        single = []
+        original = linalg.det_adjugate
+
+        def recorded(n, upper):
+            single.append(list(upper))
+            return original(n, upper)
+
+        monkeypatch.setattr(linalg, "det_adjugate", recorded)
+        leading_zero = singular = batched = 0
+        for n, rows_list in cases.items():
+            uppers = [upper_of(rows) for rows in rows_list]
+            expected = []
+            for rows in rows_list:
+                det = det_cofactor(rows)
+                expected.append((det, upper_of(adjugate(rows)) if det else None))
+            assert [original(n, upper) for upper in uppers] == expected
+            minors = [
+                [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
+                for rows in rows_list
+            ]
+            alone = sorted(upper for upper, dets in zip(uppers, minors) if not all(dets))
+            for size in (1, 5, len(uppers)):
+                single.clear()
+                built = []
+                for start in range(0, len(uppers), size):
+                    built += linalg.det_adjugates(n, uppers[start : start + size])
+                assert built == expected, (n, size)
+                assert sorted(single) == alone, (n, size)
+            assert uppers == [upper_of(rows) for rows in rows_list]  # left as they were
+            leading_zero += sum(not rows[0][0] for rows in rows_list if n)
+            singular += sum(det == 0 for det, _ in expected)
+            batched += len(uppers) - len(alone)
+            assert linalg.det_adjugates(n, []) == []
+        assert linalg.det_adjugates(0, [[], []]) == [(1, []), (1, [])]
+        assert leading_zero >= 267 + 6 and singular >= 150 and batched >= 70

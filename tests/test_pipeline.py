@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from treetoric import matrices, pipeline
+from treetoric import linalg, matrices, pipeline
 from treetoric.binomials import Binomial, coord_var, monomial, parse_binomial
 from treetoric.classify import (
     NONE,
@@ -22,9 +22,10 @@ from treetoric.errors import NotApplicableError, TreeError
 from treetoric.graphs import derive_graph
 from treetoric.ideals import cherry_binomials
 from treetoric.laplacians import CoordinateMap
-from treetoric.matrices import SymMatrix, sample_projective
+from treetoric.matrices import MatrixPattern, SymMatrix, sample_projectives
 from treetoric.pipeline import (
     _SEED_STRIDE,
+    TRIAL_CHUNK,
     _trial_seed,
     build_context,
     dimension_report,
@@ -201,9 +202,9 @@ class TestChecks:
     def test_runs_that_repeat_trials_rejected(self, check, trials, seed, message):
         ctx = build_context(fixture_tree("colored_star"))
         # random.Random seeds by absolute value: seed -1 would replay seed 1
-        assert sample_projective(ctx.pattern, _trial_seed(-1, 0)) == sample_projective(
-            ctx.pattern, _trial_seed(1, 0)
-        )
+        seeds = [_trial_seed(-1, 0), _trial_seed(1, 0)]
+        negative, positive = sample_projectives(ctx.pattern, seeds)
+        assert negative == positive
         with pytest.raises(ValueError, match=message):
             check(ctx, trials=trials, seed=seed)
 
@@ -248,6 +249,64 @@ class TestChecks:
             applicable += 1
         assert shapes == {2: 1, 3: 4, 4: 26, 5: 236}
         assert (trees, applicable) == (2800, 1286)
+
+
+class TestTrialChunks:
+    def test_batches_are_bounded_and_failures_stay_in_order(self, monkeypatch):
+        # at 1 000 trials no batch of matrices exceeds the chunk, and the
+        # reports equal those of one trial per batch: failures by trial,
+        # then in generator order (the failing (2, 2) generator's shape group
+        # is checked before the failing (1, 1) one's)
+        sizes = []
+        original = linalg.det_adjugates
+
+        def recorded(n, uppers):
+            sizes.append(len(uppers))
+            return original(n, uppers)
+
+        monkeypatch.setattr(linalg, "det_adjugates", recorded)
+        ctx = build_context(fixture_tree("uncolored_binary"))
+        gens = [ctx.generators[0]] + [
+            parse_binomial(text) for text in ("p01 - p12", "p01*p02 - p12*p13", "p01*p02 - p12")
+        ]
+        classes = [list(row) for row in ctx.pattern.classes]
+        classes[0][1] = classes[1][0] = None
+        wrong = replace(ctx, pattern=MatrixPattern(ctx.pattern.size, tuple(map(tuple, classes))))
+        reports = {}
+        for chunk in (TRIAL_CHUNK, 7, 1):
+            monkeypatch.setattr(pipeline, "TRIAL_CHUNK", chunk)
+            sizes.clear()
+            forward = forward_vanishing(ctx, trials=1000, seed=3, generators=gens)
+            assert max(sizes) <= chunk and sum(sizes) >= 1000
+            sizes.clear()
+            roundtrip = roundtrip_parametrization(wrong, trials=1000, seed=3)
+            assert max(sizes) <= chunk and sum(sizes) == 1000
+            reports[chunk] = forward, roundtrip
+        forward, roundtrip = reports[TRIAL_CHUNK]
+        assert reports[7] == reports[1] == reports[TRIAL_CHUNK]
+        assert [(f["trial"], f["generator"]) for f in forward["failures"]] == [
+            (k, gens[pos].text()) for k in range(1000) for pos in (1, 2, 3)
+        ]
+        # (0, 1) is a structural zero of the wrong pattern alone
+        assert roundtrip["failures"] == list(range(1000))
+
+    def test_checks_build_no_matrix_alone_on_the_fixtures(self, monkeypatch):
+        # every matrix of both sampling checks is built in a batch
+        alone = []
+        original = linalg.det_adjugate
+
+        def recorded(n, upper):
+            alone.append(upper)
+            return original(n, upper)
+
+        monkeypatch.setattr(linalg, "det_adjugate", recorded)
+        names = [name for name, theorem in EXPECTED_CLASSIFICATION.items() if theorem != NONE]
+        assert len(names) == 8
+        for name in names:
+            ctx = build_context(fixture_tree(name))
+            assert forward_vanishing(ctx, trials=25, seed=0)["passed"], name
+            assert roundtrip_parametrization(ctx, trials=25, seed=0)["passed"], name
+        assert alone == []
 
 
 class TestVerifyTree:
