@@ -5,11 +5,11 @@ rank, and det(A) with adj(A) together of a symmetric A (every matrix the
 package inverts is), bordered on one index at a time with
 (n - 1)n(n + 1)/6 exact divisions, 84 at n = 8.  A symmetric
 matrix is given and returned as that triangle alone, listed row by row
-(:func:`upper_pairs`), so it cannot be asymmetric.  A batch of such
-matrices is bordered together in index order, each entry held as one
-list across the batch (:func:`det_adjugates`); a matrix meeting a zero
-leading principal minor is handed to the one-matrix build
-(:func:`det_adjugate`).  No floating point anywhere.
+(:func:`upper_pairs`), so it cannot be asymmetric.  Matrices are bordered
+in batches, in index order, each entry held as one list across the batch
+(:func:`det_adjugates`, the one det and adjugate routine); a matrix
+meeting a zero leading principal minor is resolved inside the batch by a
+unimodular congruence.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ def _at(r: int, c: int) -> int:
 class _Bordered(NamedTuple):
     """Positions in the column-by-column triangle of an n x n symmetric
     matrix.  Its first m columns are the triangle of the leading m x m
-    block, so each of these serves every m <= n, cut to length."""
+    block, so lines, rows and cols serve every m <= n, cut to length."""
 
     lines: tuple[tuple[int, ...], ...]  # lines[r][c]: where entry (r, c) is stored
     rows: tuple[int, ...]  # r of each stored entry
     cols: tuple[int, ...]  # c of each stored entry
+    unbordering: tuple[int, ...]  # where each entry, in upper_pairs order, is stored
 
 
 @lru_cache(maxsize=None)
@@ -86,169 +87,122 @@ def _bordered(n: int) -> _Bordered:
         lines=tuple(tuple(_at(r, c) for c in range(n)) for r in range(n)),
         rows=tuple(r for r, _ in stored),
         cols=tuple(c for _, c in stored),
+        unbordering=tuple(_at(i, j) for i, j in upper_pairs(n)),
     )
 
 
-@lru_cache(maxsize=256)
-def _unbordering(order: tuple[int, ...]) -> tuple[int, ...]:
-    """Where each entry of the upper triangle, in the order of
-    :func:`upper_pairs`, is stored in the column-by-column triangle over
-    the indices listed in ``order``."""
-    rank = {k: r for r, k in enumerate(order)}
-    return tuple(_at(rank[i], rank[j]) for i, j in upper_pairs(len(order)))
-
-
-def _add_index(v: list[int], columns, a: int, b: int) -> None:
-    """Add index a into index b of the symmetric matrix stored in ``v`` (an
-    upper triangle with the positions ``columns`` of :func:`_columns`), in
-    place: the congruence E V E^T with E = I + e_b e_a^T, so
-    v_rb += v_ra for r != b and v_bb += 2 v_ab + v_aa."""
+def _add_index(v: list[int], columns, a: int, b: int, c: int) -> None:
+    """Add c times index a into index b of the symmetric matrix stored in
+    ``v`` (an upper triangle with the positions ``columns`` of
+    :func:`_columns`), in place: the congruence E V E^T with
+    E = I + c e_b e_a^T, so v_rb += c v_ra for r != b and
+    v_bb += 2c v_ab + c^2 v_aa."""
     into, added = columns[b], columns[a]
-    v[into[b]] += 2 * v[into[a]] + v[added[a]]
+    v[into[b]] += 2 * c * v[into[a]] + c * c * v[added[a]]
     for r, (t, s) in enumerate(zip(into, added)):
         if r != b:
-            v[t] += v[s]
+            v[t] += c * v[s]
 
 
-def _stall(a, columns, order, rest, adj, lines, det) -> tuple[int, int] | None:
-    """The first unbordered pair (i, j) at which D times the Schur
-    complement of A_SS, a_ij D - b_i.u_j, is nonzero; None when there is
-    none."""
-    terms = {}
-    for k in rest:
-        b = [a[columns[k][i]] for i in order]
-        terms[k] = b, [sum(map(mul, b, map(adj.__getitem__, line))) for line in lines]
-    return next(
-        (
-            (i, j)
-            for i in rest
-            for j in rest
-            if a[columns[i][j]] * det != sum(map(mul, terms[i][0], terms[j][1]))
-        ),
-        None,
-    )
+def _pivots(a, adj, det, col, held):
+    """b = A[S, k], u = adj(A_SS) b and the pivots d = a_kk D - b.u of
+    bordering k = |S| on S = 0..k - 1, each as lists across the batch;
+    ``held`` is the first k lines of :func:`_bordered`."""
+    b = [a[t] for t in col[: len(held)]]
+    u = []
+    for line in held:
+        # each line covers all n indices: the dot product stops at the end of b
+        terms = map(mul, b[0], adj[line[0]])
+        for bc, t in zip(b[1:], line[1:]):
+            terms = map(add, terms, map(mul, bc, adj[t]))
+        u.append(list(terms))
+    d = map(mul, a[col[len(held)]], det)
+    for br, ur in zip(b, u):
+        d = map(sub, d, map(mul, br, ur))
+    return u, list(d)
 
 
-def det_adjugate(n: int, upper) -> tuple[int, list[int] | None]:
-    """det(A) and adj(A) of the symmetric integer n x n matrix A whose upper
-    triangle is ``upper``, in the order of :func:`upper_pairs`, built by
-    bordering (Faddeev and Faddeeva, 1963) made fraction-free as in Bareiss
-    (Math. Comp. 1968).
-
-    The adjugate comes as its upper triangle in the same order; a singular
-    matrix gives ``(0, None)``.  ``upper`` is not changed.
-
-    The indices are bordered on one at a time.  With S the indices bordered
-    so far, D = det(A_SS) (1 for S empty) and the integer adj(A_SS) in
-    hand, bordering k takes b = A[S, k] and u = adj(A_SS) b.  The bordered
-    block has determinant d = a_kk D - b.u, and its adjugate keeps
-    (d x + u_r u_c) / D in place of each entry x = adj(A_SS)_rc, an exact
-    division, gains the column (-u, D) for k, and d becomes the new D.
-    With |S| = m that is m(m + 1)/2 divisions, (n - 1)n(n + 1)/6 in all.
-    The adjugate is held as a triangle column by column in the bordered
-    order, so bordering appends a column; only the result is put back into
-    the order of :func:`upper_pairs`.
-
-    Each step borders the first unbordered index k with d != 0.  d / D is
-    the diagonal entry of the Schur complement of A_SS, so a Schur
-    complement with every entry zero proves A singular.  When every
-    diagonal entry is 0 but some a_ij D - b_i.u_j is not (a stall), index
-    j is added into index i (:func:`_add_index`) on a copy of A.  That is
-    the unimodular congruence E A E^T, E = I + e_i e_j^T, which leaves A_SS
-    and det(A) as they are and makes i the one index with d != 0, twice
-    that entry.  Each stall is followed by a bordering, so there are at
-    most n - 1.  The result is adj(E A E^T), and
-    adj(A) = E^T adj(E A E^T) E: each congruence is undone, last first, by
-    adding index i into index j.
-    """
-    columns = _columns(n)
-    lines, rows, cols = _bordered(n)
-    a = upper
-    if n and a[0]:
-        # a nonzero a_00 is bordered first, and leaves the 1 x 1 adjugate 1
-        det, adj, order, rest = a[0], [1], [0], list(range(1, n))
-    else:
-        det, adj, order, rest = 1, [], [], list(range(n))
-    stalls = []
-    while rest:
-        # lines, rows and cols cover all n indices: each dot product stops at
-        # the end of b (|S| entries), and the update at the end of adj
-        held = lines[: len(order)]
-        for k in rest:
-            col = columns[k]
-            b = [a[col[i]] for i in order]
-            u = [sum(map(mul, b, map(adj.__getitem__, line))) for line in held]
-            d = a[col[k]] * det - sum(map(mul, b, u))
-            if d:
-                break
-        else:
-            stall = _stall(a, columns, order, rest, adj, held, det)
-            if stall is None:
-                return 0, None
-            if not stalls:
-                a = list(a)
-            _add_index(a, columns, stall[1], stall[0])
-            stalls.append(stall)
-            continue
-        adj = [
-            (d * x + p * q) // det
-            for x, p, q in zip(adj, map(u.__getitem__, rows), map(u.__getitem__, cols))
-        ]
-        adj += [-x for x in u]
-        adj.append(det)
-        det = d
-        order.append(k)
-        rest.remove(k)
-    adj = list(map(adj.__getitem__, _unbordering(tuple(order))))
-    for i, j in reversed(stalls):
-        _add_index(adj, columns, i, j)
-    return det, adj
+def _resolve(v: list[int], adj: list[int], det: int, k: int, columns, held):
+    """Resolve the zero leading principal minor on 0..k of the symmetric
+    matrix A stored in ``v`` as :func:`det_adjugates` describes: add c
+    times the first index j > k with (s_kj, s_jj) != (0, 0) into index k,
+    in place, and return (j, c); None when there is no such j, and so A
+    is singular.  ``det`` and ``adj`` are those of the leading block on
+    0..k - 1, ``adj`` held column by column."""
+    b_k = [v[t] for t in columns[k][:k]]
+    for j in range(k + 1, len(columns)):
+        col = columns[j]
+        b_j = [v[t] for t in col[:k]]
+        u_j = [sum(map(mul, b_j, map(adj.__getitem__, line))) for line in held]
+        s_kj = v[col[k]] * det - sum(map(mul, b_k, u_j))
+        s_jj = v[col[j]] * det - sum(map(mul, b_j, u_j))
+        if s_kj or s_jj:
+            c = 1 if 2 * s_kj + s_jj else -1
+            _add_index(v, columns, j, k, c)
+            return j, c
+    return None
 
 
 def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
-    """:func:`det_adjugate` of each symmetric integer n x n matrix whose
-    upper triangle is listed in ``uppers``, in the same order.
+    """det(A) and adj(A) of each symmetric integer n x n matrix A whose
+    upper triangle, in the order of :func:`upper_pairs`, is listed in
+    ``uppers``, in the same order, built by bordering (Faddeev and
+    Faddeeva, 1963) made fraction-free as in Bareiss (Math. Comp. 1968).
 
-    The matrices are bordered together on the indices 0, 1, ..., n - 1 in
-    turn, with each entry held as one list across the matrices, so each
-    step of the bordering is a few ``map`` passes over the batch instead of
-    one Python step per matrix.  A matrix meeting a zero leading principal
-    minor (a singular one, a zero a_00, or one that would stall) leaves the
-    batch at that step and is built alone by :func:`det_adjugate`.  det and
-    adj are invariants of the matrix, so every result equals
-    :func:`det_adjugate`'s.  ``uppers`` is not changed.  Each entry list is
-    as long as the batch, so the caller bounds memory by the batch size.
+    Each adjugate comes as its upper triangle in the same order; a
+    singular matrix gives ``(0, None)``.  ``uppers`` is not changed.  Each
+    entry is held as one list across the batch, so each step of the
+    bordering is a few ``map`` passes over the batch instead of one Python
+    step per matrix, and the caller bounds memory by the batch size.
+
+    The indices 0, 1, ..., n - 1 are bordered on in turn.  With S the
+    indices bordered so far, D = det(A_SS) (1 for S empty) and the integer
+    adj(A_SS) in hand, bordering k takes b = A[S, k] and u = adj(A_SS) b.
+    The bordered block has determinant d = a_kk D - b.u, and its adjugate
+    keeps (d x + u_r u_c) / D in place of each entry x = adj(A_SS)_rc, an
+    exact division, gains the column (-u, D) for k, and d becomes the new
+    D.  With |S| = m that is m(m + 1)/2 divisions, (n - 1)n(n + 1)/6 in
+    all.  The adjugate is held as a triangle column by column, so
+    bordering appends a column; only the result is put back into the
+    order of :func:`upper_pairs`.
+
+    d / D is entry (k, k) of the Schur complement of A_SS.  A matrix with
+    d = 0 is resolved in the batch (:func:`_resolve`): with
+    D s_ij = a_ij D - b_i.u_j, adding c times index j > k into index k,
+    the unimodular congruence E A E^T with E = I + c e_k e_j^T, leaves
+    A_SS and det(A) as they are and makes the pivot
+    D(2c s_kj + c^2 s_jj).  The first j with (s_kj, s_jj) != (0, 0) and
+    one of c = +-1 make it nonzero; when there is no such j, row k of the
+    Schur complement is zero and A is singular.  The result is then
+    adj(E A E^T), and adj(A) = E^T adj(E A E^T) E: each congruence is
+    undone, last first, by adding c times index k into index j.
     """
     if not n or not uppers:
         return [(1, []) for _ in uppers]
     columns = _columns(n)
-    lines, rows, cols = _bordered(n)
-    results: list = [None] * len(uppers)
+    lines, rows, cols, unbordering = _bordered(n)
+    results: list = [(0, None)] * len(uppers)
     alive = list(range(len(uppers)))
-    a = list(zip(*uppers))  # a[t]: entry t of each triangle
+    moves: dict[int, list] = {}  # congruences (j, k, c) of each matrix, in order
+    a = [list(x) for x in zip(*uppers)]  # a[t]: entry t of each triangle
     det, adj = [1] * len(uppers), []
     for k in range(n):
-        col = columns[k]
-        b = [a[col[i]] for i in range(k)]
-        u = []
-        for line in lines[:k]:
-            terms = map(mul, b[0], adj[line[0]])
-            for bc, t in zip(b[1:], line[1:k]):
-                terms = map(add, terms, map(mul, bc, adj[t]))
-            u.append(list(terms))
-        d = map(mul, a[col[k]], det)
-        for br, ur in zip(b, u):
-            d = map(sub, d, map(mul, br, ur))
-        d = list(d)
+        held = lines[:k]
+        u, d = _pivots(a, adj, det, columns[k], held)
         if not all(d):
-            for i, x in zip(alive, d):
-                if not x:
-                    results[i] = det_adjugate(n, uppers[i])
-            # the rest stay: cut every list held across the batch to them
-            keep = [j for j, x in enumerate(d) if x]
+            for m in [m for m, x in enumerate(d) if not x]:
+                v = [x[m] for x in a]
+                move = _resolve(v, [x[m] for x in adj], det[m], k, columns, held)
+                if move:
+                    moves.setdefault(alive[m], []).append((move[0], k, move[1]))
+                    for x, y in zip(a, v):
+                        x[m] = y
+            u, d = _pivots(a, adj, det, columns[k], held)
+            # the singular matrices leave: cut every list held across the batch
+            keep = [m for m, x in enumerate(d) if x]
             (alive, det, d), a, adj, u = (
-                [list(map(row.__getitem__, keep)) for row in held]
-                for held in ([alive, det, d], a, adj, u)
+                [list(map(row.__getitem__, keep)) for row in lists]
+                for lists in ([alive, det, d], a, adj, u)
             )
         adj = [
             list(map(floordiv, map(add, map(mul, d, x), map(mul, u[r], u[c])), det))
@@ -257,7 +211,9 @@ def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
         adj += [list(map(neg, ur)) for ur in u]
         adj.append(det)
         det = d
-    adjugates = zip(*map(adj.__getitem__, _unbordering(tuple(range(n)))))
-    for i, x, y in zip(alive, det, adjugates):
-        results[i] = (x, list(y))
+    for i, x, y in zip(alive, det, zip(*map(adj.__getitem__, unbordering))):
+        y = list(y)
+        for j, k, c in reversed(moves.get(i, ())):
+            _add_index(y, columns, k, j, c)
+        results[i] = (x, y)
     return results

@@ -15,7 +15,8 @@ its determinant and its adjugate, as that triangle, so one fraction-free
 bordered build both certifies it invertible and gives its inverse as
 adj / det.  :func:`sample_projectives` draws one sample per seed, each
 from its own seeded generator, and builds each round of tries as one
-batch (:func:`linalg.det_adjugates`).
+batch (:func:`linalg.det_adjugates`, which resolves a zero leading
+principal minor inside the batch; nothing builds a matrix alone).
 Pattern membership compares, in one list comparison, each structural-zero
 position of a triangle with 0 and each other position of a class with the
 first position of that class; the position pairs are read off the pattern
@@ -28,7 +29,8 @@ the input and output of :func:`invert_exact` and of
 convert to and from the triangle at their boundary; no sampling check
 builds one.  Its constructor checks symmetry by comparing the rows with
 their transpose.  :func:`invert_exact` inverts a rational M on the integer
-matrix sM, with s the lcm of M's denominators: M^{-1} = s adj(sM) / det(sM).
+matrix sM, with s the lcm of M's denominators: M^{-1} = s adj(sM) / det(sM),
+built as a batch of one.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ class ProjectiveSample(NamedTuple):
     pattern, with its determinant and adjugate.
 
     K^{-1} = adjugate / det, with the adjugate held as the integer upper
-    triangle that :func:`linalg.det_adjugate` returns.  Checks run on that
+    triangle that :func:`linalg.det_adjugates` returns.  Checks run on that
     triangle: pattern membership ignores the nonzero scalar det, and a
     monomial of degree d in linear coordinates of K^{-1} is its value on
     the adjugate over det^d.
@@ -237,8 +239,8 @@ def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> list[Project
 
 def invert_exact(m: SymMatrix) -> SymMatrix:
     """Exact inverse s adj(sm) / det(sm), with s the lcm of the denominators
-    of m, from one fraction-free bordered build on the upper triangle of the
-    integer matrix sm (:func:`linalg.det_adjugate`).
+    of m, from the upper triangle of the integer matrix sm built as a batch
+    of one (:func:`linalg.det_adjugates`).  No sampling check calls it.
 
     Raises
     ------
@@ -247,7 +249,8 @@ def invert_exact(m: SymMatrix) -> SymMatrix:
     """
     upper = m.upper()
     s = lcm(*(x.denominator for x in upper))
-    det, adj = linalg.det_adjugate(m.n, [x.numerator * (s // x.denominator) for x in upper])
+    scaled = [x.numerator * (s // x.denominator) for x in upper]
+    det, adj = linalg.det_adjugates(m.n, [scaled])[0]
     if adj is None:
         raise SingularMatrixError("matrix is exactly singular")
     return SymMatrix.from_upper(m.n, [Fraction(s * x, det) for x in adj])

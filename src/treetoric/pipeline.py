@@ -22,9 +22,11 @@ is an identity, not an approximation.  The two sampling checks run on
 integers: both draw integer points (matrix entries and positive path-map
 parameters), and matrices are inverted up to the scalar det as adjugates,
 by fraction-free bordering; pattern membership ignores that scalar.
-Both run their trials in chunks of :data:`TRIAL_CHUNK`: the matrices of
-a chunk are built in one batch (:func:`linalg.det_adjugates`), which
-bounds the memory a run holds, and every other step stays per trial.
+Both run their trials in the fewest chunks of at most :data:`TRIAL_CHUNK`,
+of near-equal size: the matrices of a chunk are built in one batch
+(:func:`linalg.det_adjugates`, which resolves a zero leading principal
+minor inside the batch, so no matrix is built alone), which bounds the
+memory a run holds, and every other step stays per trial.
 Forward vanishing reads every binomial's value at K^{-1} off integer
 products at the adjugate's point: with lead degree d and trail degree e,
 the lower-degree side is scaled by a power of det so both sides share the
@@ -74,8 +76,11 @@ def _trial_seed(seed: int, index: int) -> int:
 
 
 def _chunks(trials: int):
-    """The trial indices 0..trials - 1 as ranges of at most TRIAL_CHUNK."""
-    return (range(s, min(s + TRIAL_CHUNK, trials)) for s in range(0, trials, TRIAL_CHUNK))
+    """The trial indices 0..trials - 1 as the fewest ranges of at most
+    TRIAL_CHUNK, their sizes differing by at most 1 (65 trials as 33 + 32),
+    so no batch is much smaller than the others."""
+    count = -(-trials // TRIAL_CHUNK)
+    return (range(-(-i * trials // count), -(-(i + 1) * trials // count)) for i in range(count))
 
 
 @dataclass

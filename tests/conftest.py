@@ -79,14 +79,16 @@ def leaf_lca_passes(monkeypatch):
 
 @pytest.fixture
 def congruences(monkeypatch):
-    """Index pairs (a, b) passed to ``linalg._add_index``, one per call: a
-    stall adds one pair, and undoing it on a nonsingular matrix one more."""
+    """Triples (a, b, c) passed to ``linalg._add_index``, one per call: c
+    times index a added into index b.  A zero leading principal minor on
+    0..k resolved by adding c times index j > k into index k adds
+    (j, k, c), and undoing it on a nonsingular matrix adds (k, j, c)."""
     calls = []
     original = linalg._add_index
 
-    def counted(v, columns, a, b):
-        calls.append((a, b))
-        return original(v, columns, a, b)
+    def counted(v, columns, a, b, c):
+        calls.append((a, b, c))
+        return original(v, columns, a, b, c)
 
     monkeypatch.setattr(linalg, "_add_index", counted)
     return calls

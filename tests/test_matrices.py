@@ -373,7 +373,7 @@ def _int_rows(entries):
 
 def _pattern_samples() -> list[tuple[MatrixPattern, dict]]:
     """Three seeded draws from each pattern of ``all_small_trees(4)``; the
-    small entries make singular samples and stalls common."""
+    small entries make singular samples and zero leading minors common."""
     rng = random.Random(41)
     samples = []
     for t in all_small_trees(4):
@@ -385,8 +385,8 @@ def _pattern_samples() -> list[tuple[MatrixPattern, dict]]:
 
 def _adjacency(t: ColoredTree) -> tuple[tuple[int, ...], ...]:
     """The 0/1 adjacency matrix of the tree's derived graph.  Its diagonal
-    is zero, so det_adjugate stalls at its first step, and again wherever a
-    Schur complement has one."""
+    is zero, so its build takes a congruence at step 0, and again at each
+    later step whose leading minor is zero."""
     g = derive_graph(t)
     return tuple(
         tuple(int((min(i, j), max(i, j)) in g.edges) for j in g.vertices())
@@ -399,7 +399,7 @@ def _adjacency_matrices(leaves: int) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(set(map(_adjacency, all_small_trees(leaves))))
 
 
-GOLDEN_CONGRUENCES = "f2d1cec92984ffd6b418394a1544818f7c2ecdca10dec23bde00f8be24265e26"
+GOLDEN_CONGRUENCES = "312e292f043c11e830d90466c80e309fb4b95065c9e7df26586338dbfb4fdf96"
 
 
 class TestLinalg:
@@ -455,19 +455,22 @@ class TestLinalg:
 
     @staticmethod
     def _checked(rows, congruences):
-        """det_adjugate on the upper triangle of the symmetric rows, against
-        the cofactor oracle: (det, stalls)."""
+        """det_adjugates on the upper triangle of the symmetric rows as a
+        batch of one, against the cofactor oracle: (det, the congruences
+        (j, k, c) taken, in order)."""
         congruences.clear()
         upper = upper_of(rows)
-        det, adj = linalg.det_adjugate(len(rows), upper)
+        det, adj = linalg.det_adjugates(len(rows), [upper])[0]
         assert upper == upper_of(rows), rows  # the input is left as it was
         assert det == det_cofactor(rows), rows
+        taken = [(a, b, c) for a, b, c in congruences if a > b]
         if det == 0:
-            assert adj is None, rows
-            return det, len(congruences)
+            assert adj is None and congruences == taken, rows
+            return det, taken
         assert adj == upper_of(adjugate(rows)), rows
-        # a nonsingular matrix undoes each stall's congruence once
-        return det, len(congruences) // 2
+        # a nonsingular matrix undoes each congruence once, last first
+        assert congruences == taken + [(b, a, c) for a, b, c in reversed(taken)], rows
+        return det, taken
 
     def test_det_adjugate_matches_cofactor_oracle(self, congruences):
         rng = random.Random(17)
@@ -482,7 +485,8 @@ class TestLinalg:
                 ]
                 raw += [dense, sparse]
             # a zero leading diagonal: a signed permutation with a_00 = 0, and
-            # the same matrix with its rows rotated; symmetrized, they stall
+            # the same matrix with its rows rotated; symmetrized, they take
+            # congruences
             perm = list(range(n))
             rng.shuffle(perm)
             if n > 1 and perm[0] == 0:
@@ -500,12 +504,12 @@ class TestLinalg:
                     + [first + [2 * first[0]]]
                 )
         cases += map(self._symmetric, raw)
-        stalled = singular = 0
+        resolved = singular = 0
         for rows in cases:
-            det, stalls = self._checked(rows, congruences)
+            det, taken = self._checked(rows, congruences)
             singular += det == 0
-            stalled += stalls > 0
-        assert singular >= 13 and stalled >= 8
+            resolved += bool(taken)
+        assert singular >= 13 and resolved >= 8
 
     def test_symmetric_cases_match_cofactor_oracle(self, congruences):
         rng = random.Random(19)
@@ -534,47 +538,46 @@ class TestLinalg:
             rows = self._symmetric(dense)
             rows[-1] = [0] * n
             cases.append([row[:-1] + [0] for row in rows])
-        # stalls: every diagonal that could be bordered on is 0, at the start
-        # or after bordering index 0 (the Schur complement [[0, 1], [1, 0]])
+        # every diagonal that could be bordered on is 0, at the start or
+        # after bordering index 0 (the Schur complement [[0, 1], [1, 0]])
         cases += [
             [[0, 1], [1, 0]],
             [[0, 2, 3], [2, 0, 5], [3, 5, 0]],
             [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
         ]
-        leading_zero = stalled = singular = 0
+        leading_zero = resolved = singular = 0
         for rows in cases:
-            det, stalls = self._checked(rows, congruences)
-            stalled += stalls > 0
-            if det == 0:
-                singular += 1
-                continue
-            leading_zero += rows[0][0] == 0 and not stalls
-        assert stalled >= 3 and leading_zero >= 6 and singular >= 13
+            det, taken = self._checked(rows, congruences)
+            resolved += bool(taken)
+            singular += det == 0
+            # a zero a_00 is resolved at step 0 by adding in a later index
+            leading_zero += rows[0][0] == 0 and bool(taken) and taken[0][1] == 0
+        assert resolved >= 3 and leading_zero >= 6 and singular >= 13
 
     def test_matches_cofactor_oracle_on_pattern_samples(self, congruences):
-        compared = singular = stalled = 0
+        compared = singular = resolved = 0
         for pattern, values in _pattern_samples():
             rows = pattern_rows(pattern, values)
             assert pattern.upper(values) == upper_of(rows)
-            det, stalls = self._checked(rows, congruences)
+            det, taken = self._checked(rows, congruences)
             compared += 1
             singular += det == 0
-            stalled += stalls > 0
-        assert compared >= 500 and singular >= 50 and stalled >= 5
+            resolved += bool(taken)
+        assert compared >= 500 and singular >= 50 and resolved >= 5
 
     def test_undoes_several_congruences(self, congruences):
         matrices = _adjacency_matrices(5)
-        stalled = two = 0
+        resolved = two = 0
         for rows in matrices:
-            det, stalls = self._checked(rows, congruences)
-            stalled += stalls > 0
-            two += det != 0 and stalls == 2
-        assert len(matrices) == 267 and stalled == 267 and two >= 24
+            det, taken = self._checked(rows, congruences)
+            resolved += bool(taken)
+            two += det != 0 and len(taken) == 2
+        assert len(matrices) == 267 and resolved == 267 and two >= 24
 
     def test_matches_fraction_oracle_at_larger_n(self, congruences):
         # the sizes the round trip reaches (entries near 2^60 and 2^200) at
         # n = 8-10, where the cofactor oracle is out of reach; hollow
-        # matrices and n = 8 adjacency matrices stall
+        # matrices and n = 8 adjacency matrices take congruences
         rng = random.Random(43)
         cases = []
         for n in (8, 9, 10):
@@ -589,13 +592,13 @@ class TestLinalg:
             zero_mode = rng.choice(("chain", "random"))
             adjacency.add(_adjacency(random_tree(rng, 8, 8, zero_mode=zero_mode)))
         cases += sorted(adjacency)
-        stalled = singular = 0
+        resolved = singular = 0
         for rows in cases:
             congruences.clear()
             upper = upper_of(rows)
-            det, adj = linalg.det_adjugate(len(rows), upper)
+            det, adj = linalg.det_adjugates(len(rows), [upper])[0]
             assert upper == upper_of(rows)
-            stalled += bool(congruences)
+            resolved += bool(congruences)
             inverse = fraction_inverse(rows)
             if inverse is None:
                 assert (det, adj) == (0, None), rows
@@ -604,28 +607,29 @@ class TestLinalg:
             d = fraction_det(rows)
             assert det == d, rows
             assert adj == upper_of([[d * x for x in row] for row in inverse]), rows
-        # every hollow and adjacency case stalls, and some of the stalled
-        # adjacency matrices are invertible
-        assert len(cases) == 42 and stalled == 30 and 12 <= singular < 24
+        # every hollow and adjacency case takes a congruence, and some of
+        # the adjacency matrices are invertible
+        assert len(cases) == 42 and resolved == 30 and 12 <= singular < 24
 
-    def test_pivot_and_stall_sequence_is_pinned(self, congruences):
+    def test_congruence_sequence_is_pinned(self, congruences):
         # every congruence, in order, over the adjacency matrices and the
-        # pattern samples: a change of pivot or stall rule changes the digest
+        # pattern samples: a change of the rule that picks (j, c) changes
+        # the digest
         cases = _adjacency_matrices(5) + [
             pattern_rows(pattern, values) for pattern, values in _pattern_samples()
         ]
         digest = hashlib.sha256()
         for rows in cases:
             congruences.clear()
-            linalg.det_adjugate(len(rows), upper_of(rows))
+            linalg.det_adjugates(len(rows), [upper_of(rows)])
             digest.update(f"{congruences}\n".encode())
         assert digest.hexdigest() == GOLDEN_CONGRUENCES
 
-    def test_batches_match_single_builds_and_cofactor_oracle(self, monkeypatch):
-        # mixed batches at each n = 0..6: the adjacency matrices (each stalls
-        # at a_00), and generic matrices with singular ones and a zero a_00
-        # among them; the matrices built alone are exactly those with a zero
-        # leading principal minor
+    def test_batches_match_single_builds_and_cofactor_oracle(self, congruences):
+        # mixed batches at each n = 0..6: the adjacency matrices (each takes
+        # a congruence at a_00), and generic matrices with singular ones and
+        # a zero a_00 among them; a congruence is taken exactly where a
+        # leading principal minor is zero, and batches take the same ones
         rng = random.Random(47)
         cases = {n: [] for n in range(7)}
         for rows in _adjacency_matrices(5):
@@ -649,38 +653,111 @@ class TestLinalg:
                     + [first + [2 * first[0]]]
                 )
             rng.shuffle(rows_list)
-        single = []
-        original = linalg.det_adjugate
-
-        def recorded(n, upper):
-            single.append(list(upper))
-            return original(n, upper)
-
-        monkeypatch.setattr(linalg, "det_adjugate", recorded)
-        leading_zero = singular = batched = 0
+        leading_zero = singular = resolved = 0
         for n, rows_list in cases.items():
             uppers = [upper_of(rows) for rows in rows_list]
             expected = []
             for rows in rows_list:
                 det = det_cofactor(rows)
                 expected.append((det, upper_of(adjugate(rows)) if det else None))
-            assert [original(n, upper) for upper in uppers] == expected
-            minors = [
-                [det_cofactor([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
-                for rows in rows_list
-            ]
-            alone = sorted(upper for upper, dets in zip(uppers, minors) if not all(dets))
+            # alone: the first step of each matrix's congruences, against
+            # its first zero leading principal minor (n - 1 has no congruence)
+            taken = []
+            for upper, rows, (det, _) in zip(uppers, rows_list, expected):
+                congruences.clear()
+                assert linalg.det_adjugates(n, [upper])[0][0] == det
+                steps = [k for j, k, _ in congruences if j > k]
+                minors = [det_cofactor([r[: m + 1] for r in rows[: m + 1]]) for m in range(n - 1)]
+                zero = [m for m, minor in enumerate(minors) if not minor]
+                assert steps[:1] == zero[:1] if det else steps[:1] in ([], zero[:1]), rows
+                taken += congruences
             for size in (1, 5, len(uppers)):
-                single.clear()
+                congruences.clear()
                 built = []
                 for start in range(0, len(uppers), size):
                     built += linalg.det_adjugates(n, uppers[start : start + size])
                 assert built == expected, (n, size)
-                assert sorted(single) == alone, (n, size)
+                assert sorted(congruences) == sorted(taken), (n, size)
             assert uppers == [upper_of(rows) for rows in rows_list]  # left as they were
             leading_zero += sum(not rows[0][0] for rows in rows_list if n)
             singular += sum(det == 0 for det, _ in expected)
-            batched += len(uppers) - len(alone)
+            resolved += sum(j > k for j, k, _ in taken)
             assert linalg.det_adjugates(n, []) == []
         assert linalg.det_adjugates(0, [[], []]) == [(1, []), (1, [])]
-        assert leading_zero >= 267 + 6 and singular >= 150 and batched >= 70
+        assert leading_zero >= 267 + 6 and singular >= 150 and resolved >= 267
+
+    def test_planted_zero_minors_resolve_in_the_batch(self, congruences):
+        # for n = 2..7 and each step k < n, matrices whose leading minor on
+        # 0..k is 0 and whose earlier ones are not, among generic ones,
+        # against the cofactor oracle (the Fraction oracles at n = 7): each
+        # takes its first congruence at step k unless it is singular (k =
+        # n - 1, or a last row and column that double the first); two
+        # planted cases need c = -1 and j = k + 2
+        rng = random.Random(53)
+        moves = []
+        planted_singular = resolved_singular = 0
+        for n in range(2, 8):
+            cases, steps = [], []
+            for k in range(n):
+                for double in (False, True)[: 1 + (k < n - 1)]:
+                    minors = [0]
+                    while not all(minors):
+                        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                        rows = self._symmetric(rows)
+                        # the block on 0..k is C diag(d) C^T with C of k columns
+                        c = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k + 1)]
+                        d = [rng.choice((-2, 1, 3)) for _ in range(k)]
+                        for i in range(k + 1):
+                            for j in range(k + 1):
+                                rows[i][j] = sum(c[i][r] * d[r] * c[j][r] for r in range(k))
+                        if double:
+                            for i in range(n):
+                                rows[i][-1] = rows[-1][i] = 2 * rows[i][0]
+                            rows[-1][-1] = 4 * rows[0][0]
+                        minors = [
+                            det_cofactor([r[: m + 1] for r in rows[: m + 1]]) for m in range(k)
+                        ]
+                    cases.append(rows)
+                    steps.append(k)
+            if n == 2:
+                cases.append([[0, 1], [1, -2]])  # 2 s_01 + s_11 = 0: c = -1
+                steps.append(0)
+            if n == 4:
+                # s_01 = s_11 = 0: index 2 is added into index 0
+                cases.append([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+                steps.append(0)
+            for _ in range(6 if n < 7 else 2):
+                generic = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                cases.append(self._symmetric(generic))
+                steps.append(None)
+            order = list(range(len(cases)))
+            rng.shuffle(order)
+            cases, steps = [cases[i] for i in order], [steps[i] for i in order]
+            uppers = [upper_of(rows) for rows in cases]
+            expected = []
+            for rows, k in zip(cases, steps):
+                det = det_cofactor(rows)
+                if not det:
+                    expected.append((0, None))
+                elif n < 7:
+                    expected.append((det, upper_of(adjugate(rows))))
+                else:  # the cofactor adjugate is slow at n = 7
+                    assert fraction_det(rows) == det, rows
+                    inverse = fraction_inverse(rows)
+                    expected.append((det, upper_of([[det * x for x in r] for r in inverse])))
+                congruences.clear()
+                assert linalg.det_adjugates(n, [upper_of(rows)]) == [expected[-1]], rows
+                taken = [(j, s, c) for j, s, c in congruences if j > s]
+                moves += taken
+                if k is None:
+                    continue
+                assert [s for _, s, _ in taken[:1]] in (([k],) if det else ([], [k])), rows
+                planted_singular += det == 0
+                resolved_singular += det == 0 and bool(taken)
+            for size in (1, 5, len(uppers)):
+                built = []
+                for start in range(0, len(uppers), size):
+                    built += linalg.det_adjugates(n, uppers[start : start + size])
+                assert built == expected, (n, size)
+        assert (1, 0, -1) in moves and (2, 0, 1) in moves
+        assert planted_singular >= 20 and resolved_singular >= 5

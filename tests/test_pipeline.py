@@ -290,23 +290,46 @@ class TestTrialChunks:
         # (0, 1) is a structural zero of the wrong pattern alone
         assert roundtrip["failures"] == list(range(1000))
 
-    def test_checks_build_no_matrix_alone_on_the_fixtures(self, monkeypatch):
-        # every matrix of both sampling checks is built in a batch
-        alone = []
-        original = linalg.det_adjugate
+    def test_chunks_are_balanced(self, monkeypatch):
+        # 65 and 129 trials run in chunks of near-equal size, none of size 1,
+        # and the reports equal those of one trial per chunk and of the
+        # Fraction references
+        sizes = []
+        original = linalg.det_adjugates
 
-        def recorded(n, upper):
-            alone.append(upper)
-            return original(n, upper)
+        def recorded(n, uppers):
+            sizes.append(len(uppers))
+            return original(n, uppers)
 
-        monkeypatch.setattr(linalg, "det_adjugate", recorded)
+        monkeypatch.setattr(linalg, "det_adjugates", recorded)
+        ctx = build_context(fixture_tree("colored_star"))
+        reports = {}
+        for trials, chunks in ((65, [33, 32]), (129, [43, 43, 43])):
+            assert [len(chunk) for chunk in pipeline._chunks(trials)] == chunks
+            sizes.clear()
+            roundtrip = roundtrip_parametrization(ctx, trials, seed=2)
+            assert sizes == chunks
+            sizes.clear()
+            forward = forward_vanishing(ctx, trials, seed=2)
+            assert 1 not in sizes and sum(sizes) >= trials
+            assert forward == forward_vanishing_reference(ctx, trials, seed=2)
+            assert roundtrip == roundtrip_reference(ctx, trials, seed=2)
+            reports[trials] = forward, roundtrip
+        monkeypatch.setattr(pipeline, "TRIAL_CHUNK", 1)
+        for trials, (forward, roundtrip) in reports.items():
+            assert forward_vanishing(ctx, trials, seed=2) == forward
+            assert roundtrip_parametrization(ctx, trials, seed=2) == roundtrip
+
+    def test_fixture_trials_take_no_congruence(self, congruences):
+        # no matrix drawn or pulled back on the fixtures has a zero leading
+        # principal minor
         names = [name for name, theorem in EXPECTED_CLASSIFICATION.items() if theorem != NONE]
         assert len(names) == 8
         for name in names:
             ctx = build_context(fixture_tree(name))
             assert forward_vanishing(ctx, trials=25, seed=0)["passed"], name
             assert roundtrip_parametrization(ctx, trials=25, seed=0)["passed"], name
-        assert alone == []
+        assert congruences == []
 
 
 class TestVerifyTree:
