@@ -37,7 +37,7 @@ LinForm = dict[tuple[int, int], int]  # index pair -> coefficient
 
 
 def sigma_index_pairs(n: int) -> list[tuple[int, int]]:
-    """(i,j) with 1 <= i <= j <= n, lexicographic: :func:`linalg.upper_pairs`
+    """(i,j) with 1 <= i <= j <= n, column by column: :func:`linalg.upper_pairs`
     shifted by one, so a list in this order is a matrix's upper triangle."""
     return [(i + 1, j + 1) for i, j in linalg.upper_pairs(n)]
 

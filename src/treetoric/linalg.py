@@ -3,20 +3,21 @@
 Fraction-free kernels (Bareiss, Math. Comp. 1968): forward elimination for
 rank, and det(A) with adj(A) together of a symmetric A (every matrix the
 package inverts is), bordered on one index at a time with
-(n - 1)n(n + 1)/6 exact divisions, 84 at n = 8.  A symmetric
-matrix is given and returned as that triangle alone, listed row by row
-(:func:`upper_pairs`), so it cannot be asymmetric.  Matrices are bordered
-in batches, in index order, each entry held as one list across the batch
-(:func:`det_adjugates`, the one det and adjugate routine); a matrix
-meeting a zero leading principal minor is resolved inside the batch by a
-unimodular congruence.  No floating point anywhere.
+(n - 1)n(n + 1)/6 exact divisions, 84 at n = 8.  A symmetric matrix is
+given and returned as its upper triangle alone, so it cannot be
+asymmetric, listed column by column (:func:`upper_pairs`): the order in
+which bordering reads the matrix and builds the adjugate, so neither is
+reordered.  Matrices are bordered in batches, in index order, each entry
+held as one list across the batch (:func:`det_adjugates`, the one det and
+adjugate routine); a matrix meeting a zero leading principal minor is
+resolved inside the batch by a unimodular congruence.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, floordiv, mul, neg, sub
-from typing import NamedTuple
 
 
 def bareiss_echelon(rows: list[list[int]]) -> list[int]:
@@ -49,55 +50,30 @@ def bareiss_echelon(rows: list[list[int]]) -> list[int]:
 
 
 def upper_pairs(n: int) -> list[tuple[int, int]]:
-    """(i, j) with 0 <= i <= j < n, row by row: the order in which the package
-    lists the upper triangle of a symmetric n x n matrix."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+    """(i, j) with 0 <= i <= j < n, column by column: the order in which the
+    package lists the upper triangle of a symmetric n x n matrix.  Column j
+    holds (0, j) to (j, j), so the triangle of the leading m x m block is
+    the first m(m + 1)/2 pairs, for every m <= n."""
+    return [(i, j) for j in range(n) for i in range(j + 1)]
 
 
 @lru_cache(maxsize=None)
-def _columns(n: int) -> tuple[tuple[int, ...], ...]:
-    """columns[k][i]: where entry (i, k) is stored in an upper triangle
-    listed in the order of :func:`upper_pairs`."""
+def _lines(n: int) -> tuple[tuple[int, ...], ...]:
+    """lines[r][c]: where entry (r, c) of a symmetric n x n matrix is stored
+    in its triangle (order :func:`upper_pairs`).  Line k is row and column
+    k, its first k positions column k above the diagonal; cut to length,
+    the first m lines serve the leading m x m block."""
     at = {pair: t for t, pair in enumerate(upper_pairs(n))}
-    return tuple(tuple(at[min(i, k), max(i, k)] for i in range(n)) for k in range(n))
+    return tuple(tuple(at[min(r, c), max(r, c)] for c in range(n)) for r in range(n))
 
 
-def _at(r: int, c: int) -> int:
-    """Where entry (r, c) of a symmetric matrix is stored when its triangle
-    is held column by column: column c holds entries (0, c) to (c, c)."""
-    r, c = min(r, c), max(r, c)
-    return c * (c + 1) // 2 + r
-
-
-class _Bordered(NamedTuple):
-    """Positions in the column-by-column triangle of an n x n symmetric
-    matrix.  Its first m columns are the triangle of the leading m x m
-    block, so lines, rows and cols serve every m <= n, cut to length."""
-
-    lines: tuple[tuple[int, ...], ...]  # lines[r][c]: where entry (r, c) is stored
-    rows: tuple[int, ...]  # r of each stored entry
-    cols: tuple[int, ...]  # c of each stored entry
-    unbordering: tuple[int, ...]  # where each entry, in upper_pairs order, is stored
-
-
-@lru_cache(maxsize=None)
-def _bordered(n: int) -> _Bordered:
-    stored = [(r, c) for c in range(n) for r in range(c + 1)]
-    return _Bordered(
-        lines=tuple(tuple(_at(r, c) for c in range(n)) for r in range(n)),
-        rows=tuple(r for r, _ in stored),
-        cols=tuple(c for _, c in stored),
-        unbordering=tuple(_at(i, j) for i, j in upper_pairs(n)),
-    )
-
-
-def _add_index(v: list[int], columns, a: int, b: int, c: int) -> None:
+def _add_index(v: list[int], lines, a: int, b: int, c: int) -> None:
     """Add c times index a into index b of the symmetric matrix stored in
-    ``v`` (an upper triangle with the positions ``columns`` of
-    :func:`_columns`), in place: the congruence E V E^T with
+    ``v`` (an upper triangle with the positions ``lines`` of
+    :func:`_lines`), in place: the congruence E V E^T with
     E = I + c e_b e_a^T, so v_rb += c v_ra for r != b and
     v_bb += 2c v_ab + c^2 v_aa."""
-    into, added = columns[b], columns[a]
+    into, added = lines[b], lines[a]
     v[into[b]] += 2 * c * v[into[a]] + c * c * v[added[a]]
     for r, (t, s) in enumerate(zip(into, added)):
         if r != b:
@@ -107,7 +83,7 @@ def _add_index(v: list[int], columns, a: int, b: int, c: int) -> None:
 def _pivots(a, adj, det, col, held):
     """b = A[S, k], u = adj(A_SS) b and the pivots d = a_kk D - b.u of
     bordering k = |S| on S = 0..k - 1, each as lists across the batch;
-    ``held`` is the first k lines of :func:`_bordered`."""
+    ``col`` is line k and ``held`` the first k lines of :func:`_lines`."""
     b = [a[t] for t in col[: len(held)]]
     u = []
     for line in held:
@@ -122,23 +98,22 @@ def _pivots(a, adj, det, col, held):
     return u, list(d)
 
 
-def _resolve(v: list[int], adj: list[int], det: int, k: int, columns, held):
+def _resolve(v: list[int], adj: list[int], det: int, k: int, lines, held):
     """Resolve the zero leading principal minor on 0..k of the symmetric
     matrix A stored in ``v`` as :func:`det_adjugates` describes: add c
-    times the first index j > k with (s_kj, s_jj) != (0, 0) into index k,
-    in place, and return (j, c); None when there is no such j, and so A
-    is singular.  ``det`` and ``adj`` are those of the leading block on
-    0..k - 1, ``adj`` held column by column."""
-    b_k = [v[t] for t in columns[k][:k]]
-    for j in range(k + 1, len(columns)):
-        col = columns[j]
-        b_j = [v[t] for t in col[:k]]
-        u_j = [sum(map(mul, b_j, map(adj.__getitem__, line))) for line in held]
-        s_kj = v[col[k]] * det - sum(map(mul, b_k, u_j))
-        s_jj = v[col[j]] * det - sum(map(mul, b_j, u_j))
-        if s_kj or s_jj:
+    times the first index j > k with s_kj != 0 into index k, in place, and
+    return (j, c); None when there is no such j, and so A is singular.
+    ``det`` and ``adj`` are those of the leading block on 0..k - 1."""
+    b_k = [v[t] for t in lines[k][:k]]
+    u_k = [sum(map(mul, b_k, map(adj.__getitem__, line))) for line in held]
+    for j in range(k + 1, len(lines)):
+        b_j = [v[t] for t in lines[j][:k]]
+        s_kj = v[lines[j][k]] * det - sum(map(mul, b_j, u_k))
+        if s_kj:
+            u_j = [sum(map(mul, b_j, map(adj.__getitem__, line))) for line in held]
+            s_jj = v[lines[j][j]] * det - sum(map(mul, b_j, u_j))
             c = 1 if 2 * s_kj + s_jj else -1
-            _add_index(v, columns, j, k, c)
+            _add_index(v, lines, j, k, c)
             return j, c
     return None
 
@@ -162,25 +137,26 @@ def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
     keeps (d x + u_r u_c) / D in place of each entry x = adj(A_SS)_rc, an
     exact division, gains the column (-u, D) for k, and d becomes the new
     D.  With |S| = m that is m(m + 1)/2 divisions, (n - 1)n(n + 1)/6 in
-    all.  The adjugate is held as a triangle column by column, so
-    bordering appends a column; only the result is put back into the
-    order of :func:`upper_pairs`.
+    all.  In the order of :func:`upper_pairs` the triangle of A_SS is a
+    prefix of that of A, so bordering appends column k to the adjugate
+    and the input is read and the result returned as they are listed.
 
     d / D is entry (k, k) of the Schur complement of A_SS.  A matrix with
     d = 0 is resolved in the batch (:func:`_resolve`): with
     D s_ij = a_ij D - b_i.u_j, adding c times index j > k into index k,
     the unimodular congruence E A E^T with E = I + c e_k e_j^T, leaves
     A_SS and det(A) as they are and makes the pivot
-    D(2c s_kj + c^2 s_jj).  The first j with (s_kj, s_jj) != (0, 0) and
-    one of c = +-1 make it nonzero; when there is no such j, row k of the
-    Schur complement is zero and A is singular.  The result is then
-    adj(E A E^T), and adj(A) = E^T adj(E A E^T) E: each congruence is
-    undone, last first, by adding c times index k into index j.
+    D(2c s_kj + c^2 s_jj).  The first j with s_kj != 0 and c = 1, or
+    c = -1 when 2 s_kj + s_jj = 0, make it nonzero; when there is no such
+    j, row k of the Schur complement is zero, A is singular and it leaves
+    the batch at step k.  The result is then adj(E A E^T), and
+    adj(A) = E^T adj(E A E^T) E: each congruence is undone, last first, by
+    adding c times index k into index j.
     """
     if not n or not uppers:
         return [(1, []) for _ in uppers]
-    columns = _columns(n)
-    lines, rows, cols, unbordering = _bordered(n)
+    lines = _lines(n)
+    rows, cols = zip(*upper_pairs(n))  # r and c of each stored entry
     results: list = [(0, None)] * len(uppers)
     alive = list(range(len(uppers)))
     moves: dict[int, list] = {}  # congruences (j, k, c) of each matrix, in order
@@ -188,16 +164,16 @@ def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
     det, adj = [1] * len(uppers), []
     for k in range(n):
         held = lines[:k]
-        u, d = _pivots(a, adj, det, columns[k], held)
+        u, d = _pivots(a, adj, det, lines[k], held)
         if not all(d):
             for m in [m for m, x in enumerate(d) if not x]:
                 v = [x[m] for x in a]
-                move = _resolve(v, [x[m] for x in adj], det[m], k, columns, held)
+                move = _resolve(v, [x[m] for x in adj], det[m], k, lines, held)
                 if move:
                     moves.setdefault(alive[m], []).append((move[0], k, move[1]))
                     for x, y in zip(a, v):
                         x[m] = y
-            u, d = _pivots(a, adj, det, columns[k], held)
+            u, d = _pivots(a, adj, det, lines[k], held)
             # the singular matrices leave: cut every list held across the batch
             keep = [m for m, x in enumerate(d) if x]
             (alive, det, d), a, adj, u = (
@@ -211,9 +187,9 @@ def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
         adj += [list(map(neg, ur)) for ur in u]
         adj.append(det)
         det = d
-    for i, x, y in zip(alive, det, zip(*map(adj.__getitem__, unbordering))):
+    for i, x, y in zip(alive, det, zip(*adj)):
         y = list(y)
         for j, k, c in reversed(moves.get(i, ())):
-            _add_index(y, columns, k, j, c)
+            _add_index(y, lines, k, j, c)
         results[i] = (x, y)
     return results

@@ -1,22 +1,24 @@
 """Symbolic symmetric-matrix patterns and exact symmetric matrices.
 
-A :class:`MatrixPattern` records, for each entry of a symmetric n x n
-matrix, either a color token (entries sharing a token must be equal) or
-``None`` for a structural zero.  There is one construction: a pattern reads
-the vertex and edge classes of a colored graph.  The pattern of a tree is
-that of its derived graph, which keys entry (i,j) by the color of lca(i,j)
-from the tree's leaf-pair table and gives zeroed lcas structural zeros.
+A :class:`MatrixPattern` records, for each entry of the upper triangle of
+a symmetric n x n matrix, either a color token (entries sharing a token
+must be equal) or ``None`` for a structural zero.  There is one
+construction: a pattern reads the vertex and edge classes of a colored
+graph.  The pattern of a tree is that of its derived graph, which keys
+entry (i,j) by the color of lca(i,j) from the tree's leaf-pair table and
+gives zeroed lcas structural zeros.
 
 Sampling and inversion are exact; there is no floating point and hence no
-tolerance anywhere.  On the sampling path a symmetric matrix is its upper
-triangle alone, a plain list in the order of :func:`linalg.upper_pairs`,
-so it cannot be asymmetric.  A sample has integer entries and comes with
-its determinant and its adjugate, as that triangle, so one fraction-free
-bordered build both certifies it invertible and gives its inverse as
-adj / det.  :func:`sample_projectives` draws one sample per seed, each
-from its own seeded generator, and builds each round of tries as one
-batch (:func:`linalg.det_adjugates`, which resolves a zero leading
-principal minor inside the batch; nothing builds a matrix alone).
+tolerance anywhere.  A pattern and, on the sampling path, a symmetric
+matrix are their upper triangle alone, listed column by column (the one
+order, :func:`linalg.upper_pairs`), so neither can be asymmetric.  A
+sample has integer entries and comes with its determinant and its
+adjugate, as that triangle, so one fraction-free bordered build both
+certifies it invertible and gives its inverse as adj / det.
+:func:`sample_projectives` draws one sample per seed, each from its own
+seeded generator, and builds each round of tries as one batch
+(:func:`linalg.det_adjugates`, which resolves a zero leading principal
+minor inside the batch; nothing builds a matrix alone).
 Pattern membership compares, in one list comparison, each structural-zero
 position of a triangle with 0 and each other position of a class with the
 first position of that class; the position pairs are read off the pattern
@@ -44,7 +46,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import SamplingError, SingularMatrixError
-from .graphs import ColoredGraph, edge
+from .graphs import ColoredGraph
 
 SAMPLE_BOUND = 10**6
 SAMPLE_RETRIES = 64
@@ -54,21 +56,21 @@ SAMPLE_RETRIES = 64
 class MatrixPattern:
     """Entry classes of a linear space of symmetric matrices.
 
-    ``classes[i][j]`` is a color token or ``None`` for a structural zero;
-    the grid is symmetric and the diagonal is never ``None``.
+    ``classes`` lists the upper triangle in the order of
+    :func:`linalg.upper_pairs`, each entry a color token or ``None`` for a
+    structural zero; no diagonal entry is ``None``.
     """
 
     size: int
-    classes: tuple[tuple[str | None, ...], ...]
+    classes: tuple[str | None, ...]
 
     def __post_init__(self):
         n = self.size
-        if len(self.classes) != n or any(len(r) != n for r in self.classes):
-            raise ValueError("pattern grid must be n x n")
-        if any(self.classes[i][i] is None for i in range(n)):
+        if len(self.classes) != n * (n + 1) // 2:
+            raise ValueError("pattern must list the n(n + 1)/2 entries of a triangle")
+        # entry (j, j) closes column j, at position j(j + 1)/2 + j
+        if any(self.classes[j * (j + 3) // 2] is None for j in range(n)):
             raise ValueError("diagonal entries cannot be zeroed")
-        if tuple(zip(*self.classes)) != tuple(map(tuple, self.classes)):
-            raise ValueError("pattern must be symmetric")
 
     def tokens(self) -> list[str]:
         """Sorted color tokens occurring in the pattern."""
@@ -76,26 +78,22 @@ class MatrixPattern:
 
     @cached_property
     def _tokens(self) -> tuple[str, ...]:
-        return tuple(sorted({c for row in self.classes for c in row if c is not None}))
-
-    @cached_property
-    def _upper_classes(self) -> tuple[str | None, ...]:
-        return tuple(self.classes[i][j] for i, j in linalg.upper_pairs(self.size))
+        return tuple(sorted({c for c in self.classes if c is not None}))
 
     def upper(self, values: dict) -> list:
         """Upper triangle (order :func:`linalg.upper_pairs`) with each token
         replaced by its value and zeros kept."""
-        return [0 if tok is None else values[tok] for tok in self._upper_classes]
+        return [0 if tok is None else values[tok] for tok in self.classes]
 
     @cached_property
     def _membership_cells(self) -> tuple[list[int], list[int]]:
         # Positions in the upper triangle, each paired with the position it
         # must equal: a structural zero with the position just past the
         # end, which reads 0, and any other with the first of its class.
-        end = len(self._upper_classes)
+        end = len(self.classes)
         first: dict[str, int] = {}
         cells, partners = [], []
-        for t, tok in enumerate(self._upper_classes):
+        for t, tok in enumerate(self.classes):
             partner = end if tok is None else first.setdefault(tok, t)
             if partner != t:
                 cells.append(t)
@@ -171,10 +169,9 @@ def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
     Diagonal entries carry vertex classes, off-diagonal entries edge classes,
     and non-edges are structural zeros.
     """
-    vs = g.vertices()
     classes = tuple(
-        tuple(g.vertex_color[i] if i == j else g.edge_color.get(edge(i, j)) for j in vs)
-        for i in vs
+        g.vertex_color[j + 1] if i == j else g.edge_color.get((i + 1, j + 1))
+        for i, j in linalg.upper_pairs(g.n)
     )
     return MatrixPattern(size=g.n, classes=classes)
 
@@ -184,10 +181,10 @@ class ProjectiveSample(NamedTuple):
     pattern, with its determinant and adjugate.
 
     K^{-1} = adjugate / det, with the adjugate held as the integer upper
-    triangle that :func:`linalg.det_adjugates` returns.  Checks run on that
-    triangle: pattern membership ignores the nonzero scalar det, and a
-    monomial of degree d in linear coordinates of K^{-1} is its value on
-    the adjugate over det^d.
+    triangle, column by column, that :func:`linalg.det_adjugates`
+    returns.  Checks run on that triangle: pattern membership ignores the
+    nonzero scalar det, and a monomial of degree d in linear coordinates
+    of K^{-1} is its value on the adjugate over det^d.
     """
 
     values: dict[str, int]  # token -> sampled entry of K

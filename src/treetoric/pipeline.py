@@ -33,8 +33,9 @@ the lower-degree side is scaled by a power of det so both sides share the
 denominator det^max(d, e), and a failing value is the difference of the
 two scaled products over it.
 Points and parameters stay plain lists in the trials, and a matrix is
-the list of its upper triangle (:func:`linalg.upper_pairs`) from draw to
-membership test: no trial builds n x n rows.  Forward vanishing compares
+the list of its upper triangle, column by column (:func:`linalg.upper_pairs`,
+the order in which it is bordered), from draw to membership test: no trial
+builds n x n rows and none reorders a triangle.  Forward vanishing compares
 all generators of one shape (d, e) at once, as columns of products.  Each
 trial is a Schwartz-Zippel identity test, as sound with integer draws as
 with rational ones.  Trials derive per-trial seeds from the master seed

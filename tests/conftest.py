@@ -81,14 +81,15 @@ def leaf_lca_passes(monkeypatch):
 def congruences(monkeypatch):
     """Triples (a, b, c) passed to ``linalg._add_index``, one per call: c
     times index a added into index b.  A zero leading principal minor on
-    0..k resolved by adding c times index j > k into index k adds
-    (j, k, c), and undoing it on a nonsingular matrix adds (k, j, c)."""
+    0..k resolved by adding c times the first index j > k with s_kj != 0
+    into index k adds (j, k, c), and undoing it on a nonsingular matrix
+    adds (k, j, c)."""
     calls = []
     original = linalg._add_index
 
-    def counted(v, columns, a, b, c):
+    def counted(v, lines, a, b, c):
         calls.append((a, b, c))
-        return original(v, columns, a, b, c)
+        return original(v, lines, a, b, c)
 
     monkeypatch.setattr(linalg, "_add_index", counted)
     return calls

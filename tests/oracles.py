@@ -30,26 +30,35 @@ from treetoric.trees import ColoredTree
 
 
 def upper_of(rows) -> list:
-    """The upper triangle of a square matrix's rows, row by row: the format
-    in which the package's sampling checks hold a symmetric matrix."""
+    """The upper triangle of a square matrix's rows, column by column
+    (column j from row 0 down to the diagonal): the format in which the
+    package's sampling checks hold a symmetric matrix."""
     n = len(rows)
-    return [rows[i][j] for i in range(n) for j in range(i, n)]
+    return [rows[i][j] for j in range(n) for i in range(j + 1)]
 
 
 def rows_of(n: int, upper) -> list[list]:
     """The rows of the symmetric n x n matrix with this upper triangle."""
     entries = iter(upper)
     rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
+    for j in range(n):
+        for i in range(j + 1):
             rows[i][j] = rows[j][i] = next(entries)
     return rows
+
+
+def pattern_of(grid) -> MatrixPattern:
+    """The pattern whose symmetric n x n grid of classes is ``grid``."""
+    classes = upper_of(grid)
+    assert rows_of(len(grid), classes) == [list(row) for row in grid], grid
+    return MatrixPattern(size=len(grid), classes=tuple(classes))
 
 
 def pattern_rows(pattern: MatrixPattern, values: dict) -> list[list]:
     """The pattern's grid with each token replaced by its value and zeros kept."""
     return [
-        [0 if tok is None else values[tok] for tok in row] for row in pattern.classes
+        [0 if tok is None else values[tok] for tok in row]
+        for row in rows_of(pattern.size, pattern.classes)
     ]
 
 
@@ -373,7 +382,7 @@ def pattern_from_lca(t: ColoredTree) -> MatrixPattern:
             token = None if anc in t.zeroed else t.color[anc]
             grid[i - 1][j - 1] = token
             grid[j - 1][i - 1] = token
-    return MatrixPattern(size=n, classes=tuple(tuple(r) for r in grid))
+    return pattern_of(grid)
 
 
 def jordan_closed(pattern: MatrixPattern) -> bool:
@@ -385,7 +394,7 @@ def jordan_closed(pattern: MatrixPattern) -> bool:
     cancellation; X^2 lies in the space iff that multiset is empty at every
     structural zero and the same on all entries of one class.
     """
-    classes = pattern.classes
+    classes = rows_of(pattern.size, pattern.classes)
     support = [[k for k, tok in enumerate(row) if tok is not None] for row in classes]
     square_of: dict[str, Counter] = {}
     for i, row in enumerate(classes):
@@ -415,7 +424,7 @@ def jordan_closed_by_basis(pattern: MatrixPattern) -> bool:
     tokens = pattern.tokens()
     # positions[c][i]: the columns k with class c in row i
     positions = {c: [[] for _ in range(n)] for c in tokens}
-    for i, row in enumerate(pattern.classes):
+    for i, row in enumerate(rows_of(n, pattern.classes)):
         for k, c in enumerate(row):
             if c is not None:
                 positions[c][i].append(k)

@@ -37,6 +37,7 @@ from oracles import (
     jordan_closed_by_basis,
     pattern_from_lca,
     pattern_from_tree,
+    pattern_of,
     pattern_rows,
     rows_of,
     sample_point_reference,
@@ -70,12 +71,15 @@ class TestPatterns:
     def test_colored_star_pattern(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
         c, r, y, b, g = "cyan", "red", "yellow", "blue", "green"
-        assert p.classes == (
-            (c, r, None, b),
-            (r, c, None, b),
-            (None, None, y, b),
-            (b, b, b, g),
+        assert p == pattern_of(
+            (
+                (c, r, None, b),
+                (r, c, None, b),
+                (None, None, y, b),
+                (b, b, b, g),
+            )
         )
+        assert p.classes == (c, r, c, None, None, y, b, b, b, g)  # column by column
         tokens = p.tokens()
         assert tokens == [b, c, g, r, y]
         tokens.append("extra")
@@ -83,16 +87,18 @@ class TestPatterns:
 
     def test_uncolored_pattern(self):
         p = pattern_from_tree(fixture_tree("uncolored_binary"))
-        assert p.classes == (
-            ("1", "5", "7", "7"),
-            ("5", "2", "7", "7"),
-            ("7", "7", "3", "6"),
-            ("7", "7", "6", "4"),
+        assert p == pattern_of(
+            (
+                ("1", "5", "7", "7"),
+                ("5", "2", "7", "7"),
+                ("7", "7", "3", "6"),
+                ("7", "7", "6", "4"),
+            )
         )
 
     def test_single_leaf(self):
         p = pattern_from_tree(ColoredTree(1, {1: 0}, {1: "a"}))
-        assert p.classes == (("a",),)
+        assert p.classes == ("a",)
 
     def test_tree_and_graph_constructions_agree(self):
         # the pattern built from the (contracted) derived graph is L_T read
@@ -111,13 +117,23 @@ class TestPatterns:
                 assert pattern_from_tree(t) == expected, t.to_dict()
             assert contracted > 0, zero_mode
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            MatrixPattern(2, (("a", "b"), ("c", "a")))
+    def test_wrong_length_rejected(self):
+        # a triangle of classes cannot be asymmetric, only of the wrong length
+        for classes in ((), ("a", "b"), ("a", "b", "a", "c")):
+            with pytest.raises(ValueError, match="triangle"):
+                MatrixPattern(2, classes)
 
     def test_zero_diagonal_rejected(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            MatrixPattern(2, ((None, "b"), ("b", "a")))
+        # the diagonal of a 3 x 3 triangle sits at positions 0, 2 and 5
+        for n, classes in (
+            (2, (None, "b", "a")),
+            (2, ("a", "b", None)),
+            (3, ("a", "b", None, "c", "d", "e")),
+            (3, ("a", "b", "a", "c", "d", None)),
+        ):
+            with pytest.raises(ValueError, match="diagonal"):
+                MatrixPattern(n, classes)
+        assert MatrixPattern(3, ("a", None, "b", None, None, "c")).tokens() == ["a", "b", "c"]
 
 
 class TestSymMatrix:
@@ -240,7 +256,7 @@ class TestSampling:
                 retried += sample.values != {tok: first.randint(-1, 1) for tok in p.tokens()}
         assert retried >= 100
         # a pattern that forces singularity fails after 64 rounds of tries
-        allsame = MatrixPattern(2, (("a", "a"), ("a", "a")))
+        allsame = pattern_of((("a", "a"), ("a", "a")))
         rounds.clear()
         with pytest.raises(SamplingError, match="after 64 tries"):
             sample_projectives(allsame, [0, 1, 2])
@@ -248,7 +264,7 @@ class TestSampling:
 
     def test_forced_singular_pattern(self):
         # every entry in one shared class: rank-1 matrices only
-        allsame = MatrixPattern(2, (("a", "a"), ("a", "a")))
+        allsame = pattern_of((("a", "a"), ("a", "a")))
         with pytest.raises(SamplingError):
             sample_projectives(allsame, [0])
 
@@ -325,7 +341,7 @@ class TestJordan:
     def test_structural_zero_square_not_closed(self):
         # X^2 puts x*x at the structural zero (0,1), though each class of X^2
         # is consistent
-        p = MatrixPattern(3, (("a", None, "x"), (None, "a", "x"), ("x", "x", "b")))
+        p = pattern_of((("a", None, "x"), (None, "a", "x"), ("x", "x", "b")))
         assert not jordan_closed(p)
         assert not jordan_closed_by_basis(p)
 
@@ -399,10 +415,24 @@ def _adjacency_matrices(leaves: int) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(set(map(_adjacency, all_small_trees(leaves))))
 
 
-GOLDEN_CONGRUENCES = "312e292f043c11e830d90466c80e309fb4b95065c9e7df26586338dbfb4fdf96"
+GOLDEN_CONGRUENCES = "9d3cfe4e5cfc3ecce8cd17333061410cc2d663211c198555a4e90124b775291e"
 
 
 class TestLinalg:
+    def test_triangle_order_is_the_bordering_order(self):
+        # the triangle of each leading m x m block is a prefix of the n x n
+        # one, and the position table finds entry (r, c) of the triangle
+        for n in range(10):
+            pairs = linalg.upper_pairs(n)
+            assert pairs == upper_of([[(min(r, c), max(r, c)) for c in range(n)] for r in range(n)])
+            for m in range(n + 1):
+                assert pairs[: m * (m + 1) // 2] == linalg.upper_pairs(m), (m, n)
+            lines = linalg._lines(n)
+            assert len(lines) == n and all(len(line) == n for line in lines)
+            for r, line in enumerate(lines):
+                for c, t in enumerate(line):
+                    assert t == pairs.index((min(r, c), max(r, c))), (r, c, n)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.one_of(

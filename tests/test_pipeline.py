@@ -22,7 +22,7 @@ from treetoric.errors import NotApplicableError, TreeError
 from treetoric.graphs import derive_graph
 from treetoric.ideals import cherry_binomials
 from treetoric.laplacians import CoordinateMap
-from treetoric.matrices import MatrixPattern, SymMatrix, sample_projectives
+from treetoric.matrices import SymMatrix, sample_projectives
 from treetoric.pipeline import (
     _SEED_STRIDE,
     TRIAL_CHUNK,
@@ -38,7 +38,13 @@ from treetoric.pipeline import (
 from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
-from oracles import forward_vanishing_reference, pattern_from_tree, roundtrip_reference
+from oracles import (
+    forward_vanishing_reference,
+    pattern_from_tree,
+    pattern_of,
+    roundtrip_reference,
+    rows_of,
+)
 from random_trees import all_small_trees
 
 
@@ -269,9 +275,9 @@ class TestTrialChunks:
         gens = [ctx.generators[0]] + [
             parse_binomial(text) for text in ("p01 - p12", "p01*p02 - p12*p13", "p01*p02 - p12")
         ]
-        classes = [list(row) for row in ctx.pattern.classes]
+        classes = rows_of(ctx.pattern.size, ctx.pattern.classes)
         classes[0][1] = classes[1][0] = None
-        wrong = replace(ctx, pattern=MatrixPattern(ctx.pattern.size, tuple(map(tuple, classes))))
+        wrong = replace(ctx, pattern=pattern_of(classes))
         reports = {}
         for chunk in (TRIAL_CHUNK, 7, 1):
             monkeypatch.setattr(pipeline, "TRIAL_CHUNK", chunk)
