@@ -11,8 +11,9 @@ kernel      check a generator file for kernel membership under the tree's map
 Exit codes: 0 pass, 1 check failure (including a check that could not be
 certified: no invertible sample in the pattern, or an exactly singular
 matrix), 2 tree outside the toric regimes, 3 input error (including a
-generator variable outside the tree's coordinates).  Identical
-configurations produce byte-identical artifacts.
+generator variable outside the tree's coordinates), 4 out of resources (a
+``MemoryError`` or ``RecursionError``, reported in one line on stderr).
+Identical configurations produce byte-identical artifacts.
 
 Every JSON artifact has the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True)`` plus a newline.  The generators document is rendered by
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_OUT_OF_RESOURCES = 4
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -109,13 +111,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_generators(args: argparse.Namespace) -> int:
     tree = load_tree(args.tree)
-    gens, kind = combined_from_classification(classify(tree))
-    if args.fmt == "text":
-        _emit(generators_text(gens), args.out)
-    elif args.fmt == "json":
-        _emit(generators_json(gens, kind), args.out)
-    else:
-        _emit(generators_m2(gens, kind, tree.n_leaves), args.out)
+    keys, kind = combined_from_classification(classify(tree))
+    render = {"text": generators_text, "json": generators_json, "m2-script": generators_m2}
+    _emit(render[args.fmt](keys, kind, tree.n_leaves), args.out)
     return EXIT_OK
 
 
@@ -191,6 +189,9 @@ def run(args: argparse.Namespace) -> int:
     except (TreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: out of resources ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_OUT_OF_RESOURCES
 
 
 def _parser() -> argparse.ArgumentParser:

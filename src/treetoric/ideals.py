@@ -20,19 +20,27 @@ sigma-variable is ever constructed.  Signs that the honest Laplacian image
 would carry are dropped: the canonical +1 form generates the same ideal.
 The diagonal completion relation lands directly on its reduced form
 x_0i - x_0j under this rule.  Each family function returns its
-generators in construction order.  :func:`combined_from_classification`
-runs all three into one builder, keyed by each generator's position in
-the sorted output, so a generator two families share is built once and
-the union is ordered by sorting integers.  The export functions render
-the sorted generators as text, as the JSON document of the
-``generators`` command, and as a Macaulay2 script.
+generators in construction order.
+
+A generator is held as one integer key, which spells both of its
+monomials as base-M digits and orders as the sorted output does
+(:class:`_Builder`).  :func:`combined_from_classification` runs all three
+families into one builder, so a generator two families share is keyed
+once and the union is ordered by sorting integers.  The sorted keys are
+the one generator format from the builder to the output: the export
+functions render them, from their digits, as text, as the JSON document
+of the ``generators`` command and as a Macaulay2 script, through name and
+fragment tables built per document.  :func:`binomials` is the one
+decoder, for the callers that need a :class:`Binomial` (the verification
+checks, and the family functions called on their own).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from .binomials import Binomial, Var, coord_var, var_name
 from .classify import ClassificationReport, coordinate_kind
@@ -50,43 +58,40 @@ def _var(kind: str, i: int, j: int) -> Var:
 
 
 @lru_cache(maxsize=32)
-def _tables(kind: str, n: int) -> tuple[tuple[int, ...], tuple[tuple[Var, int], ...]]:
+def _ranks(n: int) -> tuple[int, ...]:
     """For each index pair (i, j) over 0..n, at position i (n + 1) + j: the
     rank a (n + 1) + b of its coordinate x_ab = :func:`_var` (kind, i, j),
-    and one shared term (x_ab, 1).  Ranks order as the variables do."""
-    ranks: list[int] = []
-    terms: list[tuple[Var, int]] = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            v = _var(kind, i, j)
-            ranks.append(v[1] * (n + 1) + v[2])
-            terms.append((v, 1))
-    return tuple(ranks), tuple(terms)
+    the same for either kind.  Ranks order as the variables do."""
+    n1 = n + 1
+    return tuple(
+        v[1] * n1 + v[2] for v in (_var("", i, j) for i in range(n1) for j in range(n1))
+    )
 
 
 class _Builder:
-    """One tree's generators, each built once and keyed by its output position.
+    """One tree's generators, each held as the integer key of its output position.
 
-    ``gens`` maps an integer key to its binomial, and the keys order as the
-    binomials do, so ``sorted(gens)`` is the output order.  A monomial
-    v1^e1 v2^e2 (exponents 1 or 2, v1 < v2) has the key
+    The keys order as the binomials do, so ``sorted(keys)`` is the output
+    order.  A monomial v1^e1 v2^e2 (exponents 1 or 2, v1 < v2) has the key
     (3 r1 + e1) M + 3 (r2 + 1) + e2, where r is a variable's rank from
-    :func:`_tables` and M = 3 ((n + 1)^2 + 1); an absent second factor adds
+    :func:`_ranks` and M = 3 ((n + 1)^2 + 1); an absent second factor adds
     0.  Each part stays below M, so the key orders as the ``(variable,
     exponent)`` tuples do.  A binomial lead - trail has the key
     lead M^2 + trail.  :meth:`minor` and :meth:`linear` work out the key
-    from the ranks first and build the binomial only if the key is new.
+    from the ranks, add it to ``keys`` and return it; :func:`binomials`
+    decodes keys.
     """
 
-    __slots__ = ("gens", "_n1", "_m", "_rank", "_term")
+    __slots__ = ("keys", "kind", "n", "_n1", "_m", "_rank")
 
     def __init__(self, kind: str, n: int):
-        self.gens: dict[int, Binomial] = {}
+        self.keys: set[int] = set()
+        self.kind, self.n = kind, n
         self._n1 = n + 1
         self._m = 3 * ((n + 1) ** 2 + 1)
-        self._rank, self._term = _tables(kind, n)
+        self._rank = _ranks(n)
 
-    def minor(self, i: int, j: int, k: int, l: int) -> Binomial:
+    def minor(self, i: int, j: int, k: int, l: int) -> int:
         """x_ik x_jl - x_il x_jk; with i < j and k < l the monomials never coincide.
 
         Each index pair goes through :func:`_var`, so a diagonal pair (the
@@ -95,44 +100,34 @@ class _Builder:
         are distinct variables, and x_il = x_jk only when (i, j) = (k, l).
         """
         n1, rank, m = self._n1, self._rank, self._m
-        ik, jl, il, jk = i * n1 + k, j * n1 + l, i * n1 + l, j * n1 + k
-        a, b, c, d = rank[ik], rank[jl], rank[il], rank[jk]
-        if b < a:
-            a, b, ik, jl = b, a, jl, ik
-        plus = (3 * a + 1) * m + 3 * b + 4
+        a, b = rank[i * n1 + k], rank[j * n1 + l]
+        c, d = rank[i * n1 + l], rank[j * n1 + k]
+        plus = (3 * a + 1) * m + 3 * b + 4 if a < b else (3 * b + 1) * m + 3 * a + 4
         if c == d:
             minus = (3 * c + 2) * m
         else:
-            if d < c:
-                c, d, il, jk = d, c, jk, il
-            minus = (3 * c + 1) * m + 3 * d + 4
+            minus = (3 * c + 1) * m + 3 * d + 4 if c < d else (3 * d + 1) * m + 3 * c + 4
         key = plus * m * m + minus if plus > minus else minus * m * m + plus
-        found = self.gens.get(key)
-        if found is None:
-            term = self._term
-            lead = (term[ik], term[jl])
-            trail = ((term[il][0], 2),) if c == d else (term[il], term[jk])
-            if minus > plus:
-                lead, trail = trail, lead
-            found = self.gens[key] = Binomial(lead, trail)
-        return found
+        self.keys.add(key)
+        return key
 
-    def linear(self, i: int, j: int, k: int, l: int) -> Binomial:
+    def linear(self, i: int, j: int, k: int, l: int) -> int:
         """x_ij - x_kl for distinct index pairs, each through :func:`_var`."""
         n1, rank, m = self._n1, self._rank, self._m
-        ij, kl = i * n1 + j, k * n1 + l
-        a, b = rank[ij], rank[kl]
+        a, b = rank[i * n1 + j], rank[k * n1 + l]
         if a < b:
-            a, b, ij, kl = b, a, kl, ij
+            a, b = b, a
         key = ((3 * a + 1) * m * m + 3 * b + 1) * m
-        found = self.gens.get(key)
-        if found is None:
-            term = self._term
-            found = self.gens[key] = Binomial((term[ij],), (term[kl],))
-        return found
+        self.keys.add(key)
+        return key
+
+    def result(self, keys: list[int], into: _Builder | None) -> list:
+        """A family's generators: its keys when ``into`` collects them,
+        else the binomials they decode to (:func:`binomials`)."""
+        return keys if into is not None else binomials(keys, self.kind, self.n)
 
 
-def cherry_binomials(t: ColoredTree, *, into: _Builder | None = None) -> list[Binomial]:
+def cherry_binomials(t: ColoredTree, *, into: _Builder | None = None) -> list:
     """Quartet quadrics of the tree over {0} and the leaves.
 
     For each quadruple, the pairing with strictly minimal distance sum is
@@ -143,12 +138,13 @@ def cherry_binomials(t: ColoredTree, *, into: _Builder | None = None) -> list[Bi
     maximal sum of lca depths, read off the leaf-pair lca table.  Colors play
     no role.  Zeroed nodes only pick the coordinate kind
     (:func:`classify.coordinate_kind`); the quartet split ignores them.
-    The quadrics come out in construction order; ``into`` collects them
-    with another family's generators.
+    The quadrics come out in construction order, as binomials, or as keys
+    when ``into`` collects them with another family's generators.
     """
-    minor = (into or _Builder(coordinate_kind(t), t.n_leaves)).minor
+    builder = into or _Builder(coordinate_kind(t), t.n_leaves)
+    minor = builder.minor
     deep = {pair: t.depth(m) for pair, m in t.leaf_lca.items()}
-    out: list[Binomial] = []  # a minor's indices are its quadruple: no repeats
+    out: list[int] = []  # a minor's indices are its quadruple: no repeats
     for a, b, c, d in combinations([0] + t.leaves(), 4):
         ab_cd = deep[a, b] + deep[c, d]
         ac_bd = deep[a, c] + deep[b, d]
@@ -162,12 +158,12 @@ def cherry_binomials(t: ColoredTree, *, into: _Builder | None = None) -> list[Bi
             out.append(minor(a, c, b, d))
         if ad_bc == high:
             out.append(minor(a, d, b, c))
-    return out
+    return builder.result(out, into)
 
 
 def block_minor_binomials(
     g: ColoredGraph, kind: str, *, into: _Builder | None = None
-) -> list[Binomial]:
+) -> list:
     """2x2 minors from one-clique separations, in x = p or q.
 
     For a separated pairing ((i,j),(k,l)) the minor is
@@ -176,82 +172,143 @@ def block_minor_binomials(
     sigma_jc, which land on x_0c x_jl - x_cl x_jc.  One minor per separated
     pairing, in the iteration order of
     :func:`graphs.one_clique_separated_quadruples`; empty for complete
-    graphs.  ``into`` collects them with another family's generators.
+    graphs.  As keys when ``into`` collects them with another family's
+    generators.
     """
-    minor = (into or _Builder(kind, g.n)).minor
-    return [minor(i, j, k, l) for (i, j), (k, l) in one_clique_separated_quadruples(g)]
+    builder = into or _Builder(kind, g.n)
+    minor = builder.minor
+    keys = [minor(i, j, k, l) for (i, j), (k, l) in one_clique_separated_quadruples(g)]
+    return builder.result(keys, into)
 
 
 def completion_binomials(
     g: ColoredGraph, kind: str, *, into: _Builder | None = None
-) -> list[Binomial]:
+) -> list:
     """Linear relations of the vertex-regular completion, in x = p or q.
 
     For every same-colored vertex pair i,j: sigma_ik - sigma_jk for all
     k outside the pair, and the diagonal relation sigma_ii - sigma_jj,
     which lands on its reduced form x_0i - x_0j.  The relations come out
-    in construction order; ``into`` collects them with another family's
-    generators.
+    in construction order, as binomials, or as keys when ``into`` collects
+    them with another family's generators.
     """
-    linear = (into or _Builder(kind, g.n)).linear
-    out: list[Binomial] = []
+    builder = into or _Builder(kind, g.n)
+    linear = builder.linear
+    out: list[int] = []
     for verts in g.vertex_color_classes().values():
         for i, j in combinations(verts, 2):
             for k in g.vertices():
                 if k not in (i, j):
                     out.append(linear(i, k, j, k))
             out.append(linear(i, i, j, j))
-    return out
+    return builder.result(out, into)
 
 
 def combined_from_classification(
     report: ClassificationReport,
-) -> tuple[list[Binomial], str]:
-    """Sorted union of the three families for a theorem-applicable tree.
+) -> tuple[list[int], str]:
+    """Sorted keys of the union of the three families for a
+    theorem-applicable tree, and the coordinate kind.
 
     The families share one :class:`_Builder`, so a generator two families
-    produce is built once, and the union comes out by sorting its integer
-    keys.  The only place the generators are deduplicated and ordered.
+    produce is keyed once, and the union comes out by sorting the keys.
+    The only place the generators are deduplicated and ordered;
+    :func:`binomials` decodes them, and the export functions render them.
     """
     if not report.applicable:
         raise NotApplicableError(
             "; ".join(report.reasons) or "no applicable theorem", report
         )
     # On 222 applicable random trees (n = 6-14), the families united by a
-    # set and sorted by tuple comparison took 1.21 s, this 0.38 s (best of
-    # 5; Python 3.11, Xeon).
+    # set and sorted by tuple comparison took 1.21 s, each binomial built
+    # once under its key 0.38 s.  On the 159 applicable trees of three
+    # perfbench generate rounds (seed 1101), a binomial built per key took
+    # 0.36 s, the keys alone 0.21 s (best of 5; Python 3.11, Xeon).
     kind = report.coordinates
     into = _Builder(kind, report.graph.n)
     cherry_binomials(report.working_tree, into=into)
     block_minor_binomials(report.graph, kind, into=into)
     completion_binomials(report.graph, kind, into=into)
-    gens = into.gens
-    return [gens[key] for key in sorted(gens)], kind
+    return sorted(into.keys), kind
 
 
 # -------------------------------------------------------------------- #
-# export formats                                                         #
+# decoding and export formats                                            #
 # -------------------------------------------------------------------- #
 
 
-def generators_text(gens: list[Binomial]) -> str:
-    return "".join(b.text() + "\n" for b in gens)
+class _OnDemand(dict):
+    """A per-document table: a missing entry is made from its key and kept."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
 
 
-# The closing pieces of a generator's "minus" and "plus" arrays, indexed by
-# whether the array was empty.
-_MINUS_END = ('\n      ],\n      "plus": ', '[],\n      "plus": ')
-_PLUS_END = ("\n      ]\n    }", "[]\n    }")
+def _digit_tables(n: int, first, second) -> tuple[int, _OnDemand, _OnDemand]:
+    """M and two per-document tables over the digits of a monomial key
+    (:class:`_Builder`): the first digit 3 r + e to ``first(a, b, e)`` and
+    the second 3 (r + 1) + e to ``second(a, b, e)``, for the factor x_ab^e
+    of rank r = a (n + 1) + b.  The caller enters digit 0, no factor."""
+    n1 = n + 1
+    return (
+        3 * (n1 * n1 + 1),
+        _OnDemand(lambda d: first(*divmod(d // 3, n1), d % 3)),
+        _OnDemand(lambda d: second(*divmod(d // 3 - 1, n1), d % 3)),
+    )
 
 
-def generators_json(gens: list[Binomial], kind: str) -> str:
+def binomials(keys: Iterable[int], kind: str, n: int) -> list[Binomial]:
+    """The binomials of generator keys over the indices 0..n, in key order:
+    the one place a :class:`Binomial` is made from a key."""
+
+    def factor(a: int, b: int, e: int) -> tuple[tuple[Var, int], ...]:
+        return (((kind, a, b), e),)
+
+    m, first, second = _digit_tables(n, factor, factor)
+    first[0] = second[0] = ()
+    return [
+        Binomial(first[lead // m] + second[lead % m], first[trail // m] + second[trail % m])
+        for lead, trail in map(divmod, keys, repeat(m * m))
+    ]
+
+
+def generator_lines(keys: list[int], kind: str, n: int) -> list[str]:
+    """Each generator's line of text, ``lead - trail`` as :meth:`Binomial.text`
+    spells it, in key order."""
+
+    def factor(a: int, b: int, e: int) -> str:
+        name = var_name((kind, a, b))
+        return name if e == 1 else f"{name}^{e}"
+
+    m, first, second = _digit_tables(n, factor, lambda a, b, e: "*" + factor(a, b, e))
+    first[0], second[0] = "1", ""
+    return [
+        f"{first[lead // m]}{second[lead % m]} - {first[trail // m]}{second[trail % m]}"
+        for lead, trail in map(divmod, keys, repeat(m * m))
+    ]
+
+
+def generators_text(keys: list[int], kind: str, n: int) -> str:
+    lines = generator_lines(keys, kind, n)
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def generators_json(keys: list[int], kind: str, n: int) -> str:
     """The generators document, ``{"coordinates", "count", "generators"}``,
     as ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` lays it out.
 
     Each generator is ``{"minus": trail, "plus": lead}`` with a monomial as
     a list of ``[name, exponent]`` pairs.  That layout is fixed, so each
-    distinct term is rendered once into its indented fragment and the whole
-    document is one ``"".join`` over a flat list of pieces.
+    factor that a digit of a key spells is rendered once into its indented
+    fragment, and the whole document is one ``"".join`` over a flat list of
+    pieces.
     """
     # On two perfbench generate rounds (101 documents, 99 194 generators)
     # a dict of per-generator dicts written by cli._json took 1.07 s, this
@@ -259,44 +316,42 @@ def generators_json(gens: list[Binomial], kind: str) -> str:
     # peaked at 3.3 MiB of allocations on the largest document, against
     # 1.4 MiB for one flat list (tracemalloc; Python 3.11, Xeon).
     head = '{\n  "coordinates": ' + encode_basestring_ascii(kind)
-    head += ',\n  "count": ' + str(len(gens)) + ',\n  "generators": '
-    if not gens:
+    head += ',\n  "count": ' + str(len(keys)) + ',\n  "generators": '
+    if not keys:
         return head + "[]\n}\n"
-    # term -> (fragment after a comma, fragment opening its array)
-    frags: dict[tuple[Var, int], tuple[str, str]] = {}
-    out = [head + "["]
-    opening = '\n    {\n      "minus": '
-    for b in gens:
-        out.append(opening)
-        opening = ',\n    {\n      "minus": '
-        for mono, ends in ((b.trail, _MINUS_END), (b.lead, _PLUS_END)):
-            first = True
-            for term in mono:
-                pair = frags.get(term)
-                if pair is None:
-                    frag = (
-                        "\n        [\n          "
-                        + encode_basestring_ascii(var_name(term[0]))
-                        + ",\n          "
-                        + str(term[1])
-                        + "\n        ]"
-                    )
-                    pair = frags[term] = ("," + frag, "[" + frag)
-                out.append(pair[first])
-                first = False
-            out.append(ends[first])
-    out.append("\n  ]\n}\n")
+
+    def fragment(a: int, b: int, e: int) -> str:
+        name = encode_basestring_ascii(var_name((kind, a, b)))
+        return "\n        [\n          " + name + ",\n          " + str(e) + "\n        ]"
+
+    # A monomial's array: its first factor's piece opens it, its second
+    # factor's piece (or, with none, digit 0's) closes it.
+    m, first, second = _digit_tables(
+        n,
+        lambda a, b, e: "[" + fragment(a, b, e),
+        lambda a, b, e: "," + fragment(a, b, e) + "\n      ]",
+    )
+    second[0] = "\n      ]"
+    plus, after = ',\n      "plus": ', '\n    },\n    {\n      "minus": '
+    out = [head + '[\n    {\n      "minus": ']
+    for lead, trail in map(divmod, keys, repeat(m * m)):
+        if trail:
+            out += (first[trail // m], second[trail % m])
+        else:  # a constant renders as an empty array
+            out.append("[]")
+        out += (plus, first[lead // m], second[lead % m], after)
+    out[-1] = "\n    }\n  ]\n}\n"
     return "".join(out)
 
 
-def generators_m2(gens: list[Binomial], kind: str, n: int) -> str:
+def generators_m2(keys: list[int], kind: str, n: int) -> str:
     """Macaulay2 script defining the ideal (for external cross-checks)."""
     ring_vars = ", ".join(
         var_name(coord_var(kind, i, j)) for i, j in pq_index_pairs(n)
     )
     lines = [f"R = QQ[{ring_vars}];"]
-    if gens:
-        body = ",\n  ".join(b.text() for b in gens)
+    if keys:
+        body = ",\n  ".join(generator_lines(keys, kind, n))
         lines.append(f"I = ideal(\n  {body}\n);")
     else:
         lines.append("I = ideal(0_R);")

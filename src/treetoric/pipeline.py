@@ -2,7 +2,11 @@
 
 For a theorem-applicable tree the pipeline assembles the coordinate change,
 the path map and the combined generators, then certifies the claims through
-three exact checks:
+three exact checks.  The generators come as sorted integer keys
+(:func:`ideals.combined_from_classification`); the context keeps the keys,
+and the binomials the one decoder, :func:`ideals.binomials`, makes of them
+for the checks.  The report lists the generators as the text lines that
+:func:`ideals.generator_lines` renders from the keys.  The checks:
 
 * kernel membership: every generator's two monomials map to the same
   parameter exponent vector;
@@ -54,7 +58,7 @@ import random
 from . import linalg
 from .binomials import Binomial
 from .classify import ClassificationReport, classify
-from .ideals import combined_from_classification
+from .ideals import binomials, combined_from_classification, generator_lines
 from .laplacians import CoordinateMap, g_derived_laplacian_map
 from .matrices import (
     MatrixPattern,
@@ -90,26 +94,30 @@ class VerificationContext:
 
     The tree, its contraction, its derived graph and its coordinate kind
     are read from ``report`` (``tree``, ``working_tree``, ``graph`` and
-    ``coordinates``); the context keeps no copies of them.
+    ``coordinates``); the context keeps no copies of them.  ``keys`` are
+    the sorted generator keys of :func:`ideals.combined_from_classification`,
+    and ``generators`` the binomials they decode to.
     """
 
     report: ClassificationReport
     pattern: MatrixPattern
     cmap: CoordinateMap
     mmap: MonomialMap
+    keys: list[int]
     generators: list[Binomial]
 
 
 def build_context(t: ColoredTree) -> VerificationContext:
     """Classify and assemble maps and generators; raises when NONE."""
     report = classify(t)
-    generators, _ = combined_from_classification(report)
+    keys, kind = combined_from_classification(report)
     return VerificationContext(
         report=report,
         pattern=pattern_from_graph(report.graph),
         cmap=g_derived_laplacian_map(report.graph),
         mmap=path_map(report.working_tree, report.graph),
-        generators=generators,
+        keys=keys,
+        generators=binomials(keys, kind, report.graph.n),
     )
 
 
@@ -349,7 +357,7 @@ def verify_tree(t: ColoredTree, trials: int = 100, seed: int = 0) -> Verificatio
         coordinates=ctx.report.coordinates,
         seed=seed,
         trials=trials,
-        generators=[b.text() for b in ctx.generators],
+        generators=generator_lines(ctx.keys, ctx.report.coordinates, ctx.report.graph.n),
         checks=checks,
         passed=all(c["passed"] for c in checks),
     )

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from treetoric import graphs, linalg, trees
+from treetoric.binomials import Binomial
+from treetoric.classify import ClassificationReport
+from treetoric.ideals import binomials, combined_from_classification
 from treetoric.trees import ColoredTree, load_tree
 
 from random_trees import random_tree  # noqa: F401  (re-exported for the tests)
@@ -32,6 +35,12 @@ TREE_FIXTURES = [
 
 def fixture_tree(name: str) -> ColoredTree:
     return load_tree(FIXTURES / f"{name}.json")
+
+
+def combined_binomials(report: ClassificationReport) -> tuple[list[Binomial], str]:
+    """``ideals.combined_from_classification`` with its keys decoded."""
+    keys, kind = combined_from_classification(report)
+    return binomials(keys, kind, report.graph.n), kind
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_name
 from treetoric.classify import ClassificationReport
@@ -18,6 +19,7 @@ from treetoric.ideals import (
     cherry_binomials,
     completion_binomials,
 )
+from treetoric.laplacians import pq_index_pairs
 from treetoric.matrices import (
     SAMPLE_BOUND,
     SAMPLE_RETRIES,
@@ -131,6 +133,86 @@ def generators_doc(gens: list[Binomial], kind: str) -> dict:
             for b in gens
         ],
     }
+
+
+def key_of(b: Binomial, n: int) -> int:
+    """The integer key of a binomial over the indices 0..n, by the layout
+    ``ideals._Builder`` documents: with M = 3 ((n + 1)^2 + 1), a monomial
+    v1^e1 v2^e2 is (3 r1 + e1) M + 3 (r2 + 1) + e2, where x_ab has rank
+    a (n + 1) + b, and lead - trail is lead M^2 + trail."""
+    m = 3 * ((n + 1) ** 2 + 1)
+
+    def part(mono: Monomial) -> int:
+        digits = [3 * (v[1] * (n + 1) + v[2]) + e for v, e in mono]
+        assert len(digits) <= 2, mono
+        first = digits[0] * m if digits else 0
+        return first + (digits[1] + 3 if len(digits) == 2 else 0)
+
+    return part(b.lead) * m * m + part(b.trail)
+
+
+# -------------------------------------------------------------------- #
+# the binomial renderers, the reference for the key renderers            #
+# -------------------------------------------------------------------- #
+
+
+def generators_text_reference(gens: list[Binomial]) -> str:
+    """One ``Binomial.text()`` line per generator."""
+    return "".join(b.text() + "\n" for b in gens)
+
+
+# The closing pieces of a generator's "minus" and "plus" arrays, indexed by
+# whether the array was empty.
+_MINUS_END = ('\n      ],\n      "plus": ', '[],\n      "plus": ')
+_PLUS_END = ("\n      ]\n    }", "[]\n    }")
+
+
+def generators_json_reference(gens: list[Binomial], kind: str) -> str:
+    """The generators document rendered term by term from the binomials,
+    as ``ideals.generators_json`` rendered it before generators were held
+    as keys."""
+    head = '{\n  "coordinates": ' + encode_basestring_ascii(kind)
+    head += ',\n  "count": ' + str(len(gens)) + ',\n  "generators": '
+    if not gens:
+        return head + "[]\n}\n"
+    frags: dict = {}
+    out = [head + "["]
+    opening = '\n    {\n      "minus": '
+    for b in gens:
+        out.append(opening)
+        opening = ',\n    {\n      "minus": '
+        for mono, ends in ((b.trail, _MINUS_END), (b.lead, _PLUS_END)):
+            first = True
+            for term in mono:
+                pair = frags.get(term)
+                if pair is None:
+                    frag = (
+                        "\n        [\n          "
+                        + encode_basestring_ascii(var_name(term[0]))
+                        + ",\n          "
+                        + str(term[1])
+                        + "\n        ]"
+                    )
+                    pair = frags[term] = ("," + frag, "[" + frag)
+                out.append(pair[first])
+                first = False
+            out.append(ends[first])
+    out.append("\n  ]\n}\n")
+    return "".join(out)
+
+
+def generators_m2_reference(gens: list[Binomial], kind: str, n: int) -> str:
+    """The Macaulay2 script, one ``Binomial.text()`` per generator."""
+    ring_vars = ", ".join(
+        var_name(coord_var(kind, i, j)) for i, j in pq_index_pairs(n)
+    )
+    lines = [f"R = QQ[{ring_vars}];"]
+    if gens:
+        body = ",\n  ".join(b.text() for b in gens)
+        lines.append(f"I = ideal(\n  {body}\n);")
+    else:
+        lines.append("I = ideal(0_R);")
+    return "\n".join(lines) + "\n"
 
 
 # -------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ from treetoric.graphs import (
     is_vertex_regular,
     star_decomposition,
 )
-from treetoric.ideals import cherry_binomials, combined_from_classification
+from treetoric.ideals import cherry_binomials
 from treetoric.matrices import pattern_from_graph
 from treetoric.monomials import path_map
 from treetoric.pipeline import (
@@ -37,7 +37,7 @@ from treetoric.pipeline import (
     verify_tree,
 )
 
-from conftest import FIXTURES, TREE_FIXTURES, fixture_tree, random_tree
+from conftest import FIXTURES, TREE_FIXTURES, combined_binomials, fixture_tree, random_tree
 from oracles import (
     completion,
     four_point_check,
@@ -78,7 +78,7 @@ def test_criterion_1_colored_star_pipeline():
     ctx = build_context(t)
     assert kernel_membership(ctx, reference)["passed"]
 
-    combined, _ = combined_from_classification(classify(t))
+    combined, _ = combined_binomials(classify(t))
     forward = forward_vanishing(ctx, trials=100, seed=0, generators=combined + reference)
     assert forward["passed"] and forward["trials"] == 100
     report(1, "colored star tree: THM_MAIN, 5 reference generators in kernel, "
@@ -114,7 +114,7 @@ def test_criterion_2_uncolored_regression():
 def test_criterion_3_leaf_coloring_regressions():
     # G1: combined generators = I_T plus the three linear symmetries
     t1 = fixture_tree("leafcolor_g1")
-    gens1, kind1 = combined_from_classification(classify(t1))
+    gens1, kind1 = combined_binomials(classify(t1))
     assert kind1 == "p"
     assert set(gens1) == set(cherry_binomials(t1)) | {
         B("p14 - p24"),

@@ -16,6 +16,7 @@ from treetoric.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_APPLICABLE,
     EXIT_OK,
+    EXIT_OUT_OF_RESOURCES,
     main,
 )
 from treetoric.binomials import parse_binomial
@@ -356,6 +357,19 @@ class TestErrors:
         assert captured.err == f"error: {exc}\n"
 
 
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_exhausted_resources_exit_4(self, monkeypatch, capsys, exc):
+        def exhaust(report):
+            raise exc("too large")
+
+        monkeypatch.setattr(cli, "combined_from_classification", exhaust)
+        code = main(["generators", "--tree", tree_path("colored_star")])
+        assert code == EXIT_OUT_OF_RESOURCES == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of resources ({exc.__name__})\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["colored_star", "zeroed_block_g2"])
     def test_byte_identical_artifacts(self, tmp_path, name):
@@ -600,6 +614,10 @@ GOLDEN = {
 # and one NONE.
 GOLDEN_RANDOM_SEEDS = (0, 2, 36, 3, 54, 82, 140, 12, 41, 99, 144, 1)
 GOLDEN_RANDOM = "39dba340d675ebdfdc6560cf222412543c3bfbbadcfda15e224e457402794e9c"
+# The SHA-256 over each of those draws' seed, format, exit code and stdout
+# of `generators --format text`, then `--format m2-script`: the two formats
+# that spell two-digit variable names (p3_12) outside the JSON.
+GOLDEN_RANDOM_TEXT_M2 = "f55050e2ce388371dda043fb1569c22a5b9d7c6417b9d981a2b37bf52811674a"
 
 # SHA-256 over the `verify_tree(trials=3)` reports of 166 random draws with
 # n 2-8, zeroing modes none/chain/random in turn, each draw seeded by its
@@ -697,6 +715,22 @@ class TestGoldenArtifacts:
             digest.update(capsys.readouterr().out.encode())
         assert theorems == {THM_BLOCK_UNCOLORED, THM_MAIN, THM_COLORED_COMPLETE, NONE}
         assert digest.hexdigest() == GOLDEN_RANDOM
+
+    def test_random_tree_text_and_m2_digest(self, capsys, tmp_path):
+        digest = hashlib.sha256()
+        two_digit = False
+        for seed in GOLDEN_RANDOM_SEEDS:
+            t = random_tree(random.Random(seed), n_min=8, n_max=14)
+            path = tmp_path / f"{seed}.json"
+            path.write_text(json.dumps(t.to_dict()))
+            for fmt in ("text", "m2-script"):
+                code = main(["generators", "--tree", str(path), "--format", fmt])
+                out = capsys.readouterr().out
+                two_digit |= "_1" in out
+                digest.update(f"{seed} {fmt} {code}\n".encode())
+                digest.update(out.encode())
+        assert two_digit  # names such as p3_12
+        assert digest.hexdigest() == GOLDEN_RANDOM_TEXT_M2
 
     def test_random_tree_verify_digest(self):
         digest = hashlib.sha256()

@@ -7,16 +7,19 @@ from itertools import combinations
 
 import pytest
 
+from treetoric import cli, ideals
 from treetoric.binomials import Binomial, coord_var, monomial, parse_binomial
 from treetoric.classify import classify, coordinate_kind
 from treetoric.errors import NotApplicableError
 from treetoric.graphs import derive_graph, star_decomposition
 from treetoric.ideals import (
     _Builder,
+    binomials,
     block_minor_binomials,
     cherry_binomials,
     combined_from_classification,
     completion_binomials,
+    generator_lines,
     generators_json,
     generators_m2,
     generators_text,
@@ -24,7 +27,7 @@ from treetoric.ideals import (
 from treetoric.monomials import path_map
 from treetoric.trees import ColoredTree
 
-from conftest import TREE_FIXTURES, fixture_tree, random_tree
+from conftest import TREE_FIXTURES, combined_binomials, fixture_tree, random_tree
 from oracles import (
     bfs_path_oracle,
     connected_components,
@@ -33,6 +36,10 @@ from oracles import (
     depth_oracle,
     embed,
     generators_doc,
+    generators_json_reference,
+    generators_m2_reference,
+    generators_text_reference,
+    key_of,
     lca_oracle,
     minor_by_make,
 )
@@ -47,12 +54,12 @@ def B(text: str) -> Binomial:
 
 def _minor(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
     """One minor from a fresh builder over the indices 0..7."""
-    return _Builder(kind, 7).minor(i, j, k, l)
+    return binomials([_Builder(kind, 7).minor(i, j, k, l)], kind, 7)[0]
 
 
 def _linear(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
     """One linear from a fresh builder over the indices 0..7."""
-    return _Builder(kind, 7).linear(i, j, k, l)
+    return binomials([_Builder(kind, 7).linear(i, j, k, l)], kind, 7)[0]
 
 
 def relabel_leaves(t: ColoredTree, pi: dict[int, int]) -> ColoredTree:
@@ -109,17 +116,18 @@ class TestBuilderKeys:
                 builder = _Builder(kind, n)
                 draw = rng.randrange(3)
                 if draw == 0 and n >= 3:  # distinct indices, as the cherry quadrics
-                    got = builder.minor(*rng.sample(range(n + 1), 4))
+                    key = builder.minor(*rng.sample(range(n + 1), 4))
                 elif draw == 1:  # i < j, k < l over the vertices, as the block minors
                     i, j = sorted(rng.sample(range(1, n + 1), 2))
                     k, l = sorted(rng.sample(range(1, n + 1), 2))
                     if rng.random() < 0.2:  # x_0i x_0j - x_ij^2
                         k, l = i, j
-                    got = builder.minor(i, j, k, l)
+                    key = builder.minor(i, j, k, l)
                 else:  # diagonal pairs land on x_0i, as the completion linears
                     (i, j), (k, l) = rng.sample(pairs, 2)
-                    got = builder.linear(i, j, k, l)
-                (key,) = builder.gens
+                    key = builder.linear(i, j, k, l)
+                assert builder.keys == {key}
+                (got,) = binomials([key], kind, n)
                 keyed.append((key, got))
                 terms = got.lead + got.trail
                 shapes["squared"] += any(e == 2 for _, e in terms)
@@ -306,7 +314,7 @@ class TestEmbeddings:
 class TestCombined:
     def test_leafcolor_g1_exact_set(self):
         t = fixture_tree("leafcolor_g1")
-        gens, kind = combined_from_classification(classify(t))
+        gens, kind = combined_binomials(classify(t))
         assert kind == "p"
         expected = set(cherry_binomials(t)) | {
             B("p14 - p24"),
@@ -317,7 +325,7 @@ class TestCombined:
 
     def test_zeroed_block_g2_is_the_reference_seven(self):
         report = classify(fixture_tree("zeroed_block_g2"))
-        gens, kind = combined_from_classification(report)
+        gens, kind = combined_binomials(report)
         assert kind == "q"
         assert set(gens) == {
             B("q03*q24 - q02*q34"),
@@ -330,7 +338,7 @@ class TestCombined:
         }
 
     def test_colored_star_contains_reference_generators(self):
-        gens, kind = combined_from_classification(classify(fixture_tree("colored_star")))
+        gens, kind = combined_binomials(classify(fixture_tree("colored_star")))
         assert kind == "q"
         reference = {
             B("q14 - q24"),
@@ -364,7 +372,7 @@ class TestCombined:
             if not report.applicable:
                 continue
             applicable += 1
-            gens, kind = combined_from_classification(report)
+            gens, kind = combined_binomials(report)
             assert kind == report.coordinates
             assert gens == combined_via_sigma(report), t.to_dict()
         assert applicable >= 100
@@ -388,7 +396,7 @@ class TestCombined:
             report = classify(t)
             if report.applicable:
                 applicable += 1
-                gens, _ = combined_from_classification(report)
+                gens, _ = combined_binomials(report)
                 assert gens == combined_reference(report), t.to_dict()
         assert applicable >= 1000
 
@@ -406,8 +414,8 @@ class TestCombined:
                 report.coordinates,
             ), (t.to_dict(), pi)
             if report.applicable:
-                gens, _ = combined_from_classification(report)
-                got, _ = combined_from_classification(moved)
+                gens, _ = combined_binomials(report)
+                got, _ = combined_binomials(moved)
                 renamed = {rename_leaves(b, pi) for b in gens}
                 assert renamed == set(got), (t.to_dict(), pi)
                 checked += 1
@@ -416,49 +424,114 @@ class TestCombined:
 
 class TestExports:
     def test_text_lines(self):
-        gens, _ = combined_from_classification(classify(fixture_tree("zeroed_block_g2")))
-        text = generators_text(gens)
+        keys, kind = combined_from_classification(classify(fixture_tree("zeroed_block_g2")))
+        gens = binomials(keys, kind, 4)
+        text = generators_text(keys, kind, 4)
         lines = text.strip().split("\n")
         assert len(lines) == len(gens)
         assert all(parse_binomial(ln) in set(gens) for ln in lines)
 
     def test_json_shape(self):
-        gens, kind = combined_from_classification(classify(fixture_tree("colored_star")))
-        doc = json.loads(generators_json(gens, kind))
+        keys, kind = combined_from_classification(classify(fixture_tree("colored_star")))
+        doc = json.loads(generators_json(keys, kind, 4))
         assert doc["coordinates"] == "q"
-        assert doc["count"] == len(gens)
+        assert doc["count"] == len(keys)
         assert {"plus", "minus"} <= set(doc["generators"][0])
 
     def test_json_matches_dict_form_through_stdlib(self):
+        reports = [classify(fixture_tree(name)) for name in TREE_FIXTURES]
+        reports += map(classify, all_small_trees())
+        reports += [
+            classify(random_tree(random.Random(seed), n_min=8, n_max=14))
+            for seed in GOLDEN_RANDOM_SEEDS
+        ]
         cases = [
-            combined_from_classification(report)
-            for report in (classify(fixture_tree(name)) for name in TREE_FIXTURES)
+            (*combined_from_classification(report), report.graph.n)
+            for report in reports
             if report.applicable
         ]
-        cases += [
-            combined_from_classification(report)
-            for report in map(classify, all_small_trees())
-            if report.applicable
-        ]
-        for seed in GOLDEN_RANDOM_SEEDS:
-            report = classify(random_tree(random.Random(seed), n_min=8, n_max=14))
-            if report.applicable:
-                cases.append(combined_from_classification(report))
-        assert {kind for _, kind in cases} == {"p", "q"}
-        two_digit = {v for gens, _ in cases for b in gens for v, _ in b.lead + b.trail if v[2] > 9}
+        assert {kind for _, kind, _ in cases} == {"p", "q"}
+        two_digit = {
+            v
+            for keys, kind, n in cases
+            for b in binomials(keys, kind, n)
+            for v, _ in b.lead + b.trail
+            if v[2] > 9
+        }
         assert two_digit  # names such as q3_12
         squared = parse_binomial("q01*q23 - q12^2")
         # a constant monomial renders as an empty array
         constant = Binomial(((coord_var("p", 1, 2), 1),), ())
         for kind in ("p", "q"):
-            cases += [([], kind), ([squared], kind), ([constant, squared], kind)]
-        for gens, kind in cases:
+            cases += [
+                ([], kind, 3),
+                ([key_of(squared, 3)], kind, 3),
+                (sorted([key_of(constant, 3), key_of(squared, 3)]), kind, 3),
+            ]
+        for keys, kind, n in cases:
+            gens = binomials(keys, kind, n)
             expected = json.dumps(generators_doc(gens, kind), indent=2, sort_keys=True)
-            assert generators_json(gens, kind) == expected + "\n"
+            assert generators_json(keys, kind, n) == expected + "\n"
 
     def test_m2_script(self):
-        gens, kind = combined_from_classification(classify(fixture_tree("colored_star")))
-        script = generators_m2(gens, kind, 4)
+        keys, kind = combined_from_classification(classify(fixture_tree("colored_star")))
+        gens = binomials(keys, kind, 4)
+        script = generators_m2(keys, kind, 4)
         assert script.startswith("R = QQ[q01, q02, q03, q04, q12")
         assert "I = ideal(" in script
         assert gens[0].text() in script
+
+    def test_key_renderers_match_the_binomial_renderers(self):
+        # every format rendered from the key digits, byte for byte against
+        # the renderers of the decoded binomials, whose decoding is the
+        # set-and-sort union of the families
+        reports = [classify(fixture_tree(name)) for name in TREE_FIXTURES]
+        reports += [
+            classify(random_tree(random.Random(seed), n_min=8, n_max=14))
+            for seed in GOLDEN_RANDOM_SEEDS
+        ]
+        reports += map(classify, all_small_trees(5))
+        cases = []
+        for report in reports:
+            if report.applicable:
+                keys, kind = combined_from_classification(report)
+                n = report.graph.n
+                assert binomials(keys, kind, n) == combined_reference(report), report.tree.to_dict()
+                cases.append((keys, kind, n))
+        assert len(cases) >= 1000
+        # no emitted generator has a squared factor or a constant monomial
+        squared = parse_binomial("q01*q23 - q12^2")
+        constant = Binomial(((coord_var("q", 1, 2), 1),), ())
+        assert binomials([key_of(squared, 3), key_of(constant, 3)], "q", 3) == [squared, constant]
+        for kind in ("p", "q"):
+            cases += [([], kind, 3), (sorted([key_of(constant, 3), key_of(squared, 3)]), kind, 3)]
+        for keys, kind, n in cases:
+            gens = binomials(keys, kind, n)
+            assert generators_text(keys, kind, n) == generators_text_reference(gens)
+            assert generators_json(keys, kind, n) == generators_json_reference(gens, kind)
+            assert generators_m2(keys, kind, n) == generators_m2_reference(gens, kind, n)
+            assert generator_lines(keys, kind, n) == [b.text() for b in gens]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "m2-script"])
+    def test_generators_command_builds_no_binomial(self, monkeypatch, capsys, tmp_path, fmt):
+        trees = [fixture_tree(name) for name in TREE_FIXTURES]
+        trees += [
+            random_tree(random.Random(seed), n_min=8, n_max=14) for seed in GOLDEN_RANDOM_SEEDS
+        ]
+        paths = []
+        for index, t in enumerate(trees):
+            if classify(t).applicable:
+                paths.append(tmp_path / f"{index}.json")
+                paths[-1].write_text(json.dumps(t.to_dict()))
+        expected = []
+        for path in paths:
+            assert cli.main(["generators", "--tree", str(path), "--format", fmt]) == 0
+            expected.append(capsys.readouterr().out)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the generators command built a Binomial")
+
+        monkeypatch.setattr(ideals, "Binomial", forbidden)
+        for path, out in zip(paths, expected):
+            assert cli.main(["generators", "--tree", str(path), "--format", fmt]) == 0
+            assert capsys.readouterr().out == out

@@ -10,11 +10,10 @@ from treetoric.binomials import coord_var, parse_binomial
 from treetoric.errors import GraphError
 from treetoric.graphs import derive_graph
 from treetoric.classify import classify
-from treetoric.ideals import combined_from_classification
 from treetoric.monomials import MonomialMap, exponent_rank, path_map
 from treetoric.trees import ColoredTree
 
-from conftest import fixture_tree
+from conftest import combined_binomials, fixture_tree
 from random_trees import all_small_trees
 from test_matrices import rank_oracle
 
@@ -161,7 +160,7 @@ class TestEvaluate:
         for name in ("colored_star", "leafcolor_g1", "zeroed_block_g2"):
             t = fixture_tree(name)
             report = classify(t)
-            gens, kind = combined_from_classification(report)
+            gens, kind = combined_binomials(report)
             mm = path_map(report.working_tree, report.graph)
             assert mm.kind == kind
             rng = random.Random(hash(name) % 10**6)
