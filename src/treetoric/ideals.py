@@ -265,8 +265,8 @@ def _digit_tables(n: int, first, second) -> tuple[int, _OnDemand, _OnDemand]:
 
 
 def binomials(keys: Iterable[int], kind: str, n: int) -> list[Binomial]:
-    """The binomials of generator keys over the indices 0..n, in key order:
-    the one place a :class:`Binomial` is made from a key."""
+    """The binomials of generator keys over the indices 0..n, in the order
+    of ``keys``: the one place a :class:`Binomial` is made from a key."""
 
     def factor(a: int, b: int, e: int) -> tuple[tuple[Var, int], ...]:
         return (((kind, a, b), e),)
@@ -281,7 +281,7 @@ def binomials(keys: Iterable[int], kind: str, n: int) -> list[Binomial]:
 
 def generator_lines(keys: list[int], kind: str, n: int) -> list[str]:
     """Each generator's line of text, ``lead - trail`` as :meth:`Binomial.text`
-    spells it, in key order."""
+    spells it, in the order of ``keys``."""
 
     def factor(a: int, b: int, e: int) -> str:
         name = var_name((kind, a, b))
