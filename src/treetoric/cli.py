@@ -53,14 +53,22 @@ EXIT_CHECK_FAILED = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_INPUT_ERROR = 3
 EXIT_OUT_OF_RESOURCES = 4
+# Characters per write: a text stream encodes each write whole, so one write
+# of a document would hold a second, encoded copy of all of it.
+WRITE_SLICE = 1 << 20
+
+
+def _write_slices(fh, text: str) -> None:
+    for start in range(0, len(text), WRITE_SLICE):
+        fh.write(text[start : start + WRITE_SLICE])
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
 
 
 def _write(o, nl: str) -> str:

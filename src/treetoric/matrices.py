@@ -15,14 +15,22 @@ order, :func:`linalg.upper_pairs`), so neither can be asymmetric.  A
 sample has integer entries and comes with its determinant and its
 adjugate, as that triangle, so one fraction-free bordered build both
 certifies it invertible and gives its inverse as adj / det.
-:func:`sample_projectives` draws one sample per seed, each from its own
-seeded generator, and builds each round of tries as one batch
-(:func:`linalg.det_adjugates`, which resolves a zero leading principal
-minor inside the batch; nothing builds a matrix alone).
+:func:`sample_projectives` draws one sample per seed, and builds each
+round of tries as one batch (:func:`linalg.det_adjugates`, which resolves
+a zero leading principal minor inside the batch; nothing builds a matrix
+alone).
 Pattern membership compares, in one list comparison, each structural-zero
 position of a triangle with 0 and each other position of a class with the
 first position of that class; the position pairs are read off the pattern
 once.
+
+Every sampled integer of the package comes from :func:`uniform_draws`, a
+counter-based stream (Salmon, Moraes, Dror and Shaw, "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): the draws of one (label, seed,
+attempt) are a pure function of those three values, read off
+``hashlib.blake2b`` digests with no generator state to seed.  blake2b is
+fixed by RFC 7693, so the draws, and every report built on them, are the
+same on every Python version.
 
 A :class:`SymMatrix` is a symmetric matrix, in rows, that keeps the exact
 entries it is given: integers, or ``Fraction`` for exact inverses.  It is
@@ -37,10 +45,10 @@ built as a batch of one.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from hashlib import blake2b
 from math import lcm
 from typing import NamedTuple
 
@@ -50,6 +58,44 @@ from .graphs import ColoredGraph
 
 SAMPLE_BOUND = 10**6
 SAMPLE_RETRIES = 64
+# The stream label of sample_projectives: forward vanishing is its caller.
+SAMPLE_LABEL = "forward_vanishing"
+
+
+def uniform_draws(
+    label: str, seed: int, attempt: int, count: int, low: int, high: int
+) -> list[int]:
+    """``count`` integers uniform in [low, high], drawn from the stream of
+    (label, seed, attempt) by rejection, with no modulo bias.
+
+    Block b = 0, 1, ... of the stream is the 64-byte ``blake2b`` digest
+    (no key, salt or personalization) of the ASCII text
+    ``f"{label} {seed} {attempt} {b}"``, read as one little-endian 512-bit
+    integer and cut, lowest bits first, into 512 // w slices of w bits,
+    w = max(1, bit length of high - low); the last 512 mod w bits are
+    unused.  A slice s below the range size high - low + 1 is the draw
+    low + s; any other slice is skipped, never reduced.  The draws are the
+    first ``count`` accepted slices, so a shorter call reads a prefix of a
+    longer one.
+    """
+    size = high - low + 1
+    width = max(1, (size - 1).bit_length())
+    mask = (1 << width) - 1
+    slices = range(512 // width)
+    out: list[int] = []
+    block = 0
+    while len(out) < count:
+        message = f"{label} {seed} {attempt} {block}".encode()
+        x = int.from_bytes(blake2b(message).digest(), "little")
+        for _ in slices:
+            s = x & mask
+            if s < size:
+                out.append(low + s)
+                if len(out) == count:
+                    break
+            x >>= width
+        block += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -196,9 +242,10 @@ def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> list[Project
     """One deterministic invertible integer sample from the pattern for each
     seed, with its determinant and adjugate, in the order of ``seeds``.
 
-    Each seed drives its own ``random.Random``: each color token
-    independently gets an integer uniform in [-10^6, 10^6], redrawn until
-    the exact determinant is nonzero.  Positive definiteness is not
+    Try a of a seed gives the color tokens, in sorted order, the integers
+    uniform in [-10^6, 10^6] that :func:`uniform_draws` reads under
+    :data:`SAMPLE_LABEL`, the seed and attempt a; tries a = 0, 1, ... run
+    until the exact determinant is nonzero.  Positive definiteness is not
     required.  A sample depends on its seed alone, not on the other seeds.
     Each round of tries, one per seed still without a sample, is one
     batched fraction-free bordered build on the upper triangles
@@ -210,13 +257,13 @@ def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> list[Project
     SamplingError
         When a seed fails 64 tries (the pattern forces singularity).
     """
-    rngs = [random.Random(seed) for seed in seeds]
     tokens = pattern._tokens
-    samples: list = [None] * len(rngs)
-    pending = list(range(len(rngs)))
-    for _ in range(SAMPLE_RETRIES):
+    shape = (len(tokens), -SAMPLE_BOUND, SAMPLE_BOUND)  # count, low, high
+    samples: list = [None] * len(seeds)
+    pending = list(range(len(seeds)))
+    for attempt in range(SAMPLE_RETRIES):
         draws = [
-            {tok: rngs[i].randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
+            dict(zip(tokens, uniform_draws(SAMPLE_LABEL, seeds[i], attempt, *shape)))
             for i in pending
         ]
         built = linalg.det_adjugates(pattern.size, [pattern.upper(v) for v in draws])

@@ -42,10 +42,14 @@ the order in which it is bordered), from draw to membership test: no trial
 builds n x n rows and none reorders a triangle.  Forward vanishing compares
 all generators of one shape (d, e) at once, as columns of products.  Each
 trial is a Schwartz-Zippel identity test, as sound with integer draws as
-with rational ones.  Trials derive per-trial seeds from the master seed
-and are independent; reports are reproducible byte-for-byte.  The seed
-must be non-negative and the trial count at most 1 000 003, so no two
-runs share a trial.
+with rational ones.  Trial k of a run with seed s has the trial seed
+s * 1 000 003 + k, and each check reads its draws for that trial from a
+counter-based hash stream keyed by its own label, the trial seed and the
+attempt (:func:`matrices.uniform_draws`): no generator is seeded, the
+two checks' draws are independent, and each trial can be replayed on its
+own.  Reports are reproducible byte-for-byte, on every Python version.
+The seed must be non-negative and the trial count at most 1 000 003, so
+no two runs share a trial.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-import random
 
 from . import linalg
 from .binomials import Binomial
@@ -65,12 +68,14 @@ from .matrices import (
     invert_exact,  # unused; perfbench's tracer test pins this binding
     pattern_from_graph,
     sample_projectives,
+    uniform_draws,
 )
 from .monomials import MonomialMap, exponent_rank, path_map
 from .trees import ColoredTree
 
 _SEED_STRIDE = 1_000_003
 ROUNDTRIP_BOUND = 10**4
+ROUNDTRIP_LABEL = "roundtrip_parametrization"
 # Trials whose matrices are inverted in one batch (linalg.det_adjugates);
 # every entry of a batch is held as a list this long, so it bounds memory.
 TRIAL_CHUNK = 64
@@ -141,10 +146,11 @@ def kernel_membership(
 
 
 def require_trials(trials: int, seed: int) -> None:
-    """Refuse fewer than one trial, and any run whose trials would repeat
-    another run's: ``random.Random`` seeds by absolute value, so a negative
-    seed repeats the trials of a positive one, and a trial index past the
-    stride runs into the next seed's trials."""
+    """Refuse fewer than one trial, a negative seed, and any run whose
+    trials would repeat another run's: trial k of seed s draws from trial
+    seed s * 1 000 003 + k, so a trial index past the stride runs into the
+    next seed's trials.  Seeds are the non-negative integers, as the CLI
+    documents, so each run's trial seeds are a range of its own."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials > _SEED_STRIDE:
@@ -249,23 +255,27 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
     """Push random positive parameters through the map and pull back.
 
     Parameters theta are drawn as integers in [1, 10^4], in the order of
-    the path map's parameters, so the path-map point and its pull-back
-    sigma are integer.  When det(sigma) != 0, adj(sigma) is a nonzero
-    multiple of sigma^{-1}, so it lies in the pattern exactly when
-    sigma^{-1} does.  Singular pull-backs are legitimate boundary points of
-    the closure and are counted as skips, never failures.  Points and
-    matrices stay plain lists, a matrix as its upper triangle
-    (:meth:`MonomialMap.point`, :meth:`CoordinateMap.sigma_upper`,
-    :meth:`MatrixPattern.contains`).
+    the path map's parameters, from the stream of :data:`ROUNDTRIP_LABEL`
+    and the trial seed (:func:`matrices.uniform_draws`, attempt 0), so
+    they are independent of forward vanishing's draws for the same trial.
+    The path-map point and its pull-back sigma are integer.  When
+    det(sigma) != 0, adj(sigma) is a nonzero multiple of sigma^{-1}, so it
+    lies in the pattern exactly when sigma^{-1} does.  Singular pull-backs
+    are legitimate boundary points of the closure and are counted as skips,
+    never failures.  Points and matrices stay plain lists, a matrix as its
+    upper triangle (:meth:`MonomialMap.point`,
+    :meth:`CoordinateMap.sigma_upper`, :meth:`MatrixPattern.contains`).
     """
     require_trials(trials, seed)
     failures: list[int] = []
     skipped = 0
+    params = len(ctx.mmap.params)
     for chunk in _chunks(trials):
         sigmas = []
         for k in chunk:
-            rng = random.Random(_trial_seed(seed, k))
-            theta = [rng.randint(1, ROUNDTRIP_BOUND) for _ in ctx.mmap.params]
+            theta = uniform_draws(
+                ROUNDTRIP_LABEL, _trial_seed(seed, k), 0, params, 1, ROUNDTRIP_BOUND
+            )
             sigmas.append(ctx.cmap.sigma_upper(ctx.mmap.point(theta)))
         for k, (det, adj) in zip(chunk, linalg.det_adjugates(ctx.cmap.n, sigmas)):
             if not det:

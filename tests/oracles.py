@@ -4,7 +4,7 @@ constructions only the tests use (the vertex-regular completion)."""
 
 from __future__ import annotations
 
-import random
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -609,14 +609,35 @@ def linear_forms_at(forms: dict, pairs, into, values) -> list:
     return [sum(c * at[p] for p, c in forms[pair].items()) for pair in pairs]
 
 
+def hash_draws(label: str, seed: int, attempt: int, count: int, low: int, high: int) -> list:
+    """The first ``count`` draws in [low, high] of the documented stream of
+    (label, seed, attempt), read as text: block b is the blake2b digest of
+    ``"label seed attempt b"``, whose bits, lowest of the little-endian
+    integer first, are cut into slices of the range's bit width; a slice
+    below the range size is kept, any other skipped."""
+    span = high - low + 1
+    width = max(1, len(bin(span - 1)) - 2)
+    draws: list[int] = []
+    block = 0
+    while len(draws) < count:
+        digest = hashlib.blake2b(f"{label} {seed} {attempt} {block}".encode()).digest()
+        bits = "".join(format(byte, "08b")[::-1] for byte in digest)
+        values = [int(bits[i : i + width][::-1], 2) for i in range(0, 513 - width, width)]
+        draws += [low + v for v in values if v < span]
+        block += 1
+    return draws[:count]
+
+
 def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
     """The point K that ``matrices.sample_projectives`` draws for the seed:
-    its seeded draws, redrawn until a ``Fraction`` elimination finds the
-    matrix invertible."""
-    rng = random.Random(seed)
+    the forward-vanishing stream's draws of each attempt, redrawn until a
+    ``Fraction`` elimination finds the matrix invertible."""
     tokens = pattern.tokens()
-    for _ in range(SAMPLE_RETRIES):
-        values = {tok: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for tok in tokens}
+    for attempt in range(SAMPLE_RETRIES):
+        draws = hash_draws(
+            "forward_vanishing", seed, attempt, len(tokens), -SAMPLE_BOUND, SAMPLE_BOUND
+        )
+        values = dict(zip(tokens, draws))
         m = SymMatrix(pattern_rows(pattern, values))
         if fraction_inverse(m.entries) is not None:
             return m
@@ -651,10 +672,11 @@ def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dic
     failures: list[int] = []
     skipped = 0
     for k in range(trials):
-        rng = random.Random(_trial_seed(seed, k))
-        theta = {
-            tok: Fraction(rng.randint(1, ROUNDTRIP_BOUND)) for tok in ctx.mmap.params
-        }
+        draws = hash_draws(
+            "roundtrip_parametrization", _trial_seed(seed, k), 0, len(ctx.mmap.params),
+            1, ROUNDTRIP_BOUND,
+        )
+        theta = {tok: Fraction(x) for tok, x in zip(ctx.mmap.params, draws)}
         sigma = ctx.cmap.unapply(ctx.mmap.evaluate(theta))
         inverse = fraction_inverse(sigma.entries)
         if inverse is None:

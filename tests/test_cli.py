@@ -403,6 +403,28 @@ class TestDeterminism:
         assert paths[0] == paths[1]
 
 
+class TestEmit:
+    def test_large_document_is_written_in_slices(self, tmp_path):
+        # a text stream encodes each write whole, so one write of a 16 MiB
+        # document would lift the peak by a second 16 MiB copy
+        text = "0123456789abcde\n" * (1 << 20)
+        out = tmp_path / "big.txt"
+        tracemalloc.start()
+        try:
+            cli._emit(text, str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 4
+        assert out.read_text(encoding="utf-8") == text
+
+    def test_slices_join_to_the_document_on_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "WRITE_SLICE", 7)
+        for text in ("", "abc", "0123456789" * 5 + "\n"):
+            cli._emit(text, None)
+            assert capsys.readouterr().out == text
+
+
 def stdlib_json(obj) -> str:
     """The layout ``cli._json`` reproduces, from the standard library."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -662,7 +684,7 @@ GOLDEN_VERIFY = {
     "path_star": (0, "66e831d103df3d342c57ae8858289a0d9848808cdf22fb54eaa6732aa31ed917"),
     "nonblock_toric_tree": (2, _EMPTY),
 }
-GOLDEN_INJECTED = "f21ab29e1bc3d5828b6f55bd6c1d9bbaa8241e8402d1345aa0089037db056ddc"
+GOLDEN_INJECTED = "6995ef8674c1e592f5a0e1dfc7beaa520ee23f95baf80113cd6f34e78afb7595"
 
 
 class TestGoldenArtifacts:

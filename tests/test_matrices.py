@@ -15,11 +15,13 @@ from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import derive_graph
 from treetoric.matrices import (
     SAMPLE_BOUND,
+    SAMPLE_LABEL,
     MatrixPattern,
     SymMatrix,
     invert_exact,
     pattern_from_graph,
     sample_projectives,
+    uniform_draws,
 )
 from treetoric.trees import ColoredTree
 
@@ -252,8 +254,9 @@ class TestSampling:
             for seed, sample in zip(seeds, samples):
                 m = sample_point_reference(p, seed)
                 assert p.upper(sample.values) == upper_of(m.entries), (name, seed)
-                first = random.Random(seed)
-                retried += sample.values != {tok: first.randint(-1, 1) for tok in p.tokens()}
+                tokens = p.tokens()
+                first = oracles.hash_draws("forward_vanishing", seed, 0, len(tokens), -1, 1)
+                retried += sample.values != dict(zip(tokens, first))
         assert retried >= 100
         # a pattern that forces singularity fails after 64 rounds of tries
         allsame = pattern_of((("a", "a"), ("a", "a")))
@@ -267,6 +270,64 @@ class TestSampling:
         allsame = pattern_of((("a", "a"), ("a", "a")))
         with pytest.raises(SamplingError):
             sample_projectives(allsame, [0])
+
+
+# SHA-256 over the comma-joined draws of test_first_draws_are_pinned: 640
+# integers from 16 streams, 40 each.
+GOLDEN_DRAWS = "2f4460656c6d09be63b43bc4015b9aba91251beab8947178036bcde7a4ed29c7"
+
+
+class TestDraws:
+    def test_slices_at_or_above_the_range_size_are_skipped(self):
+        # [-2, 2] has 5 values and 3-bit slices, so slices 5, 6 and 7 are
+        # rejected; block 0 keeps 104 of its 170 slices, so 200 draws also
+        # read block 1
+        slices = []
+        for block in (0, 1):
+            digest = hashlib.blake2b(f"label 7 3 {block}".encode()).digest()
+            x = int.from_bytes(digest, "little")
+            slices += [x >> (3 * i) & 7 for i in range(512 // 3)]
+        kept = [s - 2 for s in slices if s < 5]
+        assert len([s for s in slices[:170] if s < 5]) == 104
+        draws = uniform_draws("label", 7, 3, 200, -2, 2)
+        assert draws == kept[:200]
+        assert draws != [s % 5 - 2 for s in slices[:200]]
+        assert uniform_draws("label", 7, 3, 50, -2, 2) == draws[:50]
+        assert uniform_draws("label", 7, 3, 0, -2, 2) == []
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (0, 0), (-1, 1), (0, 7), (0, 8), (1, 10**4),
+            (-SAMPLE_BOUND, SAMPLE_BOUND), (-(2**80), 2**80),
+        ],
+    )
+    def test_every_draw_in_range_and_equal_to_the_reference(self, low, high):
+        draws = uniform_draws(SAMPLE_LABEL, 11, 2, 300, low, high)
+        assert len(draws) == 300
+        assert all(type(x) is int and low <= x <= high for x in draws)
+        assert draws == oracles.hash_draws(SAMPLE_LABEL, 11, 2, 300, low, high)
+        if high - low < 10:
+            assert set(draws) == set(range(low, high + 1))
+
+    def test_label_seed_and_attempt_each_change_the_stream(self):
+        draws = uniform_draws("a", 5, 0, 40, 1, 10**4)
+        assert draws == uniform_draws("a", 5, 0, 40, 1, 10**4)
+        for other in (("b", 5, 0), ("a", 6, 0), ("a", 5, 1), ("a", -5, 0)):
+            assert uniform_draws(*other, 40, 1, 10**4) != draws, other
+
+    def test_first_draws_are_pinned(self):
+        # any change to the stream's layout shows here: both check labels,
+        # seeds past 64 bits, and two attempts of each
+        draws = []
+        for seed in (0, 1, 1_000_003, 2**70):
+            for attempt in (0, 1):
+                draws += uniform_draws(
+                    SAMPLE_LABEL, seed, attempt, 40, -SAMPLE_BOUND, SAMPLE_BOUND
+                )
+                draws += uniform_draws("roundtrip_parametrization", seed, attempt, 40, 1, 10**4)
+        text = ",".join(map(str, draws))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DRAWS
 
 
 class TestInversion:

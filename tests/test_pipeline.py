@@ -187,12 +187,39 @@ class TestChecks:
     def test_roundtrip_skips_singular_points(self, monkeypatch):
         # force every sampled parameter to 1: the pullback is singular for
         # this tree, so every trial must be skipped, none failed
-        monkeypatch.setattr(random.Random, "randint", lambda self, a, b: 1)
+        monkeypatch.setattr(
+            pipeline, "uniform_draws", lambda label, seed, attempt, count, low, high: [1] * count
+        )
         result = roundtrip_parametrization(
             build_context(SINGULAR_PULLBACK_TREE), trials=3, seed=0
         )
         assert result["skipped_singular"] == 3
         assert result["passed"]
+
+    def test_checks_draw_independent_streams_per_trial(self, monkeypatch):
+        # each check reads its trial's draws under its own label, so the
+        # round trip's parameters are not read off the forward check's K
+        calls = []
+        original = matrices.uniform_draws
+
+        def recorded(label, seed, attempt, count, low, high):
+            draws = original(label, seed, attempt, count, low, high)
+            calls.append((label, seed, attempt, draws))
+            return draws
+
+        monkeypatch.setattr(matrices, "uniform_draws", recorded)
+        monkeypatch.setattr(pipeline, "uniform_draws", recorded)
+        assert verify_tree(fixture_tree("uncolored_binary"), trials=5, seed=2).passed
+        trial_seeds = [_trial_seed(2, k) for k in range(5)]
+        for label in (matrices.SAMPLE_LABEL, pipeline.ROUNDTRIP_LABEL):
+            assert [s for lab, s, a, _ in calls if lab == label and a == 0] == trial_seeds
+        assert matrices.SAMPLE_LABEL != pipeline.ROUNDTRIP_LABEL
+        for s in trial_seeds:
+            forward, roundtrip = (
+                original(label, s, 0, 40, 1, pipeline.ROUNDTRIP_BOUND)
+                for label in (matrices.SAMPLE_LABEL, pipeline.ROUNDTRIP_LABEL)
+            )
+            assert forward != roundtrip
 
     @pytest.mark.parametrize("check", [forward_vanishing, roundtrip_parametrization])
     def test_zero_trials_rejected(self, check):
@@ -207,10 +234,13 @@ class TestChecks:
     )
     def test_runs_that_repeat_trials_rejected(self, check, trials, seed, message):
         ctx = build_context(fixture_tree("colored_star"))
-        # random.Random seeds by absolute value: seed -1 would replay seed 1
-        seeds = [_trial_seed(-1, 0), _trial_seed(1, 0)]
-        negative, positive = sample_projectives(ctx.pattern, seeds)
-        assert negative == positive
+        # trial k of seed s draws from trial seed s * stride + k, so a trial
+        # past the stride replays the next seed's first trial; seeds are the
+        # non-negative integers, so each run's trial seeds are its own range
+        past, next_first = sample_projectives(
+            ctx.pattern, [_trial_seed(0, _SEED_STRIDE), _trial_seed(1, 0)]
+        )
+        assert past == next_first
         with pytest.raises(ValueError, match=message):
             check(ctx, trials=trials, seed=seed)
 
