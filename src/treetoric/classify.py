@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import TreeError
+from .errors import NotApplicableError, TreeError
 from .graphs import (
     ColoredGraph,
     derive_graph,
@@ -101,6 +101,14 @@ class ClassificationReport:
     @property
     def applicable(self) -> bool:
         return self.theorem != NONE
+
+    def require_applicable(self) -> None:
+        """Raise :class:`NotApplicableError`, carrying this report and its
+        reasons, when the tree is NONE: the one wording of that refusal."""
+        if not self.applicable:
+            raise NotApplicableError(
+                "; ".join(self.reasons) or "no applicable theorem", self
+            )
 
     def to_dict(self) -> dict:
         return {

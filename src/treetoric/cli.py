@@ -45,7 +45,8 @@ from .ideals import (
     generators_text,
 )
 from .laplacians import form_text, gamma_graph, gamma_laplacian
-from .pipeline import build_context, verify_tree
+from .monomials import path_map
+from .pipeline import verify_tree
 from .trees import load_tree
 
 EXIT_OK = 0
@@ -158,14 +159,17 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     with open(args.generators, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     gens = [parse_binomial(ln) for ln in lines]
-    ctx = build_context(tree)
+    # only the path map: the tree's own generators are never read here
+    report = classify(tree)
+    report.require_applicable()
+    mmap = path_map(report.working_tree, report.graph)
     try:
-        flags = [ctx.mmap.in_kernel(b) for b in gens]
+        flags = [mmap.in_kernel(b) for b in gens]
     except KeyError as exc:  # a variable the tree's map has no row for
         raise ValueError(exc.args[0]) from None
     doc = {
         "tree": tree.to_dict(),
-        "coordinates": ctx.report.coordinates,
+        "coordinates": report.coordinates,
         "results": [
             {"generator": b.text(), "in_kernel": flag} for b, flag in zip(gens, flags)
         ],

@@ -11,12 +11,12 @@ from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_name
-from treetoric.classify import ClassificationReport
+from treetoric.classify import ClassificationReport, coordinate_kind
 from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import ColoredGraph, derive_graph, one_clique_separated_quadruples
 from treetoric.ideals import (
+    _Builder,
     block_minor_binomials,
-    cherry_binomials,
     completion_binomials,
 )
 from treetoric.laplacians import pq_index_pairs
@@ -266,20 +266,46 @@ def sigma_completion_linears(g: ColoredGraph) -> set[Binomial]:
     return out
 
 
+def cherry_reference(t: ColoredTree, *, into: _Builder | None = None) -> list:
+    """The quartet quadrics as first built, one quadruple at a time: the
+    three lca-depth sums compared, then each deepest pairing {i,j},{k,l}
+    keyed by ``_Builder.minor`` (x_ik x_jl - x_il x_jk), which orders the
+    monomials by comparing ranks.  Same signature and output as
+    ``ideals.cherry_binomials``."""
+    builder = into or _Builder(coordinate_kind(t), t.n_leaves)
+    minor = builder.minor
+    deep = {pair: t.depth(m) for pair, m in t.leaf_lca.items()}
+    out: list[int] = []
+    for a, b, c, d in combinations([0] + t.leaves(), 4):
+        ab_cd = deep[a, b] + deep[c, d]
+        ac_bd = deep[a, c] + deep[b, d]
+        ad_bc = deep[a, d] + deep[b, c]
+        high = max(ab_cd, ac_bd, ad_bc)
+        if (ab_cd, ac_bd, ad_bc).count(high) == 2:
+            raise AssertionError("two deepest pairings: four-point condition violated")
+        if ab_cd == high:
+            out.append(minor(a, b, c, d))
+        if ac_bd == high:
+            out.append(minor(a, c, b, d))
+        if ad_bc == high:
+            out.append(minor(a, d, b, c))
+    return builder.result(out, into)
+
+
 def combined_via_sigma(report: ClassificationReport) -> list[Binomial]:
     """The generators as first built: the block minors and completion
     linears in sigma-variables, each embedded into the report's coordinate
     kind, united with the cherry quadrics and sorted."""
     kind = report.coordinates
     sigma = sigma_block_minors(report.graph) | sigma_completion_linears(report.graph)
-    return sorted(set(cherry_binomials(report.working_tree)) | {embed(b, kind) for b in sigma})
+    return sorted(set(cherry_reference(report.working_tree)) | {embed(b, kind) for b in sigma})
 
 
 def combined_reference(report: ClassificationReport) -> list[Binomial]:
     """The three families united by a set and sorted by tuple comparison,
     as ``ideals.combined_from_classification`` first combined them."""
     kind = report.coordinates
-    cherry = cherry_binomials(report.working_tree)
+    cherry = cherry_reference(report.working_tree)
     block = block_minor_binomials(report.graph, kind)
     completion = completion_binomials(report.graph, kind)
     return sorted({*cherry, *block, *completion})

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treetoric import cli, pipeline
+from treetoric import cli, ideals, pipeline
 from treetoric.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -26,6 +26,7 @@ from treetoric.classify import (
     THM_COLORED_COMPLETE,
     THM_MAIN,
     classify,
+    coordinate_kind,
 )
 from treetoric.errors import (
     NotApplicableError,
@@ -239,6 +240,43 @@ class TestKernel:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: exponent below 1")
+
+    def test_builds_no_generators(self, tmp_path, capsys, monkeypatch):
+        # kernel reads only the tree's path map: with the generator builder
+        # made to raise, every fixture gives the exit code, stdout and
+        # stderr pinned by GOLDEN_KERNEL, and a NONE tree the stderr that
+        # the generators command gives it
+        files, refusals = {}, {}
+        for name in TREE_FIXTURES:
+            kind = coordinate_kind(fixture_tree(name))
+            code = main(["generators", "--tree", tree_path(name)])
+            captured = capsys.readouterr()
+            if code == EXIT_NOT_APPLICABLE:
+                refusals[name] = captured.err
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(captured.out + f"{kind}01 - {kind}12\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel built the tree's generators")
+
+        monkeypatch.setattr(ideals, "_Builder", refuse)
+        digest = hashlib.sha256()
+        for name in TREE_FIXTURES:
+            code = main(["kernel", "--tree", tree_path(name), "--generators", str(files[name])])
+            captured = capsys.readouterr()
+            if name in refusals:
+                assert code == EXIT_NOT_APPLICABLE and captured.err == refusals[name]
+            digest.update(f"{name} {code}\n".encode())
+            digest.update(captured.out.encode())
+            digest.update(captured.err.encode())
+        assert len(refusals) == 4
+        assert digest.hexdigest() == GOLDEN_KERNEL
+
+
+# SHA-256 over each tree fixture's name, exit code, stdout and stderr of
+# `kernel` on a file of its own generators (none for a NONE tree) followed
+# by x01 - x12 in its coordinate kind, which lies in no fixture's kernel.
+GOLDEN_KERNEL = "c4cc2e2f3fea3831b656bd50c9be6c2d76b34bb29f98eb20212cc0e0a7fed768"
 
 
 TWO_LEAVES = {

@@ -4,6 +4,8 @@ the sigma -> p/q variable rule, and the combined construction."""
 import json
 import random
 from itertools import combinations
+from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +32,7 @@ from treetoric.trees import ColoredTree
 from conftest import TREE_FIXTURES, combined_binomials, fixture_tree, random_tree
 from oracles import (
     bfs_path_oracle,
+    cherry_reference,
     connected_components,
     combined_reference,
     combined_via_sigma,
@@ -194,6 +197,58 @@ class TestCherryBinomials:
                 assert {i for i, s in enumerate(depth_sums) if s == best} == {
                     i for i, s in enumerate(dist_sums) if s == min(dist_sums)
                 }
+
+    @staticmethod
+    def _keys_and_reference(t: ColoredTree) -> list[int]:
+        kind, n = coordinate_kind(t), t.n_leaves
+        got, want = _Builder(kind, n), _Builder(kind, n)
+        keys = cherry_binomials(t, into=got)
+        assert keys == cherry_reference(t, into=want), t.to_dict()
+        assert got.keys == want.keys == set(keys)
+        return keys
+
+    def test_closed_form_matches_reference_scan(self):
+        # the same keys in the same order as the per-quadruple scan that
+        # compares depth sums and then keys each pairing by _Builder.minor
+        stars = resolved = 0
+        trees = list(all_small_trees(5))
+        trees += [random_tree(random.Random(s), n_min=8, n_max=14) for s in GOLDEN_RANDOM_SEEDS]
+        rng = random.Random(3307)
+        trees += [random_tree(rng, n_min=n, n_max=n) for n in range(6, 17) for _ in range(4)]
+        for t in trees:
+            keys = self._keys_and_reference(t)
+            quads = comb(t.n_leaves + 1, 4)
+            star = (len(keys) - quads) // 2  # a star quadruple gives three keys
+            stars, resolved = stars + star, resolved + quads - star
+        assert stars > 20000 and resolved > 50000, (stars, resolved)
+        # as binomials, with a builder of its own
+        for t in trees[::25]:
+            assert cherry_binomials(t) == cherry_reference(t)
+
+    @pytest.mark.parametrize(
+        "lows", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)]
+    )
+    def test_four_point_guard(self, lows):
+        # A stub over the leaves 0..3 whose pairings 01|23, 02|13 and 03|12
+        # have lca-depth sums ``lows``: every pair with leaf 0 meets at the
+        # root (depth 0), and the pairs (2, 3), (1, 3) and (1, 2) meet at
+        # nodes of depths lows[0], lows[1] and lows[2].  No tree ties
+        # exactly two deepest pairings, so only a stub reaches the guard.
+        depth = {0: 0, 10: lows[0], 11: lows[1], 12: lows[2]}
+        t = SimpleNamespace(
+            n_leaves=3,
+            leaf_lca={(0, 1): 0, (0, 2): 0, (0, 3): 0, (2, 3): 10, (1, 3): 11, (1, 2): 12},
+            depth=depth.__getitem__,
+            leaves=lambda: [1, 2, 3],
+        )
+        if lows.count(max(lows)) == 2:
+            for build in (cherry_binomials, cherry_reference):
+                with pytest.raises(AssertionError, match="two deepest pairings"):
+                    build(t, into=_Builder("p", 3))
+        else:
+            keys = cherry_binomials(t, into=_Builder("p", 3))
+            assert keys == cherry_reference(t, into=_Builder("p", 3))
+            assert len(keys) == (3 if len(set(lows)) == 1 else 1)
 
 
 class TestBlockMinors:
