@@ -286,15 +286,20 @@ def _digit_tables(n: int, first, second) -> tuple[int, _OnDemand, _OnDemand]:
     )
 
 
+def key_digits(n: int, factor) -> tuple[int, _OnDemand, _OnDemand]:
+    """M and two per-document tables over the digits of a monomial key over
+    the indices 0..n (:class:`_Builder`): the first digit 3 r + e and the
+    second 3 (r + 1) + e to ``factor(a, b, e)`` for the factor x_ab^e of
+    rank r, and digit 0, no factor, to ()."""
+    m, first, second = _digit_tables(n, factor, factor)
+    first[0] = second[0] = ()
+    return m, first, second
+
+
 def binomials(keys: Iterable[int], kind: str, n: int) -> list[Binomial]:
     """The binomials of generator keys over the indices 0..n, in the order
     of ``keys``: the one place a :class:`Binomial` is made from a key."""
-
-    def factor(a: int, b: int, e: int) -> tuple[tuple[Var, int], ...]:
-        return (((kind, a, b), e),)
-
-    m, first, second = _digit_tables(n, factor, factor)
-    first[0] = second[0] = ()
+    m, first, second = key_digits(n, lambda a, b, e: (((kind, a, b), e),))
     return [
         Binomial(first[lead // m] + second[lead % m], first[trail // m] + second[trail % m])
         for lead, trail in map(divmod, keys, repeat(m * m))

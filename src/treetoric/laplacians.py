@@ -13,10 +13,11 @@ Every off-diagonal entry is a single term -/+ x_ij, and the diagonal entry
 sigma_ii is x_0i plus terms in x_ab with a, b >= 1.  The system is therefore
 unitriangular and inverts in closed form by substitution.  Both directions
 are stored as sparse integer linear forms keyed by index pair, and applied
-to plain lists: a matrix's upper triangle (order :func:`sigma_index_pairs`)
-one way, a coordinate list the other.  Evaluation gathers the first term
-of every form at once and adds the other terms only for the forms that
-have them, x_0j and sigma_jj.
+to batches held entry-major, one list across the batch per entry: the
+entries of upper triangles (order :func:`sigma_index_pairs`) one way, the
+coordinates the other.  Evaluation copies the first term of every form,
+signed, and adds the other terms only for the forms that have them, x_0j
+and sigma_jj, each a few ``map`` passes over the batch.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from operator import mul
+from itertools import combinations, repeat
+from operator import add, mul, neg
 from typing import Mapping, NamedTuple
 
 from . import linalg
@@ -132,13 +133,28 @@ def _split(forms, pairs, into) -> _Split:
     )
 
 
+def _scaled(values, c: int):
+    """The entries of ``values`` times c, lazily; ``values`` itself for c = 1."""
+    if c == 1:
+        return values
+    return map(neg, values) if c == -1 else map(mul, values, repeat(c))
+
+
 def _evaluate(split: _Split, values) -> list:
-    """The value of every form of the split at the list ``values``: one
-    signed gather of the first terms, then sums for the longer forms."""
-    value = values.__getitem__
-    out = list(map(mul, map(value, split.firsts), split.coeffs))
+    """Every form of the split at a batch of lists held entry-major:
+    ``values[p]`` lists entry p of every list, and entry f of the result
+    lists form f's value at each.  One signed copy of the first terms,
+    then sums for the longer forms; an entry with coefficient 1 and no
+    further term is the input's list itself."""
+    out = [
+        values[p] if c == 1 else list(_scaled(values[p], c))
+        for p, c in zip(split.firsts, split.coeffs)
+    ]
     for f, positions, coeffs in split.more:
-        out[f] += sum(map(mul, map(value, positions), coeffs))
+        total = out[f]
+        for p, c in zip(positions, coeffs):
+            total = map(add, total, _scaled(values[p], c))
+        out[f] = list(total)
     return out
 
 
@@ -151,10 +167,11 @@ class CoordinateMap:
     in coordinate pairs per sigma pair (order :func:`sigma_index_pairs`) and
     is the exact inverse of ``forward``.
 
-    The list kernels :meth:`coordinates` and :meth:`sigma_upper` do the
-    work on upper triangles; :meth:`apply` and :meth:`unapply` take and
-    give a :class:`SymMatrix` and key the coordinates by variable.  Integer
-    input gives integer output.
+    The batch kernels :meth:`coordinates` and :meth:`sigma_upper` do the
+    work on upper triangles held entry-major; :meth:`apply` and
+    :meth:`unapply` take and give one :class:`SymMatrix`, as a batch of
+    one, and key the coordinates by variable.  Integer input gives integer
+    output.
     """
 
     n: int
@@ -178,28 +195,35 @@ class CoordinateMap:
     def _backward_terms(self) -> _Split:
         return _split(self.backward, sigma_index_pairs(self.n), pq_index_pairs(self.n))
 
-    def coordinates(self, upper) -> list:
-        """Coordinate list of the symmetric matrix with this upper triangle."""
-        return _evaluate(self._forward_terms, upper)
+    def coordinates(self, entries) -> list:
+        """Coordinate entries of a batch of symmetric matrices:
+        ``entries[t]`` lists entry t of each matrix's upper triangle, and
+        entry k of the result lists coordinate k of each matrix."""
+        return _evaluate(self._forward_terms, entries)
 
     def sigma_upper(self, values) -> list:
-        """Upper triangle of the symmetric matrix whose coordinate list is
-        ``values``."""
+        """Upper-triangle entries of the symmetric matrices of a batch of
+        coordinate lists: ``values[k]`` lists coordinate k of each, and
+        entry t of the result lists triangle entry t of each matrix."""
         return _evaluate(self._backward_terms, values)
 
     def apply(self, m: SymMatrix) -> dict[Var, Fraction]:
-        """Coordinate vector of a symmetric matrix, keyed by variable."""
+        """Coordinate vector of a symmetric matrix, keyed by variable: a
+        batch of one through :meth:`coordinates`."""
         if m.n != self.n:
             raise ValueError("dimension mismatch")
-        return dict(zip(self.index, self.coordinates(m.upper())))
+        coordinates = self.coordinates([[x] for x in m.upper()])
+        return {v: x for v, (x,) in zip(self.index, coordinates)}
 
     def unapply(self, point: Mapping[Var, Fraction]) -> SymMatrix:
-        """Symmetric matrix whose coordinate vector is the given point.
+        """Symmetric matrix whose coordinate vector is the given point: a
+        batch of one through :meth:`sigma_upper`.
 
         Entries keep the type of the point's values: an integer point gives
         an integer matrix.
         """
-        return SymMatrix.from_upper(self.n, self.sigma_upper([point[v] for v in self.index]))
+        upper = self.sigma_upper([[point[v]] for v in self.index])
+        return SymMatrix.from_upper(self.n, [x for (x,) in upper])
 
 
 def g_derived_laplacian_map(g: ColoredGraph) -> CoordinateMap:

@@ -7,11 +7,12 @@ package inverts is), bordered on one index at a time with
 given and returned as its upper triangle alone, so it cannot be
 asymmetric, listed column by column (:func:`upper_pairs`): the order in
 which bordering reads the matrix and builds the adjugate, so neither is
-reordered.  Matrices are bordered in batches, in index order, each entry
-held as one list across the batch (:func:`det_adjugates`, the one det and
-adjugate routine); a matrix meeting a zero leading principal minor is
-resolved inside the batch by a unimodular congruence.  No floating point
-anywhere.
+reordered.  Matrices are bordered in batches, in index order, and a batch
+is taken and returned entry-major, each triangle entry held as one list
+across the batch (:func:`det_adjugates`, the one det and adjugate
+routine; a single matrix is a batch of one); a matrix meeting a zero
+leading principal minor is resolved inside the batch by a unimodular
+congruence.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -118,17 +119,21 @@ def _resolve(v: list[int], adj: list[int], det: int, k: int, lines, held):
     return None
 
 
-def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
-    """det(A) and adj(A) of each symmetric integer n x n matrix A whose
-    upper triangle, in the order of :func:`upper_pairs`, is listed in
-    ``uppers``, in the same order, built by bordering (Faddeev and
+def det_adjugates(n: int, a) -> tuple[list[int], list[list[int]]]:
+    """det(A) and adj(A) of a batch of symmetric integer n x n matrices A,
+    held entry-major: ``a[t]`` lists entry t of the upper triangle (order
+    :func:`upper_pairs`) of every matrix of the batch, so the batch size
+    is the length of an entry list.  Built by bordering (Faddeev and
     Faddeeva, 1963) made fraction-free as in Bareiss (Math. Comp. 1968).
 
-    Each adjugate comes as its upper triangle in the same order; a
-    singular matrix gives ``(0, None)``.  ``uppers`` is not changed.  Each
-    entry is held as one list across the batch, so each step of the
-    bordering is a few ``map`` passes over the batch instead of one Python
-    step per matrix, and the caller bounds memory by the batch size.
+    Returns ``(det, adj)``, entry-major in the same order: ``det`` lists
+    each matrix's determinant and ``adj[t]`` entry t of each adjugate's
+    upper triangle; a singular matrix leaves the build early and has det 0
+    and every adjugate entry 0 here.  ``a`` and its lists are not changed;
+    with no entry list (n = 0) or empty ones the batch is empty.  Each
+    step of the bordering is a few ``map`` passes over the batch instead
+    of one Python step per matrix, and the caller bounds memory by the
+    batch size.
 
     The indices 0, 1, ..., n - 1 are bordered on in turn.  With S the
     indices bordered so far, D = det(A_SS) (1 for S empty) and the integer
@@ -153,19 +158,19 @@ def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
     adj(A) = E^T adj(E A E^T) E: each congruence is undone, last first, by
     adding c times index k into index j.
     """
-    if not n or not uppers:
-        return [(1, []) for _ in uppers]
+    if not a or not a[0]:
+        return [], []
     lines = _lines(n)
     rows, cols = zip(*upper_pairs(n))  # r and c of each stored entry
-    results: list = [(0, None)] * len(uppers)
-    alive = list(range(len(uppers)))
+    count = len(a[0])
+    alive = list(range(count))
     moves: dict[int, list] = {}  # congruences (j, k, c) of each matrix, in order
-    a = [list(x) for x in zip(*uppers)]  # a[t]: entry t of each triangle
-    det, adj = [1] * len(uppers), []
+    det, adj = [1] * count, []
     for k in range(n):
         held = lines[:k]
         u, d = _pivots(a, adj, det, lines[k], held)
         if not all(d):
+            a = [list(x) for x in a]  # resolving writes into the entries: not the caller's
             for m in [m for m, x in enumerate(d) if not x]:
                 v = [x[m] for x in a]
                 move = _resolve(v, [x[m] for x in adj], det[m], k, lines, held)
@@ -187,9 +192,22 @@ def det_adjugates(n: int, uppers: list) -> list[tuple[int, list[int] | None]]:
         adj += [list(map(neg, ur)) for ur in u]
         adj.append(det)
         det = d
-    for i, x, y in zip(alive, det, zip(*adj)):
-        y = list(y)
-        for j, k, c in reversed(moves.get(i, ())):
-            _add_index(y, lines, k, j, c)
-        results[i] = (x, y)
-    return results
+    for m, i in enumerate(alive):
+        if i in moves:
+            y = [x[m] for x in adj]
+            for j, k, c in reversed(moves[i]):
+                _add_index(y, lines, k, j, c)
+            for x, z in zip(adj, y):
+                x[m] = z
+    if len(alive) < count:  # the singular matrices left: 0 in their places
+        det, *adj = (_spread(x, alive, count) for x in (det, *adj))
+    return det, adj
+
+
+def _spread(values: list, alive: list[int], count: int) -> list:
+    """``values`` of the matrices ``alive`` of a batch of ``count``, in
+    their places, with 0 in every other."""
+    full = [0] * count
+    for i, x in zip(alive, values):
+        full[i] = x
+    return full

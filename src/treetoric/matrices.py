@@ -15,14 +15,16 @@ order, :func:`linalg.upper_pairs`), so neither can be asymmetric.  A
 sample has integer entries and comes with its determinant and its
 adjugate, as that triangle, so one fraction-free bordered build both
 certifies it invertible and gives its inverse as adj / det.
-:func:`sample_projectives` draws one sample per seed, and builds each
-round of tries as one batch (:func:`linalg.det_adjugates`, which resolves
-a zero leading principal minor inside the batch; nothing builds a matrix
-alone).
-Pattern membership compares, in one list comparison, each structural-zero
-position of a triangle with 0 and each other position of a class with the
-first position of that class; the position pairs are read off the pattern
-once.
+:func:`sample_projectives` draws one sample per seed and holds them
+entry-major, one list across the seeds per color token and per triangle
+entry, from the draws to the adjugates; it builds each round of tries as
+one batch (:func:`linalg.det_adjugates`, which resolves a zero leading
+principal minor inside the batch; nothing builds a matrix alone).
+Pattern membership takes a batch held the same way: each structural-zero
+position of the triangle must hold 0 and each other position of a class
+what the first position of that class holds.  The position pairs are read
+off the pattern once, and a pair whose two lists are equal holds for the
+whole batch, so only a pair that differs is compared matrix by matrix.
 
 Every sampled integer of the package comes from :func:`uniform_draws`, a
 counter-based stream (Salmon, Moraes, Dror and Shaw, "Parallel random
@@ -50,6 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 from hashlib import blake2b
 from math import lcm
+from operator import and_, eq
 from typing import NamedTuple
 
 from . import linalg
@@ -126,11 +129,6 @@ class MatrixPattern:
     def _tokens(self) -> tuple[str, ...]:
         return tuple(sorted({c for c in self.classes if c is not None}))
 
-    def upper(self, values: dict) -> list:
-        """Upper triangle (order :func:`linalg.upper_pairs`) with each token
-        replaced by its value and zeros kept."""
-        return [0 if tok is None else values[tok] for tok in self.classes]
-
     @cached_property
     def _membership_cells(self) -> tuple[list[int], list[int]]:
         # Positions in the upper triangle, each paired with the position it
@@ -146,13 +144,21 @@ class MatrixPattern:
                 partners.append(partner)
         return cells, partners
 
-    def contains(self, upper) -> bool:
-        """Whether the symmetric matrix with this upper triangle (order
-        :func:`linalg.upper_pairs`) lies in the space: 0 at every structural
-        zero and one value on each class."""
-        x = [*upper, 0]
-        cells, partners = self._membership_cells
-        return list(map(x.__getitem__, cells)) == list(map(x.__getitem__, partners))
+    def contains(self, entries) -> list[bool]:
+        """Whether each symmetric matrix of a batch lies in the space: 0 at
+        every structural zero and one value on each class.  ``entries[t]``
+        lists entry t of the upper triangle (order
+        :func:`linalg.upper_pairs`) of every matrix, as lists; the result
+        lists one verdict per matrix.  A position pair whose two lists are
+        equal holds for the whole batch, so only the pairs that differ are
+        compared matrix by matrix."""
+        count = len(entries[0]) if entries else 0
+        x = [*entries, [0] * count]
+        verdicts = [True] * count
+        for cell, partner in zip(*self._membership_cells):
+            if x[cell] != x[partner]:
+                verdicts = list(map(and_, verdicts, map(eq, x[cell], x[partner])))
+        return verdicts
 
 
 class SymMatrix:
@@ -222,25 +228,28 @@ def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
     return MatrixPattern(size=g.n, classes=classes)
 
 
-class ProjectiveSample(NamedTuple):
-    """An invertible integer K that :func:`sample_projectives` draws from a
-    pattern, with its determinant and adjugate.
+class ProjectiveSamples(NamedTuple):
+    """Invertible integer matrices K that :func:`sample_projectives` draws
+    from a pattern, one per seed, held entry-major, with their
+    determinants and adjugates.
 
-    K^{-1} = adjugate / det, with the adjugate held as the integer upper
-    triangle, column by column, that :func:`linalg.det_adjugates`
-    returns.  Checks run on that triangle: pattern membership ignores the
-    nonzero scalar det, and a monomial of degree d in linear coordinates
-    of K^{-1} is its value on the adjugate over det^d.
+    K^{-1} = adjugate / det, with the adjugates held as the integer upper
+    triangles, column by column, that :func:`linalg.det_adjugates`
+    returns: ``adjugate[t]`` lists entry t of every sample's triangle.
+    Checks run on those triangles: pattern membership ignores the nonzero
+    scalar det, and a monomial of degree d in linear coordinates of K^{-1}
+    is its value on the adjugate over det^d.
     """
 
-    values: dict[str, int]  # token -> sampled entry of K
-    det: int
-    adjugate: list[int]  # upper triangle, order linalg.upper_pairs
+    values: dict[str, list[int]]  # token -> its entry of each K
+    det: list[int]
+    adjugate: list[list[int]]  # entry t of each triangle, order linalg.upper_pairs
 
 
-def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> list[ProjectiveSample]:
+def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> ProjectiveSamples:
     """One deterministic invertible integer sample from the pattern for each
-    seed, with its determinant and adjugate, in the order of ``seeds``.
+    seed, with its determinant and adjugate, in the order of ``seeds``,
+    every token and triangle entry held as one list across the seeds.
 
     Try a of a seed gives the color tokens, in sorted order, the integers
     uniform in [-10^6, 10^6] that :func:`uniform_draws` reads under
@@ -251,6 +260,8 @@ def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> list[Project
     batched fraction-free bordered build on the upper triangles
     (:func:`linalg.det_adjugates`), which both decides invertibility and
     yields the adjugates; the memory it holds grows with ``len(seeds)``.
+    The first round's lists are the result, and each later round writes
+    its samples into their seeds' places.
 
     Raises
     ------
@@ -258,22 +269,30 @@ def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> list[Project
         When a seed fails 64 tries (the pattern forces singularity).
     """
     tokens = pattern._tokens
+    at = {tok: k for k, tok in enumerate(tokens)}
     shape = (len(tokens), -SAMPLE_BOUND, SAMPLE_BOUND)  # count, low, high
-    samples: list = [None] * len(seeds)
-    pending = list(range(len(seeds)))
+    pending = range(len(seeds))
     for attempt in range(SAMPLE_RETRIES):
+        # draws[k]: token k's entry of each pending seed's matrix
         draws = [
-            dict(zip(tokens, uniform_draws(SAMPLE_LABEL, seeds[i], attempt, *shape)))
-            for i in pending
+            list(column)
+            for column in zip(
+                *(uniform_draws(SAMPLE_LABEL, seeds[i], attempt, *shape) for i in pending)
+            )
         ]
-        built = linalg.det_adjugates(pattern.size, [pattern.upper(v) for v in draws])
-        retry = []
-        for i, values, (det, adj) in zip(pending, draws, built):
-            if det:
-                samples[i] = ProjectiveSample(values, det, adj)
-            else:
-                retry.append(i)
-        pending = retry
+        zero = [0] * len(pending)
+        det, adj = linalg.det_adjugates(
+            pattern.size, [zero if tok is None else draws[at[tok]] for tok in pattern.classes]
+        )
+        if not attempt:
+            samples = ProjectiveSamples(dict(zip(tokens, draws)), det, adj)
+        else:  # the new samples go to their seeds' places
+            held = [*samples.values.values(), samples.det, *samples.adjugate]
+            for into, new in zip(held, [*draws, det, *adj]):
+                for i, x, y in zip(pending, new, det):
+                    if y:
+                        into[i] = x
+        pending = [i for i, y in zip(pending, det) if not y]
         if not pending:
             return samples
     raise SamplingError(
@@ -293,8 +312,9 @@ def invert_exact(m: SymMatrix) -> SymMatrix:
     """
     upper = m.upper()
     s = lcm(*(x.denominator for x in upper))
-    scaled = [x.numerator * (s // x.denominator) for x in upper]
-    det, adj = linalg.det_adjugates(m.n, [scaled])[0]
-    if adj is None:
+    if not upper:  # the 0 x 0 matrix: a batch of no entries is empty
+        return m
+    (det,), adj = linalg.det_adjugates(m.n, [[x.numerator * (s // x.denominator)] for x in upper])
+    if not det:
         raise SingularMatrixError("matrix is exactly singular")
-    return SymMatrix.from_upper(m.n, [Fraction(s * x, det) for x in adj])
+    return SymMatrix.from_upper(m.n, [Fraction(s * x, det) for (x,) in adj])

@@ -13,7 +13,10 @@ the leaf-colored map (tokens merge), and both zeroed variants (the squared
 center rule switches on exactly when the zeroed set is nonempty).
 
 Everything is an exponent matrix; kernel membership of a binomial reduces
-to equality of two integer vectors.
+to equality of two integer vectors, each packed into one integer
+(:meth:`MonomialMap.packed_rows`) at a digit width that no sum of rows up
+to the checked degree can carry out of.  Parametrized points are computed
+for a batch at once, held entry-major (:meth:`MonomialMap.point`).
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from operator import mul
 from typing import Mapping
 
 from . import linalg
-from .binomials import Binomial, Monomial, Var, coord_var, var_name
+from .binomials import Binomial, Var, coord_var, var_name
 from .classify import coordinate_kind
 from .errors import GraphError
 from .graphs import ColoredGraph, star_decomposition
@@ -69,31 +72,58 @@ class MonomialMap:
         except KeyError:
             raise KeyError(f"variable {var_name(v)} outside coordinate range") from None
 
-    def image_exponents(self, m: Monomial) -> tuple[int, ...]:
-        """Total parameter exponent vector of the image of a monomial."""
-        total = [0] * len(self.params)
-        for v, e in m:
-            # Rows are mostly zero: sum over the sparse pairs only.
-            for k, r in self._terms[self._position(v)]:
-                total[k] += e * r
-        return tuple(total)
+    @cached_property
+    def _top(self) -> int:
+        """The largest exponent in the matrix."""
+        return max((max(row) for row in self.rows if row), default=0)
+
+    def _width(self, degree: int) -> int:
+        return max(1, (degree * self._top).bit_length())
+
+    def _pack(self, position: int, width: int) -> int:
+        return sum(e << (width * k) for k, e in self._terms[position])
+
+    def packed_rows(self, degree: int) -> list[int]:
+        """Each row as one integer, its exponent of parameter k in bits
+        w k to w (k + 1) - 1, with w the bit length of ``degree`` times the
+        largest exponent of the matrix.  A monomial of degree at most
+        ``degree`` maps to the sum of its variables' packed rows, counted
+        by exponent, and no digit of that sum can reach 2^w: two such
+        monomials have the same image exactly when the sums are equal."""
+        width = self._width(degree)
+        return [self._pack(k, width) for k in range(len(self.rows))]
 
     def in_kernel(self, b: Binomial) -> bool:
-        """True iff both monomials map to the same parameter monomial."""
-        return self.image_exponents(b.lead) == self.image_exponents(b.trail)
+        """True iff both monomials map to the same parameter monomial: the
+        packed images of :meth:`packed_rows` are equal, at the width of
+        the binomial's degree."""
+        width = self._width(max(sum(e for _, e in m) for m in b))
+        lead, trail = (
+            sum(e * self._pack(self._position(v), width) for v, e in m) for m in b
+        )
+        return lead == trail
 
     def point(self, theta) -> list:
-        """Coordinate list (order :meth:`coords`) of the parametrized point
-        at parameter values listed in ``params`` order.
+        """Coordinate entries (order :meth:`coords`) of the parametrized
+        points of a batch held entry-major: ``theta[k]`` lists parameter
+        k's value (``params`` order) at each point, and entry r of the
+        result lists coordinate r at each point.
 
-        Integer parameters give an integer point.
+        Integer parameters give integer points.
         """
-        value = theta.__getitem__
-        return [prod(map(value, factors)) for factors in self._factors]
+        out = []
+        for factors in self._factors:
+            values = theta[factors[0]]
+            for k in factors[1:]:
+                values = map(mul, values, theta[k])
+            out.append(list(values))
+        return out
 
     def evaluate(self, theta: Mapping[str, Fraction]) -> dict[Var, Fraction]:
-        """:meth:`point` at parameter values keyed by token, keyed by variable."""
-        return dict(zip(self.coords(), self.point([theta[tok] for tok in self.params])))
+        """:meth:`point` at parameter values keyed by token, keyed by
+        variable: a batch of one."""
+        point = self.point([[theta[tok]] for tok in self.params])
+        return {v: x for v, (x,) in zip(self.coords(), point)}
 
 
 def exponent_rank(m: MonomialMap) -> int:

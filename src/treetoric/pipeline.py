@@ -3,13 +3,16 @@
 For a theorem-applicable tree the pipeline assembles the coordinate change,
 the path map and the combined generators, then certifies the claims through
 three exact checks.  The generators come as sorted integer keys
-(:func:`ideals.combined_from_classification`); the context keeps the keys,
-and the binomials the one decoder, :func:`ideals.binomials`, makes of them
-for the checks.  The report lists the generators as the text lines that
-:func:`ideals.generator_lines` renders from the keys.  The checks:
+(:func:`ideals.combined_from_classification`), and the context keeps only
+the keys: the checks read each monomial's factors off its part of a key
+(:func:`ideals.key_digits`), and the binomials the one decoder,
+:func:`ideals.binomials`, makes of them are decoded on first use of
+:attr:`VerificationContext.generators`, which no check reads.  The report
+lists the generators as the text lines that :func:`ideals.generator_lines`
+renders from the keys.  The checks:
 
 * kernel membership: every generator's two monomials map to the same
-  parameter exponent vector;
+  parameter exponent vector, compared as packed integers;
 * forward vanishing: for sampled invertible matrices K in the tree's
   pattern, every generator evaluates to exactly 0 at the coordinates of
   K^{-1};
@@ -27,20 +30,26 @@ integers: both draw integer points (matrix entries and positive path-map
 parameters), and matrices are inverted up to the scalar det as adjugates,
 by fraction-free bordering; pattern membership ignores that scalar.
 Both run their trials in the fewest chunks of at most :data:`TRIAL_CHUNK`,
-of near-equal size: the matrices of a chunk are built in one batch
-(:func:`linalg.det_adjugates`, which resolves a zero leading principal
-minor inside the batch, so no matrix is built alone), which bounds the
-memory a run holds, and every other step stays per trial.
+of near-equal size, and hold a chunk entry-major from the draws to the
+verdicts: one list across the chunk per color token, triangle entry,
+coordinate, path-map parameter and distinct monomial
+(:func:`matrices.sample_projectives`, :func:`linalg.det_adjugates`,
+:meth:`CoordinateMap.coordinates` and :meth:`~CoordinateMap.sigma_upper`,
+:meth:`MonomialMap.point`, :meth:`MatrixPattern.contains`).  So each step
+is a few passes over the chunk, not one Python step per trial, and the
+chunk bounds the memory a run holds; only the draws are read trial by
+trial.  The matrices of a chunk are built in one batch, which resolves a
+zero leading principal minor inside the batch, so no matrix is built
+alone.  A matrix is its upper triangle, column by column
+(:func:`linalg.upper_pairs`, the order in which it is bordered), from
+draw to membership test: no trial builds n x n rows and none reorders a
+triangle.
 Forward vanishing reads every binomial's value at K^{-1} off integer
-products at the adjugate's point: with lead degree d and trail degree e,
-the lower-degree side is scaled by a power of det so both sides share the
-denominator det^max(d, e), and a failing value is the difference of the
-two scaled products over it.
-Points and parameters stay plain lists in the trials, and a matrix is
-the list of its upper triangle, column by column (:func:`linalg.upper_pairs`,
-the order in which it is bordered), from draw to membership test: no trial
-builds n x n rows and none reorders a triangle.  Forward vanishing compares
-all generators of one shape (d, e) at once, as columns of products.  Each
+products at the adjugate's point: each distinct monomial is multiplied
+out once per chunk (:func:`_monomial_values`), and with lead degree d and
+trail degree e the lower-degree side is scaled by a power of det so both
+sides share the denominator det^max(d, e); a failing value is the
+difference of the two scaled products over it.  Each
 trial is a Schwartz-Zippel identity test, as sound with integer draws as
 with rational ones.  Trial k of a run with seed s has the trial seed
 s * 1 000 003 + k, and each check reads its draws for that trial from a
@@ -56,12 +65,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import cached_property
+from itertools import chain, count, repeat
+from operator import add, eq, mul
+from typing import NamedTuple
 
 from . import linalg
 from .binomials import Binomial
 from .classify import ClassificationReport, classify
-from .ideals import binomials, combined_from_classification, generator_lines
+from .ideals import binomials, combined_from_classification, generator_lines, key_digits
 from .laplacians import CoordinateMap, g_derived_laplacian_map
 from .matrices import (
     MatrixPattern,
@@ -79,6 +91,9 @@ ROUNDTRIP_LABEL = "roundtrip_parametrization"
 # Trials whose matrices are inverted in one batch (linalg.det_adjugates);
 # every entry of a batch is held as a list this long, so it bounds memory.
 TRIAL_CHUNK = 64
+# Generators checked together (one _Plan): their distinct monomials are held
+# at every trial of a chunk at once, so this bounds that memory.
+_PLAN_SLICE = 1024
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -100,8 +115,9 @@ class VerificationContext:
     The tree, its contraction, its derived graph and its coordinate kind
     are read from ``report`` (``tree``, ``working_tree``, ``graph`` and
     ``coordinates``); the context keeps no copies of them.  ``keys`` are
-    the sorted generator keys of :func:`ideals.combined_from_classification`,
-    and ``generators`` the binomials they decode to.
+    the sorted generator keys of :func:`ideals.combined_from_classification`;
+    the checks read each generator's factors off its key.  ``generators``,
+    the binomials the keys decode to, is made on first use and kept.
     """
 
     report: ClassificationReport
@@ -109,20 +125,37 @@ class VerificationContext:
     cmap: CoordinateMap
     mmap: MonomialMap
     keys: list[int]
-    generators: list[Binomial]
+
+    @cached_property
+    def generators(self) -> list[Binomial]:
+        return binomials(self.keys, self.report.coordinates, self.report.graph.n)
+
+    @cached_property
+    def _key_plans(self) -> list[_Plan]:
+        """The plans (:func:`_plans`) of the generators, read off the keys:
+        a monomial is named by its part of the key, and each of its two
+        digits gives one factor (:func:`ideals.key_digits`)."""
+        index, kind = self.cmap.index, self.cmap.kind
+        m, first, second = key_digits(self.cmap.n, lambda a, b, e: (index[kind, a, b], e))
+        leads, trails = zip(*map(divmod, self.keys, repeat(m * m))) if self.keys else ((), ())
+
+        def columns(names):
+            firsts, seconds = zip(*map(divmod, names, repeat(m)))
+            return [list(map(first.__getitem__, firsts)), list(map(second.__getitem__, seconds))]
+
+        return _plans(leads, trails, columns)
 
 
 def build_context(t: ColoredTree) -> VerificationContext:
-    """Classify and assemble maps and generators; raises when NONE."""
+    """Classify and assemble maps and generator keys; raises when NONE."""
     report = classify(t)
-    keys, kind = combined_from_classification(report)
+    keys, _ = combined_from_classification(report)
     return VerificationContext(
         report=report,
         pattern=pattern_from_graph(report.graph),
         cmap=g_derived_laplacian_map(report.graph),
         mmap=path_map(report.working_tree, report.graph),
         keys=keys,
-        generators=binomials(keys, kind, report.graph.n),
     )
 
 
@@ -131,16 +164,111 @@ def build_context(t: ColoredTree) -> VerificationContext:
 # -------------------------------------------------------------------- #
 
 
+class _Plan(NamedTuple):
+    """A slice of generators as the distinct monomials they compare.
+
+    ``slots`` are the distinct factors (coordinate position, exponent),
+    numbered from 1: slot 0 pads a monomial with fewer factors than the
+    others, 1 in a product and 0 in a sum.  ``columns[f]`` lists the slot
+    of factor f of each distinct monomial.  Per generator of the slice,
+    ``positions`` holds its place in the full list, ``leads`` and
+    ``trails`` the numbers of its two monomials and ``degrees`` their
+    degrees (d, e); ``even`` tells whether d = e for every generator.
+    """
+
+    slots: list[tuple[int, int]]
+    columns: list[list[int]]
+    positions: range
+    leads: list[int]
+    trails: list[int]
+    degrees: list[tuple[int, int]]
+    even: bool
+
+
+def _sums(values: list, columns: list[list[int]]) -> list:
+    """Per monomial, the sum of ``values`` over its factors' slots."""
+    total = map(values.__getitem__, columns[0])
+    for col in columns[1:]:
+        total = map(add, total, map(values.__getitem__, col))
+    return list(total)
+
+
+def _plans(leads, trails, columns) -> list[_Plan]:
+    """Plans of the generators lead - trail, :data:`_PLAN_SLICE` to a
+    plan.  A monomial is given by a hashable name, and ``columns(names)``
+    lists, per factor column, each named monomial's factor there, as
+    (coordinate position, exponent), or () for none."""
+    plans = []
+    for start in range(0, len(leads), _PLAN_SLICE):
+        lead = leads[start : start + _PLAN_SLICE]
+        trail = trails[start : start + _PLAN_SLICE]
+        names = list(dict.fromkeys(chain(lead, trail)))
+        found = columns(names)
+        slot = dict(zip(dict.fromkeys(chain(((),), *found)), count()))
+        slots = list(slot)[1:]
+        slotted = [list(map(slot.__getitem__, col)) for col in found]
+        degree = _sums([0] + [e for _, e in slots], slotted)
+        number = dict(zip(names, count()))
+        lead, trail = list(map(number.__getitem__, lead)), list(map(number.__getitem__, trail))
+        d, e = list(map(degree.__getitem__, lead)), list(map(degree.__getitem__, trail))
+        positions = range(start, start + len(lead))
+        plans.append(_Plan(slots, slotted, positions, lead, trail, list(zip(d, e)), d == e))
+    return plans
+
+
+def _plans_of(ctx: VerificationContext, generators: list[Binomial] | None) -> list[_Plan]:
+    """The generators' plans: read off the keys, or, for an explicit list,
+    through ``ctx.cmap.index``, where a variable outside it raises
+    ``KeyError``."""
+    if generators is None:
+        return ctx._key_plans
+    index = ctx.cmap.index
+
+    def columns(names):
+        found = [[(index[v], e) for v, e in m] for m in names]
+        width = max(map(len, found))
+        return list(zip(*(f + [()] * (width - len(f)) for f in found)))
+
+    leads, trails = zip(*generators) if generators else ((), ())
+    return _plans(leads, trails, columns)
+
+
+def _texts(ctx: VerificationContext, generators, positions: list[int]) -> list[str]:
+    """The text lines of the generators at ``positions``, in that order."""
+    if generators is not None:
+        return [generators[p].text() for p in positions]
+    keys = [ctx.keys[p] for p in positions]
+    return generator_lines(keys, ctx.report.coordinates, ctx.report.graph.n) if keys else []
+
+
 def kernel_membership(
     ctx: VerificationContext,
     generators: list[Binomial] | None = None,
 ) -> dict:
-    gens = ctx.generators if generators is None else generators
-    failing = [b.text() for b in gens if not ctx.mmap.in_kernel(b)]
+    """Every generator's two monomials map to the same parameter monomial.
+
+    Each distinct monomial's image is the sum of its factors' packed
+    path-map rows times their exponents (:meth:`MonomialMap.packed_rows`,
+    at the width of the highest checked degree, so no digit carries), and
+    each generator compares the images of its two monomials.
+    """
+    plans = _plans_of(ctx, generators)
+    degree = max(map(max, chain.from_iterable(p.degrees for p in plans)), default=0)
+    packed = ctx.mmap.packed_rows(degree)
+    failing: list[int] = []
+    for plan in plans:
+        images = _sums([0] + [e * packed[p] for p, e in plan.slots], plan.columns)
+        lead, trail = map(images.__getitem__, plan.leads), map(images.__getitem__, plan.trails)
+        if not all(map(eq, lead, trail)):
+            failing += [
+                g
+                for g, u, v in zip(plan.positions, plan.leads, plan.trails)
+                if images[u] != images[v]
+            ]
     return {
         "check": "kernel_membership",
-        "generators": len(gens),
-        "failing": failing,
+        "generators": len(ctx.keys if generators is None else generators),
+        "failing": _texts(ctx, generators, failing),
         "passed": not failing,
     }
 
@@ -159,39 +287,22 @@ def require_trials(trials: int, seed: int) -> None:
         raise ValueError("seed must be non-negative")
 
 
-def _vanishing_columns(
-    index: dict, gens: list[Binomial]
-) -> list[tuple[int, int, list[int], list[tuple[int, ...]]]]:
-    """Generators as factor columns, grouped by shape.
-
-    A generator whose lead has degree d and trail degree e lists d lead
-    positions and then e trail positions in the coordinate list (a variable
-    repeated by its exponent).  Each group is (d, e, generator positions,
-    columns): column f holds factor f of every generator of the group, so
-    columns[:d] are the leads and columns[d:] the trails.  A variable
-    outside ``index`` raises ``KeyError``.
-    """
-    groups: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
-    for pos, b in enumerate(gens):
-        lead = [index[v] for v, e in b.lead for _ in range(e)]
-        trail = [index[v] for v, e in b.trail for _ in range(e)]
-        positions, rows = groups.setdefault((len(lead), len(trail)), ([], []))
-        positions.append(pos)
-        rows.append(lead + trail)
-    return [
-        (d, e, positions, list(zip(*rows))) for (d, e), (positions, rows) in groups.items()
-    ]
-
-
-def _products(x: list, columns: list[tuple[int, ...]], count: int) -> list:
-    """Per row of the columns, the product of the entries of x they name;
-    1 for each of the ``count`` rows when there are no columns."""
-    if not columns:
-        return [1] * count
-    values = map(x.__getitem__, columns[0])
-    for col in columns[1:]:
-        values = map(mul, values, map(x.__getitem__, col))
-    return list(values)
+def _monomial_values(plan: _Plan, x: list, size: int) -> list:
+    """Each distinct monomial of the plan at every point of a chunk, a
+    list across the chunk per monomial, from the coordinates ``x`` held
+    entry-major.  In a plan of one factor column a monomial of exponent 1
+    is its coordinate's list itself; otherwise the factors are gathered,
+    for every monomial and point, into one list per column, multiplied,
+    and cut back into a list per monomial."""
+    factors = [[1] * size]
+    factors += (x[p] if e == 1 else list(map(pow, x[p], repeat(e))) for p, e in plan.slots)
+    if len(plan.columns) == 1:
+        return list(map(factors.__getitem__, plan.columns[0]))
+    flat = chain.from_iterable(map(factors.__getitem__, plan.columns[0]))
+    for col in plan.columns[1:]:
+        flat = map(mul, flat, chain.from_iterable(map(factors.__getitem__, col)))
+    flat = list(flat)
+    return [flat[i : i + size] for i in range(0, len(flat), size)]
 
 
 def forward_vanishing(
@@ -206,47 +317,52 @@ def forward_vanishing(
     x_int the integer point of adj(K).  A binomial whose lead has degree d
     and trail degree e therefore has the value
     (lead(x_int) det^(m-d) - trail(x_int) det^(m-e)) / det^m there, with
-    m = max(d, e).  Each trial evaluates the generators a shape (d, e) at a
-    time, as lead and trail products over factor columns
-    (:func:`_vanishing_columns`), scales the lower-degree side and compares
-    the two lists; when d = e the scale is 1.  A generator whose scaled
-    products u and v differ fails with the exact value (u - v) / det^m.
-    Failures are listed by trial, then in generator order.
+    m = max(d, e).  A chunk of trials is held entry-major from the draws
+    on: the samples' adjugates and coordinates
+    (:meth:`CoordinateMap.coordinates`) are one list across the chunk per
+    entry, and so is each distinct monomial of the generators
+    (:func:`_monomial_values`).  A generator with d = e passes when its
+    two monomials' lists are equal; otherwise the lower-degree side is
+    scaled first.  A generator whose scaled products u and v differ at a
+    trial fails there with the exact value (u - v) / det^m.  Failures are
+    listed by trial, then in generator order.
     """
     require_trials(trials, seed)
-    gens = ctx.generators if generators is None else generators
-    groups = _vanishing_columns(ctx.cmap.index, gens)
-    failures: list[dict] = []
+    plans = _plans_of(ctx, generators)
+    failures: list[tuple] = []
     for chunk in _chunks(trials):
         samples = sample_projectives(ctx.pattern, [_trial_seed(seed, k) for k in chunk])
-        for k, sample in zip(chunk, samples):
-            x = ctx.cmap.coordinates(sample.adjugate)
-            failing = []
-            for d, e, positions, columns in groups:
-                lead = _products(x, columns[:d], len(positions))
-                trail = _products(x, columns[d:], len(positions))
+        det = samples.det
+        x = ctx.cmap.coordinates(samples.adjugate)
+        for plan in plans:
+            values = _monomial_values(plan, x, len(chunk))
+            lead, trail = map(values.__getitem__, plan.leads), map(values.__getitem__, plan.trails)
+            if plan.even and all(map(eq, lead, trail)):
+                continue
+            for g, i, j, (d, e) in zip(plan.positions, plan.leads, plan.trails, plan.degrees):
+                u, v = values[i], values[j]
                 if d != e:
-                    scale = sample.det ** abs(d - e)
+                    scale = [z ** abs(d - e) for z in det]
                     if d < e:
-                        lead = [u * scale for u in lead]
+                        u = list(map(mul, u, scale))
                     else:
-                        trail = [v * scale for v in trail]
-                if lead != trail:
-                    denominator = sample.det ** max(d, e)
-                    failing += [
-                        (p, Fraction(u - v, denominator))
-                        for p, u, v in zip(positions, lead, trail)
-                        if u != v
+                        v = list(map(mul, v, scale))
+                if u != v:
+                    failures += [
+                        (k, g, Fraction(a - b, z ** max(d, e)))
+                        for k, a, b, z in zip(chunk, u, v, det)
+                        if a != b
                     ]
-            for pos, value in sorted(failing):
-                failures.append(
-                    {"trial": k, "generator": gens[pos].text(), "value": str(value)}
-                )
+    failures.sort(key=lambda f: f[:2])
+    texts = _texts(ctx, generators, [g for _, g, _ in failures])
     return {
         "check": "forward_vanishing",
         "trials": trials,
-        "generators": len(gens),
-        "failures": failures,
+        "generators": len(ctx.keys if generators is None else generators),
+        "failures": [
+            {"trial": k, "generator": text, "value": str(value)}
+            for (k, _, value), text in zip(failures, texts)
+        ],
         "passed": not failures,
     }
 
@@ -262,25 +378,28 @@ def roundtrip_parametrization(ctx: VerificationContext, trials: int, seed: int) 
     det(sigma) != 0, adj(sigma) is a nonzero multiple of sigma^{-1}, so it
     lies in the pattern exactly when sigma^{-1} does.  Singular pull-backs
     are legitimate boundary points of the closure and are counted as skips,
-    never failures.  Points and matrices stay plain lists, a matrix as its
-    upper triangle (:meth:`MonomialMap.point`,
-    :meth:`CoordinateMap.sigma_upper`, :meth:`MatrixPattern.contains`).
+    never failures.  A chunk is held entry-major from the parameters to
+    the verdicts, one list across the chunk per parameter, coordinate and
+    triangle entry (:meth:`MonomialMap.point`,
+    :meth:`CoordinateMap.sigma_upper`, :func:`linalg.det_adjugates`,
+    :meth:`MatrixPattern.contains`).
     """
     require_trials(trials, seed)
     failures: list[int] = []
     skipped = 0
     params = len(ctx.mmap.params)
     for chunk in _chunks(trials):
-        sigmas = []
-        for k in chunk:
-            theta = uniform_draws(
-                ROUNDTRIP_LABEL, _trial_seed(seed, k), 0, params, 1, ROUNDTRIP_BOUND
-            )
-            sigmas.append(ctx.cmap.sigma_upper(ctx.mmap.point(theta)))
-        for k, (det, adj) in zip(chunk, linalg.det_adjugates(ctx.cmap.n, sigmas)):
-            if not det:
+        draws = (
+            uniform_draws(ROUNDTRIP_LABEL, _trial_seed(seed, k), 0, params, 1, ROUNDTRIP_BOUND)
+            for k in chunk
+        )
+        theta = list(zip(*draws))  # theta[p]: parameter p at each trial of the chunk
+        sigma = ctx.cmap.sigma_upper(ctx.mmap.point(theta))
+        det, adj = linalg.det_adjugates(ctx.cmap.n, sigma)
+        for k, x, inside in zip(chunk, det, ctx.pattern.contains(adj)):
+            if not x:
                 skipped += 1
-            elif not ctx.pattern.contains(adj):
+            elif not inside:
                 failures.append(k)
     return {
         "check": "roundtrip_parametrization",

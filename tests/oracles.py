@@ -7,9 +7,11 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
+from treetoric import linalg
 from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_name
 from treetoric.classify import ClassificationReport, coordinate_kind
 from treetoric.errors import SamplingError, SingularMatrixError
@@ -27,6 +29,7 @@ from treetoric.matrices import (
     SymMatrix,
     pattern_from_graph,
 )
+from treetoric.monomials import MonomialMap
 from treetoric.pipeline import ROUNDTRIP_BOUND, VerificationContext, _trial_seed
 from treetoric.trees import ColoredTree
 
@@ -47,6 +50,66 @@ def rows_of(n: int, upper) -> list[list]:
         for i in range(j + 1):
             rows[i][j] = rows[j][i] = next(entries)
     return rows
+
+
+def batch_of_one(kernel, values: list) -> list:
+    """An entry-major batch kernel (``kernel(entries)[k]`` lists result k
+    of every item) on the one list ``values``: a batch of one."""
+    return [x for (x,) in kernel([[v] for v in values])]
+
+
+def contains_one(pattern: MatrixPattern, upper) -> bool:
+    """``pattern.contains`` on one upper triangle, a batch of one."""
+    (verdict,) = pattern.contains([[x] for x in upper])
+    return verdict
+
+
+def det_adjugate_list(n: int, uppers: list) -> list[tuple[int, list | None]]:
+    """``linalg.det_adjugates`` on triangles listed matrix by matrix, its
+    result as (det, adjugate triangle) per matrix, in order, with
+    (0, None) for a singular one.  A batch of 0 x 0 matrices has no entry
+    list to carry its size, and ``det_adjugates`` reads it as empty; each
+    0 x 0 matrix has det 1 and the empty adjugate."""
+    det, adj = linalg.det_adjugates(n, [list(entry) for entry in zip(*uppers)])
+    if not n:
+        assert (det, adj) == ([], [])
+        return [(1, []) for _ in uppers]
+    return [(x, list(y)) if x else (0, None) for x, y in zip(det, zip(*adj))]
+
+
+class Sample(NamedTuple):
+    """One seed's sample from ``matrices.sample_projectives``."""
+
+    values: dict
+    det: int
+    adjugate: list
+
+
+def by_seed(samples) -> list[Sample]:
+    """The entry-major ``matrices.ProjectiveSamples``, seed by seed."""
+    values = zip(*samples.values.values()) if samples.values else repeat(())
+    return [
+        Sample(dict(zip(samples.values, v)), det, list(adj))
+        for v, det, adj in zip(values, samples.det, zip(*samples.adjugate))
+    ]
+
+
+def pattern_upper(pattern: MatrixPattern, values: dict) -> list:
+    """The pattern's upper triangle (order ``linalg.upper_pairs``) with each
+    token replaced by its value and zeros kept."""
+    return [0 if tok is None else values[tok] for tok in pattern.classes]
+
+
+def image_exponents(mm: MonomialMap, m: Monomial) -> tuple[int, ...]:
+    """The parameter exponent vector of the image of a monomial, summed row
+    by row from the exponent matrix: the reference for the packed images of
+    ``MonomialMap.in_kernel``."""
+    pairs = pq_index_pairs(mm.n)
+    total = [0] * len(mm.params)
+    for (kind, i, j), e in m:
+        assert kind == mm.kind
+        total = [t + e * r for t, r in zip(total, mm.rows[pairs.index((i, j))])]
+    return tuple(total)
 
 
 def pattern_of(grid) -> MatrixPattern:
@@ -545,7 +608,7 @@ def jordan_closed_by_basis(pattern: MatrixPattern) -> bool:
                     for j in positions[b][k]:
                         rows[i][j] += 1
                         rows[j][i] += 1
-            if not pattern.contains(upper_of(rows)):
+            if not contains_one(pattern, upper_of(rows)):
                 return False
     return True
 
@@ -708,7 +771,7 @@ def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dic
         if inverse is None:
             skipped += 1
             continue
-        if not ctx.pattern.contains(upper_of(inverse)):
+        if not contains_one(ctx.pattern, upper_of(inverse)):
             failures.append(k)
     return {
         "check": "roundtrip_parametrization",

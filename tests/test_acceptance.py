@@ -42,6 +42,7 @@ from oracles import (
     completion,
     four_point_check,
     has_non_adjacent_internal_merge,
+    image_exponents,
     jordan_closed,
     vertex_regular_via_parents,
 )
@@ -100,7 +101,7 @@ def test_criterion_2_uncolored_regression():
     def image(i, j):
         return {
             tok: e
-            for tok, e in zip(mm.params, mm.image_exponents(((coord_var("p", i, j), 1),)))
+            for tok, e in zip(mm.params, image_exponents(mm, ((coord_var("p", i, j), 1),)))
             if e
         }
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -25,6 +26,7 @@ from treetoric.pipeline import build_context
 
 from conftest import random_tree
 from oracles import (
+    batch_of_one,
     fraction_inverse,
     gamma_weights_oracle,
     linear_forms_at,
@@ -223,8 +225,11 @@ class TestGDerivedMap:
             assert size == len(pq_index_pairs(cmap.n))
             x = [rng.randint(-99, 99) for _ in range(size)]
             u = [rng.randint(-99, 99) for _ in range(size)]
-            assert cmap.coordinates(cmap.sigma_upper(x)) == x, t.to_dict()
-            assert cmap.sigma_upper(cmap.coordinates(u)) == u, t.to_dict()
+            coordinates, sigma_upper = (
+                partial(batch_of_one, kernel) for kernel in (cmap.coordinates, cmap.sigma_upper)
+            )
+            assert coordinates(sigma_upper(x)) == x, t.to_dict()
+            assert sigma_upper(coordinates(u)) == u, t.to_dict()
 
     def test_triangle_kernels_match_per_form_oracle(self):
         # both directions on every applicable tree's map, at entries of the
@@ -241,8 +246,9 @@ class TestGDerivedMap:
             sigma, pq = sigma_index_pairs(cmap.n), pq_index_pairs(cmap.n)
             u = [rng.randint(-bound, bound) for _ in sigma]
             x = [rng.randint(-bound, bound) for _ in pq]
-            assert cmap.coordinates(u) == linear_forms_at(cmap.forward, pq, sigma, u)
-            assert cmap.sigma_upper(x) == linear_forms_at(cmap.backward, sigma, pq, x)
+            coordinates = batch_of_one(cmap.coordinates, u)
+            assert coordinates == linear_forms_at(cmap.forward, pq, sigma, u)
+            assert batch_of_one(cmap.sigma_upper, x) == linear_forms_at(cmap.backward, sigma, pq, x)
         assert applicable == 1286
 
     def test_triangle_kernels_take_any_form(self):
@@ -261,7 +267,10 @@ class TestGDerivedMap:
         cmap = CoordinateMap(n=2, kind="q", forward=forward, backward=backward)
         sigma, pq = sigma_index_pairs(2), pq_index_pairs(2)
         for values in ([2**70, -3, 11], [Fraction(1, 3), Fraction(-5, 2), Fraction(7)]):
-            assert cmap.coordinates(values) == linear_forms_at(forward, pq, sigma, values)
-            assert cmap.sigma_upper(values) == linear_forms_at(backward, sigma, pq, values)
-        assert cmap.coordinates([4, 5, 6]) == [12 - 10, 0, -30]
-        assert cmap.sigma_upper([4, 5, 6]) == [0, 8 - 5 + 42, 6]
+            coordinates, sigma_upper = (
+                batch_of_one(kernel, values) for kernel in (cmap.coordinates, cmap.sigma_upper)
+            )
+            assert coordinates == linear_forms_at(forward, pq, sigma, values)
+            assert sigma_upper == linear_forms_at(backward, sigma, pq, values)
+        assert batch_of_one(cmap.coordinates, [4, 5, 6]) == [12 - 10, 0, -30]
+        assert batch_of_one(cmap.sigma_upper, [4, 5, 6]) == [0, 8 - 5 + 42, 6]

@@ -30,6 +30,9 @@ from random_trees import all_small_trees
 import oracles
 from oracles import (
     adjugate,
+    by_seed,
+    contains_one,
+    det_adjugate_list,
     adjugate_inverse,
     completion,
     det_cofactor,
@@ -41,6 +44,7 @@ from oracles import (
     pattern_from_tree,
     pattern_of,
     pattern_rows,
+    pattern_upper,
     rows_of,
     sample_point_reference,
     upper_of,
@@ -188,13 +192,13 @@ class TestSymMatrix:
 class TestSampling:
     def test_sample_lies_in_pattern_and_is_invertible(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
-        (sample,) = sample_projectives(p, [1])
-        assert p.contains(p.upper(sample.values))
+        (sample,) = by_seed(sample_projectives(p, [1]))
+        assert contains_one(p, pattern_upper(p, sample.values))
         assert sample.det != 0
 
     def test_deterministic(self):
         p = pattern_from_tree(fixture_tree("uncolored_binary"))
-        first, again, other = sample_projectives(p, [3, 3, 4])
+        first, again, other = by_seed(sample_projectives(p, [3, 3, 4]))
         assert first == again != other
 
     def test_same_points_as_reference_sampler(self):
@@ -205,8 +209,8 @@ class TestSampling:
             t = random_tree(rng)
             for pat in (pattern_from_tree(t), pattern_from_graph(completion(derive_graph(t)))):
                 m = sample_point_reference(pat, seed=trial)
-                (sample,) = sample_projectives(pat, [trial])
-                assert pat.upper(sample.values) == upper_of(m.entries)
+                (sample,) = by_seed(sample_projectives(pat, [trial]))
+                assert pattern_upper(pat, sample.values) == upper_of(m.entries)
                 c = Fraction(1, sample.det)
                 assert fraction_inverse(m.entries) == [
                     [c * a for a in row] for row in rows_of(pat.size, sample.adjugate)
@@ -221,7 +225,7 @@ class TestSampling:
         trees.append(random_tree(rng, 20, 20, "distinct", "distinct", "chain"))
         for idx, t in enumerate(trees):
             pat = pattern_from_tree(t)
-            (sample,) = sample_projectives(pat, [idx])
+            (sample,) = by_seed(sample_projectives(pat, [idx]))
             assert all(
                 type(v) is int and -SAMPLE_BOUND <= v <= SAMPLE_BOUND
                 for v in sample.values.values()
@@ -240,20 +244,20 @@ class TestSampling:
         rounds = []
         original = linalg.det_adjugates
 
-        def recorded(n, uppers):
-            rounds.append(len(uppers))
-            return original(n, uppers)
+        def recorded(n, entries):
+            rounds.append(len(entries[0]))
+            return original(n, entries)
 
         monkeypatch.setattr(linalg, "det_adjugates", recorded)
         retried = 0
         for name in ("colored_star", "uncolored_binary", "zeroed_block_g2"):
             p = pattern_from_tree(fixture_tree(name))
             seeds = list(range(100))
-            samples = sample_projectives(p, seeds)
-            assert samples == [sample_projectives(p, [seed])[0] for seed in seeds], name
+            samples = by_seed(sample_projectives(p, seeds))
+            assert samples == [by_seed(sample_projectives(p, [seed]))[0] for seed in seeds], name
             for seed, sample in zip(seeds, samples):
                 m = sample_point_reference(p, seed)
-                assert p.upper(sample.values) == upper_of(m.entries), (name, seed)
+                assert pattern_upper(p, sample.values) == upper_of(m.entries), (name, seed)
                 tokens = p.tokens()
                 first = oracles.hash_draws("forward_vanishing", seed, 0, len(tokens), -1, 1)
                 retried += sample.values != dict(zip(tokens, first))
@@ -414,7 +418,7 @@ class TestSerialization:
         values = {tok: Fraction(0) for tok in p.tokens()}
         for i, tok in enumerate(("1", "2", "3", "4")):
             values[tok] = Fraction(1)
-        m = SymMatrix.from_upper(p.size, p.upper(values))
+        m = SymMatrix.from_upper(p.size, pattern_upper(p, values))
         assert m == identity(4)
         assert det_cofactor(m.entries) == 1
 
@@ -427,7 +431,7 @@ class TestPatternContains:
         # (0,3) shares the "blue" class with (1,3) and (2,3)
         rows[0][3] += Fraction(1, 7)
         rows[3][0] += Fraction(1, 7)
-        assert not p.contains(upper_of(rows))
+        assert not contains_one(p, upper_of(rows))
 
     def test_structural_zero_violation_detected(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
@@ -435,7 +439,7 @@ class TestPatternContains:
         rows = [list(r) for r in m.entries]
         rows[0][2] = Fraction(1)
         rows[2][0] = Fraction(1)
-        assert not p.contains(upper_of(rows))
+        assert not contains_one(p, upper_of(rows))
 
 
 # mostly zeros, so zero multipliers meet pivots p != prev in Bareiss
@@ -551,7 +555,7 @@ class TestLinalg:
         (j, k, c) taken, in order)."""
         congruences.clear()
         upper = upper_of(rows)
-        det, adj = linalg.det_adjugates(len(rows), [upper])[0]
+        det, adj = det_adjugate_list(len(rows), [upper])[0]
         assert upper == upper_of(rows), rows  # the input is left as it was
         assert det == det_cofactor(rows), rows
         taken = [(a, b, c) for a, b, c in congruences if a > b]
@@ -649,7 +653,7 @@ class TestLinalg:
         compared = singular = resolved = 0
         for pattern, values in _pattern_samples():
             rows = pattern_rows(pattern, values)
-            assert pattern.upper(values) == upper_of(rows)
+            assert pattern_upper(pattern, values) == upper_of(rows)
             det, taken = self._checked(rows, congruences)
             compared += 1
             singular += det == 0
@@ -687,7 +691,7 @@ class TestLinalg:
         for rows in cases:
             congruences.clear()
             upper = upper_of(rows)
-            det, adj = linalg.det_adjugates(len(rows), [upper])[0]
+            det, adj = det_adjugate_list(len(rows), [upper])[0]
             assert upper == upper_of(rows)
             resolved += bool(congruences)
             inverse = fraction_inverse(rows)
@@ -702,6 +706,42 @@ class TestLinalg:
         # the adjacency matrices are invertible
         assert len(cases) == 42 and resolved == 30 and 12 <= singular < 24
 
+    def test_entry_major_batches_match_batches_of_one(self, congruences):
+        # one batch per pattern of all_small_trees(4), held entry-major as
+        # sample_projectives holds it: one list per token, shared by every
+        # entry of its class, and one shared list of zeros.  Small draws
+        # put singular matrices and matrices that take congruences in the
+        # same batches as generic ones; the result is the cofactor
+        # oracle's and each matrix's batch of one, and no list is changed
+        rng = random.Random(59)
+        mixed = 0
+        for t in all_small_trees(4):
+            pattern = pattern_from_tree(t)
+            n = pattern.size
+            column = {
+                tok: [rng.randint(-2, 2) for _ in range(12)]
+                + [rng.randint(-99, 99) for _ in range(4)]
+                for tok in pattern.tokens()
+            }
+            zero = [0] * 16
+            entries = [zero if tok is None else column[tok] for tok in pattern.classes]
+            before = [list(x) for x in entries]
+            congruences.clear()
+            det, adj = linalg.det_adjugates(n, entries)
+            assert [list(x) for x in entries] == before
+            uppers = [list(u) for u in zip(*entries)]
+            expected = []
+            for upper in uppers:
+                rows = rows_of(n, upper)
+                d = det_cofactor(rows)
+                expected.append((d, upper_of(adjugate(rows)) if d else None))
+            built = [(x, list(y)) for x, y in zip(det, zip(*adj))]
+            assert [(x, y if x else None) for x, y in built] == expected, pattern
+            assert all(not any(y) for x, y in built if not x)  # 0 for a singular matrix
+            assert [det_adjugate_list(n, [u])[0] for u in uppers] == expected, pattern
+            mixed += bool(congruences) and 0 in det and any(det)
+        assert mixed >= 150
+
     def test_congruence_sequence_is_pinned(self, congruences):
         # every congruence, in order, over the adjacency matrices and the
         # pattern samples: a change of the rule that picks (j, c) changes
@@ -712,7 +752,7 @@ class TestLinalg:
         digest = hashlib.sha256()
         for rows in cases:
             congruences.clear()
-            linalg.det_adjugates(len(rows), [upper_of(rows)])
+            det_adjugate_list(len(rows), [upper_of(rows)])
             digest.update(f"{congruences}\n".encode())
         assert digest.hexdigest() == GOLDEN_CONGRUENCES
 
@@ -756,7 +796,7 @@ class TestLinalg:
             taken = []
             for upper, rows, (det, _) in zip(uppers, rows_list, expected):
                 congruences.clear()
-                assert linalg.det_adjugates(n, [upper])[0][0] == det
+                assert det_adjugate_list(n, [upper])[0][0] == det
                 steps = [k for j, k, _ in congruences if j > k]
                 minors = [det_cofactor([r[: m + 1] for r in rows[: m + 1]]) for m in range(n - 1)]
                 zero = [m for m, minor in enumerate(minors) if not minor]
@@ -766,15 +806,15 @@ class TestLinalg:
                 congruences.clear()
                 built = []
                 for start in range(0, len(uppers), size):
-                    built += linalg.det_adjugates(n, uppers[start : start + size])
+                    built += det_adjugate_list(n, uppers[start : start + size])
                 assert built == expected, (n, size)
                 assert sorted(congruences) == sorted(taken), (n, size)
             assert uppers == [upper_of(rows) for rows in rows_list]  # left as they were
             leading_zero += sum(not rows[0][0] for rows in rows_list if n)
             singular += sum(det == 0 for det, _ in expected)
             resolved += sum(j > k for j, k, _ in taken)
-            assert linalg.det_adjugates(n, []) == []
-        assert linalg.det_adjugates(0, [[], []]) == [(1, []), (1, [])]
+            assert det_adjugate_list(n, []) == []
+        assert det_adjugate_list(0, [[], []]) == [(1, []), (1, [])]
         assert leading_zero >= 267 + 6 and singular >= 150 and resolved >= 267
 
     def test_planted_zero_minors_resolve_in_the_batch(self, congruences):
@@ -837,7 +877,7 @@ class TestLinalg:
                     inverse = fraction_inverse(rows)
                     expected.append((det, upper_of([[det * x for x in r] for r in inverse])))
                 congruences.clear()
-                assert linalg.det_adjugates(n, [upper_of(rows)]) == [expected[-1]], rows
+                assert det_adjugate_list(n, [upper_of(rows)]) == [expected[-1]], rows
                 taken = [(j, s, c) for j, s, c in congruences if j > s]
                 moves += taken
                 if k is None:
@@ -848,7 +888,7 @@ class TestLinalg:
             for size in (1, 5, len(uppers)):
                 built = []
                 for start in range(0, len(uppers), size):
-                    built += linalg.det_adjugates(n, uppers[start : start + size])
+                    built += det_adjugate_list(n, uppers[start : start + size])
                 assert built == expected, (n, size)
         assert (1, 0, -1) in moves and (2, 0, 1) in moves
         assert planted_singular >= 20 and resolved_singular >= 5

@@ -1,6 +1,7 @@
 """Path maps: exponent rows, kernel membership, rank, evaluation."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
@@ -11,9 +12,11 @@ from treetoric.errors import GraphError
 from treetoric.graphs import derive_graph
 from treetoric.classify import classify
 from treetoric.monomials import MonomialMap, exponent_rank, path_map
+from treetoric.pipeline import build_context, kernel_membership
 from treetoric.trees import ColoredTree
 
 from conftest import combined_binomials, fixture_tree
+from oracles import batch_of_one, image_exponents
 from random_trees import all_small_trees
 from test_matrices import rank_oracle
 
@@ -23,7 +26,7 @@ def tree_map(t):
 
 
 def images(mm, i, j):
-    row = mm.image_exponents(((coord_var(mm.kind, i, j), 1),))
+    row = image_exponents(mm, ((coord_var(mm.kind, i, j), 1),))
     return {tok: e for tok, e in zip(mm.params, row) if e}
 
 
@@ -90,6 +93,29 @@ class TestInKernel:
             mm.in_kernel(parse_binomial("p05 - p06"))
 
 
+    def test_packed_images_cannot_carry(self):
+        # p01 maps to a and p02 to b, so p02 - p01^(2^20) is outside the
+        # kernel; packed at a digit width of 20 bits the trail's image
+        # 2^20 a would carry into b's digit and equal the lead's.  The
+        # width follows the degree, 2^20 times the largest exponent 1
+        mm = MonomialMap(kind="p", n=2, params=("a", "b"), rows=((1, 0), (0, 1), (1, 1)))
+        big = 2**20
+        bad = parse_binomial(f"p02 - p01^{big}")
+        lead, trail = (image_exponents(mm, m) for m in bad)
+        assert (lead, trail) == ((0, 1), (big, 0))
+        narrow = [sum(e << (20 * k) for k, e in enumerate(v)) for v in (lead, trail)]
+        assert narrow[0] == narrow[1]
+        assert not mm.in_kernel(bad)
+        assert mm.packed_rows(big) == [1, 1 << 21, 1 + (1 << 21)]
+        good = parse_binomial(f"p01^{big}*p02^{big} - p12^{big}")
+        assert mm.in_kernel(good)
+        # kernel_membership packs at the width of its highest degree
+        t = next(t for t in all_small_trees(2) if classify(t).applicable)
+        ctx = replace(build_context(t), mmap=mm)
+        assert kernel_membership(ctx, [good])["passed"]
+        assert kernel_membership(ctx, [good, bad])["failing"] == [bad.text()]
+
+
 class TestRank:
     def test_uncolored_binary_rank(self):
         mm = tree_map(fixture_tree("uncolored_binary"))
@@ -148,7 +174,7 @@ class TestEvaluate:
             expected = [
                 prod(value**e for value, e in zip(theta, row)) for row in mm.rows
             ]
-            assert mm.point(theta) == expected, t.to_dict()
+            assert batch_of_one(mm.point, theta) == expected, t.to_dict()
 
     def test_missing_parameter(self):
         mm = tree_map(fixture_tree("colored_star"))

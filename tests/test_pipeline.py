@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from treetoric import linalg, matrices, pipeline
+from treetoric import ideals, linalg, matrices, pipeline
 from treetoric.binomials import Binomial, coord_var, monomial, parse_binomial
 from treetoric.classify import (
     NONE,
@@ -39,7 +39,9 @@ from treetoric.trees import ColoredTree
 
 from conftest import fixture_tree, random_tree
 from oracles import (
+    by_seed,
     forward_vanishing_reference,
+    key_of,
     pattern_from_tree,
     pattern_of,
     roundtrip_reference,
@@ -237,8 +239,8 @@ class TestChecks:
         # trial k of seed s draws from trial seed s * stride + k, so a trial
         # past the stride replays the next seed's first trial; seeds are the
         # non-negative integers, so each run's trial seeds are its own range
-        past, next_first = sample_projectives(
-            ctx.pattern, [_trial_seed(0, _SEED_STRIDE), _trial_seed(1, 0)]
+        past, next_first = by_seed(
+            sample_projectives(ctx.pattern, [_trial_seed(0, _SEED_STRIDE), _trial_seed(1, 0)])
         )
         assert past == next_first
         with pytest.raises(ValueError, match=message):
@@ -296,9 +298,9 @@ class TestTrialChunks:
         sizes = []
         original = linalg.det_adjugates
 
-        def recorded(n, uppers):
-            sizes.append(len(uppers))
-            return original(n, uppers)
+        def recorded(n, entries):
+            sizes.append(len(entries[0]))
+            return original(n, entries)
 
         monkeypatch.setattr(linalg, "det_adjugates", recorded)
         ctx = build_context(fixture_tree("uncolored_binary"))
@@ -333,9 +335,9 @@ class TestTrialChunks:
         sizes = []
         original = linalg.det_adjugates
 
-        def recorded(n, uppers):
-            sizes.append(len(uppers))
-            return original(n, uppers)
+        def recorded(n, entries):
+            sizes.append(len(entries[0]))
+            return original(n, entries)
 
         monkeypatch.setattr(linalg, "det_adjugates", recorded)
         ctx = build_context(fixture_tree("colored_star"))
@@ -430,6 +432,67 @@ class TestDerivedFactsOnce:
         assert contracted
 
 
+class TestKeyPositions:
+    """The checks read each generator's factors off its key; an explicit
+    list of the same binomials gives the same reports."""
+
+    @staticmethod
+    def _same_reports(ctx, trials, seed):
+        kernel = kernel_membership(ctx)
+        forward = forward_vanishing(ctx, trials, seed)
+        assert kernel == kernel_membership(ctx, list(ctx.generators))
+        assert forward == forward_vanishing(ctx, trials, seed, generators=list(ctx.generators))
+        return kernel, forward
+
+    def test_small_tree_corpus(self):
+        # every applicable tree of all_small_trees(5), and the same trees
+        # with the failing x_01 - x_12 keyed among their generators
+        checked = failing = 0
+        for i, t in enumerate(all_small_trees(5)):
+            if not classify(t).applicable:
+                continue
+            ctx = build_context(t)
+            kernel, forward = self._same_reports(ctx, 2, i)
+            assert kernel["passed"] and forward["passed"], t.to_dict()
+            bad = parse_binomial(f"{ctx.report.coordinates}01 - {ctx.report.coordinates}12")
+            wrong = replace(ctx, keys=sorted(ctx.keys + [key_of(bad, t.n_leaves)]))
+            kernel, forward = self._same_reports(wrong, 2, i)
+            assert kernel["failing"] == [bad.text()], t.to_dict()
+            assert {f["generator"] for f in forward["failures"]} == {bad.text()}
+            checked += 1
+            failing += len(forward["failures"])
+        assert checked == 1286 and failing == 2 * checked
+
+    def test_random_trees_up_to_12_leaves(self):
+        rng = random.Random(61)
+        sizes = Counter()
+        while sum(sizes.values()) < 30:
+            t = random_tree(rng, 6, 12)
+            try:
+                ctx = build_context(t)
+            except NotApplicableError:
+                continue
+            sizes[t.n_leaves] += 1
+            kernel, forward = self._same_reports(ctx, 3, len(sizes))
+            assert kernel["passed"] and forward["passed"], t.to_dict()
+        assert max(sizes) >= 11
+
+    def test_verify_decodes_no_binomial(self, monkeypatch):
+        # every applicable fixture passes with the one decoder patched to
+        # raise: the checks read the keys, the report renders them
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a key was decoded to a Binomial")
+
+        monkeypatch.setattr(ideals, "binomials", forbidden)
+        monkeypatch.setattr(pipeline, "binomials", forbidden)
+        applicable = [name for name, thm in EXPECTED_CLASSIFICATION.items() if thm != NONE]
+        for name in applicable:
+            assert verify_tree(fixture_tree(name), trials=10, seed=3).passed, name
+        assert len(applicable) == 8
+        with pytest.raises(AssertionError, match="decoded"):
+            build_context(fixture_tree("colored_star")).generators
+
+
 class TestIntegerChecksMatchReference:
     """The integer-projective checks report exactly what the Fraction
     checks report, failing binomials and their values included."""
@@ -503,6 +566,24 @@ class TestIntegerChecksMatchReference:
             expected = [b.text() for b in gens if not ctx.mmap.in_kernel(b)]
             assert [f["generator"] for f in forward["failures"]] == expected * 3
         assert squared >= 5
+
+    def test_uneven_generators_scale_before_comparing(self, monkeypatch):
+        # at a sample whose adjugate has every coordinate 1 and det 2, the
+        # lead and trail products of p01^2 - p01 and p12*p13 - p01 are
+        # equal, 1 = 1, yet at K^{-1} both are 1/4 - 1/2
+        ctx = build_context(fixture_tree("uncolored_binary"))
+        ones = ctx.cmap.sigma_upper([[1, 1]] * len(ctx.cmap.index))
+        assert ctx.cmap.coordinates(ones) == [[1, 1]] * len(ctx.cmap.index)
+        monkeypatch.setattr(
+            pipeline,
+            "sample_projectives",
+            lambda pattern, seeds: matrices.ProjectiveSamples({}, [2] * len(seeds), ones),
+        )
+        gens = [parse_binomial("p01^2 - p01"), parse_binomial("p12*p13 - p01")]
+        forward = forward_vanishing(ctx, trials=2, seed=0, generators=gens)
+        assert [(f["trial"], f["generator"], f["value"]) for f in forward["failures"]] == [
+            (k, b.text(), "-1/4") for k in (0, 1) for b in gens
+        ]
 
     def test_failing_values_come_from_the_products_alone(self, monkeypatch):
         # every shape's failing value is read off the integer column
