@@ -37,7 +37,6 @@ from .laplacians import (
 )
 from .matrices import (
     MatrixPattern,
-    SymMatrix,
     invert_exact,
     pattern_from_graph,
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, NamedTuple
 
 Var = tuple[str, int, int]
@@ -62,15 +63,6 @@ def monomial_name(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def evaluate_monomial(m: Iterable[tuple], point: Mapping) -> Fraction:
-    """Product of point[key] ** e over the (key, exponent) pairs of ``m``;
-    a key missing from ``point`` raises ``KeyError``."""
-    acc = 1
-    for v, e in m:
-        acc *= point[v] ** e
-    return acc
-
-
 class Binomial(NamedTuple):
     """lead - trail with lead > trail in the monomial order."""
 
@@ -85,10 +77,11 @@ class Binomial(NamedTuple):
         return Binomial(max(m1, m2), min(m1, m2))
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
-        """Exact value of lead - trail at the point."""
-        return evaluate_monomial(self.lead, point) - evaluate_monomial(
-            self.trail, point
-        )
+        """Exact value of lead - trail at the point, each monomial the
+        product of point[v] ** e over its factors; a variable missing from
+        ``point`` raises ``KeyError``."""
+        lead, trail = (prod(point[v] ** e for v, e in m) for m in (self.lead, self.trail))
+        return lead - trail
 
     def text(self) -> str:
         return f"{monomial_name(self.lead)} - {monomial_name(self.trail)}"

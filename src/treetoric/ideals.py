@@ -21,20 +21,21 @@ variable rule sigma_ij -> x_ij, sigma_ii -> x_0i (:func:`_var`); no
 sigma-variable is ever constructed.  Signs that the honest Laplacian image
 would carry are dropped: the canonical +1 form generates the same ideal.
 The diagonal completion relation lands directly on its reduced form
-x_0i - x_0j under this rule.  Each family function returns its
-generators in construction order.
+x_0i - x_0j under this rule.
 
 A generator is held as one integer key, which spells both of its
 monomials as base-M digits and orders as the sorted output does
-(:class:`_Builder`).  :func:`combined_from_classification` runs all three
-families into one builder, so a generator two families share is keyed
-once and the union is ordered by sorting integers.  The sorted keys are
-the one generator format from the builder to the output: the export
-functions render them, from their digits, as text, as the JSON document
-of the ``generators`` command and as a Macaulay2 script, through name and
+(:class:`_Builder`).  A key does not depend on the coordinate kind, so
+each family function takes none and returns its generators' keys in
+construction order.  :func:`combined_from_classification` unites the
+three lists in one set, so a generator two families share is keyed once,
+and orders the union by sorting integers.  The sorted keys are the one
+generator format from the builder to the output: the export functions
+render them, from their digits, as text, as the JSON document of the
+``generators`` command and as a Macaulay2 script, through name and
 fragment tables built per document.  :func:`binomials` is the one
 decoder, for the callers that need a :class:`Binomial` (the verification
-checks, and the family functions called on their own).
+checks, and the tests).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .binomials import Binomial, Var, coord_var, var_name
-from .classify import ClassificationReport, coordinate_kind
+from .classify import ClassificationReport
 from .graphs import ColoredGraph, one_clique_separated_quadruples
 from .laplacians import pq_index_pairs
 from .trees import ColoredTree
@@ -70,7 +71,8 @@ def _ranks(n: int) -> tuple[int, ...]:
 
 
 class _Builder:
-    """One tree's generators, each held as the integer key of its output position.
+    """The integer keys of the generators over the indices 0..n, each the
+    key of its output position.
 
     The keys order as the binomials do, so ``sorted(keys)`` is the output
     order.  A monomial v1^e1 v2^e2 (exponents 1 or 2, v1 < v2) has the key
@@ -79,15 +81,12 @@ class _Builder:
     0.  Each part stays below M, so the key orders as the ``(variable,
     exponent)`` tuples do.  A binomial lead - trail has the key
     lead M^2 + trail.  :meth:`minor` and :meth:`linear` work out the key
-    from the ranks, add it to ``keys`` and return it; :func:`binomials`
-    decodes keys.
+    from the ranks and return it; :func:`binomials` decodes keys.
     """
 
-    __slots__ = ("keys", "kind", "n", "_n1", "_m", "_rank")
+    __slots__ = ("_n1", "_m", "_rank")
 
-    def __init__(self, kind: str, n: int):
-        self.keys: set[int] = set()
-        self.kind, self.n = kind, n
+    def __init__(self, n: int):
         self._n1 = n + 1
         self._m = 3 * ((n + 1) ** 2 + 1)
         self._rank = _ranks(n)
@@ -108,9 +107,7 @@ class _Builder:
             minus = (3 * c + 2) * m
         else:
             minus = (3 * c + 1) * m + 3 * d + 4 if c < d else (3 * d + 1) * m + 3 * c + 4
-        key = plus * m * m + minus if plus > minus else minus * m * m + plus
-        self.keys.add(key)
-        return key
+        return plus * m * m + minus if plus > minus else minus * m * m + plus
 
     def linear(self, i: int, j: int, k: int, l: int) -> int:
         """x_ij - x_kl for distinct index pairs, each through :func:`_var`."""
@@ -118,17 +115,10 @@ class _Builder:
         a, b = rank[i * n1 + j], rank[k * n1 + l]
         if a < b:
             a, b = b, a
-        key = ((3 * a + 1) * m * m + 3 * b + 1) * m
-        self.keys.add(key)
-        return key
-
-    def result(self, keys: list[int], into: _Builder | None) -> list:
-        """A family's generators: its keys when ``into`` collects them,
-        else the binomials they decode to (:func:`binomials`)."""
-        return keys if into is not None else binomials(keys, self.kind, self.n)
+        return ((3 * a + 1) * m * m + 3 * b + 1) * m
 
 
-def cherry_binomials(t: ColoredTree, *, into: _Builder | None = None) -> list:
+def cherry_binomials(t: ColoredTree) -> list[int]:
     """Quartet quadrics of the tree over {0} and the leaves.
 
     For each quadruple, the pairing with strictly minimal distance sum is
@@ -138,9 +128,9 @@ def cherry_binomials(t: ColoredTree, *, into: _Builder | None = None) -> list:
     pairings share one sum of leaf depths, the minimal distance sum is the
     maximal sum of lca depths, read off the leaf-pair lca table.  Colors play
     no role.  Zeroed nodes only pick the coordinate kind
-    (:func:`classify.coordinate_kind`); the quartet split ignores them.
-    The quadrics come out in construction order, as binomials, or as keys
-    when ``into`` collects them with another family's generators.
+    (:func:`classify.coordinate_kind`), which the keys do not depend on;
+    the quartet split ignores them.  The quadrics' keys come out in
+    construction order.
 
     Each key is written in closed form, with no comparison of ranks.  For
     a sorted quadruple a < b < c < d the three monomials P1 = x_ab x_cd,
@@ -149,7 +139,7 @@ def cherry_binomials(t: ColoredTree, *, into: _Builder | None = None) -> list:
     split ab|cd gives P3 - P2, ac|bd gives P3 - P1 and ad|bc gives P2 - P1,
     and a star quadruple gives all three, in that order.
     """
-    builder = into or _Builder(coordinate_kind(t), t.n_leaves)
+    builder = _Builder(t.n_leaves)
     n1, m = builder._n1, builder._m
     mm = m * m
     size = t.n_leaves + 1
@@ -179,13 +169,10 @@ def cherry_binomials(t: ColoredTree, *, into: _Builder | None = None) -> list:
             out += (p3 + p2, p3 + p1, p2 * mm + p1)
         else:
             raise AssertionError("two deepest pairings: four-point condition violated")
-    builder.keys.update(out)
-    return builder.result(out, into)
+    return out
 
 
-def block_minor_binomials(
-    g: ColoredGraph, kind: str, *, into: _Builder | None = None
-) -> list:
+def block_minor_binomials(g: ColoredGraph) -> list[int]:
     """2x2 minors from one-clique separations, in x = p or q.
 
     For a separated pairing ((i,j),(k,l)) the minor is
@@ -193,29 +180,22 @@ def block_minor_binomials(
     pairs, producing the diagonal minors sigma_cc sigma_jl - sigma_cl
     sigma_jc, which land on x_0c x_jl - x_cl x_jc.  One minor per separated
     pairing, in the iteration order of
-    :func:`graphs.one_clique_separated_quadruples`; empty for complete
-    graphs.  As keys when ``into`` collects them with another family's
-    generators.
+    :func:`graphs.one_clique_separated_quadruples`, as keys; empty for
+    complete graphs.
     """
-    builder = into or _Builder(kind, g.n)
-    minor = builder.minor
-    keys = [minor(i, j, k, l) for (i, j), (k, l) in one_clique_separated_quadruples(g)]
-    return builder.result(keys, into)
+    minor = _Builder(g.n).minor
+    return [minor(i, j, k, l) for (i, j), (k, l) in one_clique_separated_quadruples(g)]
 
 
-def completion_binomials(
-    g: ColoredGraph, kind: str, *, into: _Builder | None = None
-) -> list:
+def completion_binomials(g: ColoredGraph) -> list[int]:
     """Linear relations of the vertex-regular completion, in x = p or q.
 
     For every same-colored vertex pair i,j: sigma_ik - sigma_jk for all
     k outside the pair, and the diagonal relation sigma_ii - sigma_jj,
-    which lands on its reduced form x_0i - x_0j.  The relations come out
-    in construction order, as binomials, or as keys when ``into`` collects
-    them with another family's generators.
+    which lands on its reduced form x_0i - x_0j.  The relations' keys come
+    out in construction order.
     """
-    builder = into or _Builder(kind, g.n)
-    linear = builder.linear
+    linear = _Builder(g.n).linear
     out: list[int] = []
     for verts in g.vertex_color_classes().values():
         for i, j in combinations(verts, 2):
@@ -223,7 +203,7 @@ def completion_binomials(
                 if k not in (i, j):
                     out.append(linear(i, k, j, k))
             out.append(linear(i, i, j, j))
-    return builder.result(out, into)
+    return out
 
 
 def combined_from_classification(
@@ -232,7 +212,7 @@ def combined_from_classification(
     """Sorted keys of the union of the three families for a
     theorem-applicable tree, and the coordinate kind.
 
-    The families share one :class:`_Builder`, so a generator two families
+    The families' keys are united in one set, so a generator two families
     produce is keyed once, and the union comes out by sorting the keys.
     The only place the generators are deduplicated and ordered;
     :func:`binomials` decodes them, and the export functions render them.
@@ -246,12 +226,10 @@ def combined_from_classification(
     # 204 of four such rounds, the quartet keys built through _Builder.minor
     # took 0.164 s of 0.237 s, in closed form 0.051 s of 0.133 s; on the
     # 60-leaf star (1 565 565 generators) all took 2.82 s, then 1.59 s.
-    kind = report.coordinates
-    into = _Builder(kind, report.graph.n)
-    cherry_binomials(report.working_tree, into=into)
-    block_minor_binomials(report.graph, kind, into=into)
-    completion_binomials(report.graph, kind, into=into)
-    return sorted(into.keys), kind
+    g = report.graph
+    cherry = cherry_binomials(report.working_tree)
+    keys = sorted({*cherry, *block_minor_binomials(g), *completion_binomials(g)})
+    return keys, report.coordinates
 
 
 # -------------------------------------------------------------------- #

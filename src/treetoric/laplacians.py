@@ -32,7 +32,6 @@ from typing import Mapping, NamedTuple
 from . import linalg
 from .binomials import Var, coord_var, var_name
 from .graphs import ColoredGraph, edge
-from .matrices import SymMatrix
 
 LinForm = dict[tuple[int, int], int]  # index pair -> coefficient
 
@@ -169,9 +168,9 @@ class CoordinateMap:
 
     The batch kernels :meth:`coordinates` and :meth:`sigma_upper` do the
     work on upper triangles held entry-major; :meth:`apply` and
-    :meth:`unapply` take and give one :class:`SymMatrix`, as a batch of
-    one, and key the coordinates by variable.  Integer input gives integer
-    output.
+    :meth:`unapply` take and give one triangle (order
+    :func:`sigma_index_pairs`), as a batch of one, and key the coordinates
+    by variable.  Integer input gives integer output.
     """
 
     n: int
@@ -207,23 +206,23 @@ class CoordinateMap:
         entry t of the result lists triangle entry t of each matrix."""
         return _evaluate(self._backward_terms, values)
 
-    def apply(self, m: SymMatrix) -> dict[Var, Fraction]:
-        """Coordinate vector of a symmetric matrix, keyed by variable: a
-        batch of one through :meth:`coordinates`."""
-        if m.n != self.n:
+    def apply(self, upper) -> dict[Var, Fraction]:
+        """Coordinate vector of the symmetric matrix with this upper
+        triangle, keyed by variable: a batch of one through
+        :meth:`coordinates`."""
+        if len(upper) != len(self.index):
             raise ValueError("dimension mismatch")
-        coordinates = self.coordinates([[x] for x in m.upper()])
+        coordinates = self.coordinates([[x] for x in upper])
         return {v: x for v, (x,) in zip(self.index, coordinates)}
 
-    def unapply(self, point: Mapping[Var, Fraction]) -> SymMatrix:
-        """Symmetric matrix whose coordinate vector is the given point: a
-        batch of one through :meth:`sigma_upper`.
+    def unapply(self, point: Mapping[Var, Fraction]) -> list:
+        """Upper triangle of the symmetric matrix whose coordinate vector
+        is the given point: a batch of one through :meth:`sigma_upper`.
 
         Entries keep the type of the point's values: an integer point gives
         an integer matrix.
         """
-        upper = self.sigma_upper([[point[v]] for v in self.index])
-        return SymMatrix.from_upper(self.n, [x for (x,) in upper])
+        return [x for (x,) in self.sigma_upper([[point[v]] for v in self.index])]
 
 
 def g_derived_laplacian_map(g: ColoredGraph) -> CoordinateMap:

@@ -1,4 +1,4 @@
-"""Symbolic symmetric-matrix patterns and exact symmetric matrices.
+"""Symbolic symmetric-matrix patterns, exact sampling and exact inversion.
 
 A :class:`MatrixPattern` records, for each entry of the upper triangle of
 a symmetric n x n matrix, either a color token (entries sharing a token
@@ -9,9 +9,9 @@ entry (i,j) by the color of lca(i,j) from the tree's leaf-pair table and
 gives zeroed lcas structural zeros.
 
 Sampling and inversion are exact; there is no floating point and hence no
-tolerance anywhere.  A pattern and, on the sampling path, a symmetric
-matrix are their upper triangle alone, listed column by column (the one
-order, :func:`linalg.upper_pairs`), so neither can be asymmetric.  A
+tolerance anywhere.  A pattern and a symmetric matrix are their upper
+triangle alone, listed column by column (the one order,
+:func:`linalg.upper_pairs`), so neither can be asymmetric.  A
 sample has integer entries and comes with its determinant and its
 adjugate, as that triangle, so one fraction-free bordered build both
 certifies it invertible and gives its inverse as adj / det.
@@ -34,15 +34,10 @@ attempt) are a pure function of those three values, read off
 fixed by RFC 7693, so the draws, and every report built on them, are the
 same on every Python version.
 
-A :class:`SymMatrix` is a symmetric matrix, in rows, that keeps the exact
-entries it is given: integers, or ``Fraction`` for exact inverses.  It is
-the input and output of :func:`invert_exact` and of
-:meth:`CoordinateMap.apply` and :meth:`~CoordinateMap.unapply`, which
-convert to and from the triangle at their boundary; no sampling check
-builds one.  Its constructor checks symmetry by comparing the rows with
-their transpose.  :func:`invert_exact` inverts a rational M on the integer
-matrix sM, with s the lcm of M's denominators: M^{-1} = s adj(sM) / det(sM),
-built as a batch of one.
+:func:`invert_exact` inverts one rational matrix, given and returned as
+its triangle; no sampling check calls it.  It inverts M on the integer
+matrix sM, with s the lcm of M's denominators: M^{-1} = s adj(sM) /
+det(sM), built as a batch of one.
 """
 
 from __future__ import annotations
@@ -79,8 +74,11 @@ def uniform_draws(
     unused.  A slice s below the range size high - low + 1 is the draw
     low + s; any other slice is skipped, never reduced.  The draws are the
     first ``count`` accepted slices, so a shorter call reads a prefix of a
-    longer one.
+    longer one.  An empty range (high < low) has no draws, so any count
+    above 0 raises ``ValueError``.
     """
+    if high < low and count > 0:
+        raise ValueError(f"no integer in [{low}, {high}] to draw")
     size = high - low + 1
     width = max(1, (size - 1).bit_length())
     mask = (1 << width) - 1
@@ -161,60 +159,6 @@ class MatrixPattern:
         return verdicts
 
 
-class SymMatrix:
-    """Immutable symmetric matrix with exact entries.
-
-    The constructor keeps the entries it is given, in tuple rows, so
-    integer matrices stay integer.  Equality and hashing are those of the
-    entry tuples, so an integer matrix equals, and hashes like, the same
-    matrix written with ``Fraction`` entries.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
-        entries = tuple(map(tuple, entries))
-        object.__setattr__(self, "entries", entries)
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("matrix must be square")
-        if tuple(zip(*entries)) != entries:
-            raise ValueError("matrix must be exactly symmetric")
-
-    @classmethod
-    def from_upper(cls, n: int, upper) -> SymMatrix:
-        """The n x n symmetric matrix with this upper triangle (order
-        :func:`linalg.upper_pairs`)."""
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), x in zip(linalg.upper_pairs(n), upper):
-            rows[i][j] = rows[j][i] = x
-        return cls(rows)
-
-    def upper(self) -> list:
-        """The upper triangle, in the order of :func:`linalg.upper_pairs`."""
-        return [self.entries[i][j] for i, j in linalg.upper_pairs(self.n)]
-
-    def __setattr__(self, *args):
-        raise AttributeError("SymMatrix is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({[[str(x) for x in row] for row in self.entries]})"
-
-
 def pattern_from_graph(g: ColoredGraph) -> MatrixPattern:
     """Pattern of the colored graph's linear space.
 
@@ -261,7 +205,8 @@ def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> ProjectiveSa
     (:func:`linalg.det_adjugates`), which both decides invertibility and
     yields the adjugates; the memory it holds grows with ``len(seeds)``.
     The first round's lists are the result, and each later round writes
-    its samples into their seeds' places.
+    its samples into their seeds' places.  With no seeds, every list is
+    empty.
 
     Raises
     ------
@@ -269,6 +214,8 @@ def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> ProjectiveSa
         When a seed fails 64 tries (the pattern forces singularity).
     """
     tokens = pattern._tokens
+    if not seeds:
+        return ProjectiveSamples({tok: [] for tok in tokens}, [], [[] for _ in pattern.classes])
     at = {tok: k for k, tok in enumerate(tokens)}
     shape = (len(tokens), -SAMPLE_BOUND, SAMPLE_BOUND)  # count, low, high
     pending = range(len(seeds))
@@ -300,21 +247,27 @@ def sample_projectives(pattern: MatrixPattern, seeds: list[int]) -> ProjectiveSa
     )
 
 
-def invert_exact(m: SymMatrix) -> SymMatrix:
-    """Exact inverse s adj(sm) / det(sm), with s the lcm of the denominators
-    of m, from the upper triangle of the integer matrix sm built as a batch
-    of one (:func:`linalg.det_adjugates`).  No sampling check calls it.
+def invert_exact(n: int, upper) -> list[Fraction]:
+    """Exact inverse of the symmetric n x n matrix with this upper triangle
+    (order :func:`linalg.upper_pairs`), as its triangle of ``Fraction``
+    entries: s adj(sm) / det(sm), with s the lcm of the denominators of
+    the integer or ``Fraction`` entries, from the triangle of the integer
+    matrix sm built as a batch of one (:func:`linalg.det_adjugates`).  No
+    sampling check calls it.
 
     Raises
     ------
+    ValueError
+        When ``upper`` does not hold the n(n + 1)/2 entries of a triangle.
     SingularMatrixError
         When det(m) = 0.
     """
-    upper = m.upper()
-    s = lcm(*(x.denominator for x in upper))
+    if len(upper) != n * (n + 1) // 2:
+        raise ValueError("matrix must list the n(n + 1)/2 entries of a triangle")
     if not upper:  # the 0 x 0 matrix: a batch of no entries is empty
-        return m
-    (det,), adj = linalg.det_adjugates(m.n, [[x.numerator * (s // x.denominator)] for x in upper])
+        return []
+    s = lcm(*(x.denominator for x in upper))
+    (det,), adj = linalg.det_adjugates(n, [[x.numerator * (s // x.denominator)] for x in upper])
     if not det:
         raise SingularMatrixError("matrix is exactly singular")
-    return SymMatrix.from_upper(m.n, [Fraction(s * x, det) for (x,) in adj])
+    return [Fraction(s * x, det) for (x,) in adj]

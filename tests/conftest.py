@@ -9,8 +9,8 @@ import pytest
 
 from treetoric import graphs, linalg, trees
 from treetoric.binomials import Binomial
-from treetoric.classify import ClassificationReport
-from treetoric.ideals import binomials, combined_from_classification
+from treetoric.classify import ClassificationReport, coordinate_kind
+from treetoric.ideals import binomials, cherry_binomials, combined_from_classification
 from treetoric.trees import ColoredTree, load_tree
 
 from random_trees import random_tree  # noqa: F401  (re-exported for the tests)
@@ -41,6 +41,11 @@ def combined_binomials(report: ClassificationReport) -> tuple[list[Binomial], st
     """``ideals.combined_from_classification`` with its keys decoded."""
     keys, kind = combined_from_classification(report)
     return binomials(keys, kind, report.graph.n), kind
+
+
+def cherry_quadrics(t: ColoredTree) -> list[Binomial]:
+    """``ideals.cherry_binomials`` with its keys decoded in the tree's kind."""
+    return binomials(cherry_binomials(t), coordinate_kind(t), t.n_leaves)
 
 
 @pytest.fixture

@@ -13,11 +13,12 @@ from typing import NamedTuple
 
 from treetoric import linalg
 from treetoric.binomials import Binomial, Monomial, coord_var, monomial, var_name
-from treetoric.classify import ClassificationReport, coordinate_kind
+from treetoric.classify import ClassificationReport
 from treetoric.errors import SamplingError, SingularMatrixError
 from treetoric.graphs import ColoredGraph, derive_graph, one_clique_separated_quadruples
 from treetoric.ideals import (
     _Builder,
+    binomials,
     block_minor_binomials,
     completion_binomials,
 )
@@ -26,7 +27,6 @@ from treetoric.matrices import (
     SAMPLE_BOUND,
     SAMPLE_RETRIES,
     MatrixPattern,
-    SymMatrix,
     pattern_from_graph,
 )
 from treetoric.monomials import MonomialMap
@@ -329,14 +329,13 @@ def sigma_completion_linears(g: ColoredGraph) -> set[Binomial]:
     return out
 
 
-def cherry_reference(t: ColoredTree, *, into: _Builder | None = None) -> list:
-    """The quartet quadrics as first built, one quadruple at a time: the
-    three lca-depth sums compared, then each deepest pairing {i,j},{k,l}
-    keyed by ``_Builder.minor`` (x_ik x_jl - x_il x_jk), which orders the
-    monomials by comparing ranks.  Same signature and output as
+def cherry_reference(t: ColoredTree) -> list[int]:
+    """The quartet quadrics' keys as first built, one quadruple at a time:
+    the three lca-depth sums compared, then each deepest pairing
+    {i,j},{k,l} keyed by ``_Builder.minor`` (x_ik x_jl - x_il x_jk), which
+    orders the monomials by comparing ranks.  Same signature and output as
     ``ideals.cherry_binomials``."""
-    builder = into or _Builder(coordinate_kind(t), t.n_leaves)
-    minor = builder.minor
+    minor = _Builder(t.n_leaves).minor
     deep = {pair: t.depth(m) for pair, m in t.leaf_lca.items()}
     out: list[int] = []
     for a, b, c, d in combinations([0] + t.leaves(), 4):
@@ -352,25 +351,26 @@ def cherry_reference(t: ColoredTree, *, into: _Builder | None = None) -> list:
             out.append(minor(a, c, b, d))
         if ad_bc == high:
             out.append(minor(a, d, b, c))
-    return builder.result(out, into)
+    return out
 
 
 def combined_via_sigma(report: ClassificationReport) -> list[Binomial]:
     """The generators as first built: the block minors and completion
     linears in sigma-variables, each embedded into the report's coordinate
     kind, united with the cherry quadrics and sorted."""
-    kind = report.coordinates
-    sigma = sigma_block_minors(report.graph) | sigma_completion_linears(report.graph)
-    return sorted(set(cherry_reference(report.working_tree)) | {embed(b, kind) for b in sigma})
+    kind, g = report.coordinates, report.graph
+    sigma = sigma_block_minors(g) | sigma_completion_linears(g)
+    cherry = binomials(cherry_reference(report.working_tree), kind, g.n)
+    return sorted(set(cherry) | {embed(b, kind) for b in sigma})
 
 
 def combined_reference(report: ClassificationReport) -> list[Binomial]:
     """The three families united by a set and sorted by tuple comparison,
     as ``ideals.combined_from_classification`` first combined them."""
-    kind = report.coordinates
-    cherry = cherry_reference(report.working_tree)
-    block = block_minor_binomials(report.graph, kind)
-    completion = completion_binomials(report.graph, kind)
+    kind, g = report.coordinates, report.graph
+    cherry = binomials(cherry_reference(report.working_tree), kind, g.n)
+    block = binomials(block_minor_binomials(g), kind, g.n)
+    completion = binomials(completion_binomials(g), kind, g.n)
     return sorted({*cherry, *block, *completion})
 
 
@@ -717,19 +717,19 @@ def hash_draws(label: str, seed: int, attempt: int, count: int, low: int, high: 
     return draws[:count]
 
 
-def sample_point_reference(pattern: MatrixPattern, seed: int) -> SymMatrix:
-    """The point K that ``matrices.sample_projectives`` draws for the seed:
-    the forward-vanishing stream's draws of each attempt, redrawn until a
-    ``Fraction`` elimination finds the matrix invertible."""
+def sample_point_reference(pattern: MatrixPattern, seed: int) -> list[list]:
+    """The rows of the point K that ``matrices.sample_projectives`` draws
+    for the seed: the forward-vanishing stream's draws of each attempt,
+    redrawn until a ``Fraction`` elimination finds the matrix invertible."""
     tokens = pattern.tokens()
     for attempt in range(SAMPLE_RETRIES):
         draws = hash_draws(
             "forward_vanishing", seed, attempt, len(tokens), -SAMPLE_BOUND, SAMPLE_BOUND
         )
         values = dict(zip(tokens, draws))
-        m = SymMatrix(pattern_rows(pattern, values))
-        if fraction_inverse(m.entries) is not None:
-            return m
+        rows = pattern_rows(pattern, values)
+        if fraction_inverse(rows) is not None:
+            return rows
     raise SamplingError("no invertible sample")
 
 
@@ -741,8 +741,7 @@ def forward_vanishing_reference(
     failures: list[dict] = []
     for k in range(trials):
         m = sample_point_reference(ctx.pattern, _trial_seed(seed, k))
-        sigma = SymMatrix(fraction_inverse(m.entries))
-        point = ctx.cmap.apply(sigma)
+        point = ctx.cmap.apply(upper_of(fraction_inverse(m)))
         for b in gens:
             value = b.evaluate(point)
             if value != 0:
@@ -767,7 +766,7 @@ def roundtrip_reference(ctx: VerificationContext, trials: int, seed: int) -> dic
         )
         theta = {tok: Fraction(x) for tok, x in zip(ctx.mmap.params, draws)}
         sigma = ctx.cmap.unapply(ctx.mmap.evaluate(theta))
-        inverse = fraction_inverse(sigma.entries)
+        inverse = fraction_inverse(rows_of(ctx.cmap.n, sigma))
         if inverse is None:
             skipped += 1
             continue

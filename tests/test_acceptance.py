@@ -27,7 +27,6 @@ from treetoric.graphs import (
     is_vertex_regular,
     star_decomposition,
 )
-from treetoric.ideals import cherry_binomials
 from treetoric.matrices import pattern_from_graph
 from treetoric.monomials import path_map
 from treetoric.pipeline import (
@@ -37,7 +36,14 @@ from treetoric.pipeline import (
     verify_tree,
 )
 
-from conftest import FIXTURES, TREE_FIXTURES, combined_binomials, fixture_tree, random_tree
+from conftest import (
+    FIXTURES,
+    TREE_FIXTURES,
+    cherry_quadrics,
+    combined_binomials,
+    fixture_tree,
+    random_tree,
+)
 from oracles import (
     completion,
     four_point_check,
@@ -88,7 +94,7 @@ def test_criterion_1_colored_star_pipeline():
 
 def test_criterion_2_uncolored_regression():
     t = fixture_tree("uncolored_binary")
-    got = set(cherry_binomials(t))
+    got = set(cherry_quadrics(t))
     assert got == {
         B("p14*p23 - p13*p24"),
         B("p04*p23 - p03*p24"),
@@ -117,7 +123,7 @@ def test_criterion_3_leaf_coloring_regressions():
     t1 = fixture_tree("leafcolor_g1")
     gens1, kind1 = combined_binomials(classify(t1))
     assert kind1 == "p"
-    assert set(gens1) == set(cherry_binomials(t1)) | {
+    assert set(gens1) == set(cherry_quadrics(t1)) | {
         B("p14 - p24"),
         B("p13 - p23"),
         B("p01 - p02"),

@@ -29,7 +29,13 @@ from treetoric.ideals import (
 from treetoric.monomials import path_map
 from treetoric.trees import ColoredTree
 
-from conftest import TREE_FIXTURES, combined_binomials, fixture_tree, random_tree
+from conftest import (
+    TREE_FIXTURES,
+    cherry_quadrics,
+    combined_binomials,
+    fixture_tree,
+    random_tree,
+)
 from oracles import (
     bfs_path_oracle,
     cherry_reference,
@@ -56,13 +62,18 @@ def B(text: str) -> Binomial:
 
 
 def _minor(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
-    """One minor from a fresh builder over the indices 0..7."""
-    return binomials([_Builder(kind, 7).minor(i, j, k, l)], kind, 7)[0]
+    """One minor from a builder over the indices 0..7."""
+    return binomials([_Builder(7).minor(i, j, k, l)], kind, 7)[0]
 
 
 def _linear(kind: str, i: int, j: int, k: int, l: int) -> Binomial:
-    """One linear from a fresh builder over the indices 0..7."""
-    return binomials([_Builder(kind, 7).linear(i, j, k, l)], kind, 7)[0]
+    """One linear from a builder over the indices 0..7."""
+    return binomials([_Builder(7).linear(i, j, k, l)], kind, 7)[0]
+
+
+def decoded(family, g, kind: str) -> list[Binomial]:
+    """A graph family's keys decoded in the given kind."""
+    return binomials(family(g), kind, g.n)
 
 
 def relabel_leaves(t: ColoredTree, pi: dict[int, int]) -> ColoredTree:
@@ -106,8 +117,7 @@ class TestMinor:
 
 class TestBuilderKeys:
     def test_key_order_is_tuple_order(self):
-        # minors and linears over one (kind, n), each from a fresh builder so
-        # that two binomials sharing a key cannot hide behind the dedupe:
+        # minors and linears over one n, decoded in one kind, none deduped:
         # the keys must order exactly as the (lead, trail) tuples do
         rng = random.Random(4242)
         shapes = {"squared": 0, "diagonal": 0, "linear": 0}
@@ -116,7 +126,7 @@ class TestBuilderKeys:
             pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
             keyed = []
             for _ in range(60):
-                builder = _Builder(kind, n)
+                builder = _Builder(n)
                 draw = rng.randrange(3)
                 if draw == 0 and n >= 3:  # distinct indices, as the cherry quadrics
                     key = builder.minor(*rng.sample(range(n + 1), 4))
@@ -129,7 +139,6 @@ class TestBuilderKeys:
                 else:  # diagonal pairs land on x_0i, as the completion linears
                     (i, j), (k, l) = rng.sample(pairs, 2)
                     key = builder.linear(i, j, k, l)
-                assert builder.keys == {key}
                 (got,) = binomials([key], kind, n)
                 keyed.append((key, got))
                 terms = got.lead + got.trail
@@ -144,7 +153,7 @@ class TestBuilderKeys:
 
 class TestCherryBinomials:
     def test_uncolored_binary_is_the_classical_ideal(self):
-        got = set(cherry_binomials(fixture_tree("uncolored_binary")))
+        got = set(cherry_quadrics(fixture_tree("uncolored_binary")))
         assert got == {
             B("p14*p23 - p13*p24"),
             B("p04*p23 - p03*p24"),
@@ -161,7 +170,7 @@ class TestCherryBinomials:
             {1: 5, 2: 5, 3: 5, 4: 5, 5: 0},
             {1: "a", 2: "b", 3: "c", 4: "d", 5: "e"},
         )
-        gens = cherry_binomials(t)
+        gens = cherry_quadrics(t)
         mm = path_map(t, derive_graph(t))
         assert len(gens) == 15  # five quadruples x three pairings
         assert all(mm.in_kernel(b) for b in gens)
@@ -175,7 +184,7 @@ class TestCherryBinomials:
         for name, kind in (("uncolored_binary", "p"), ("colored_star", "q")):
             t = fixture_tree(name)
             assert coordinate_kind(t) == kind
-            gens = cherry_binomials(t)
+            gens = cherry_quadrics(t)
             assert gens and all(v[0] == kind for b in gens for v, _ in b.lead + b.trail)
 
     def test_split_agrees_with_deepest_lca_pairing(self):
@@ -200,11 +209,8 @@ class TestCherryBinomials:
 
     @staticmethod
     def _keys_and_reference(t: ColoredTree) -> list[int]:
-        kind, n = coordinate_kind(t), t.n_leaves
-        got, want = _Builder(kind, n), _Builder(kind, n)
-        keys = cherry_binomials(t, into=got)
-        assert keys == cherry_reference(t, into=want), t.to_dict()
-        assert got.keys == want.keys == set(keys)
+        keys = cherry_binomials(t)
+        assert keys == cherry_reference(t), t.to_dict()
         return keys
 
     def test_closed_form_matches_reference_scan(self):
@@ -221,9 +227,10 @@ class TestCherryBinomials:
             star = (len(keys) - quads) // 2  # a star quadruple gives three keys
             stars, resolved = stars + star, resolved + quads - star
         assert stars > 20000 and resolved > 50000, (stars, resolved)
-        # as binomials, with a builder of its own
+        # as binomials, through the one decoder
         for t in trees[::25]:
-            assert cherry_binomials(t) == cherry_reference(t)
+            want = binomials(cherry_reference(t), coordinate_kind(t), t.n_leaves)
+            assert cherry_quadrics(t) == want
 
     @pytest.mark.parametrize(
         "lows", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)]
@@ -244,25 +251,25 @@ class TestCherryBinomials:
         if lows.count(max(lows)) == 2:
             for build in (cherry_binomials, cherry_reference):
                 with pytest.raises(AssertionError, match="two deepest pairings"):
-                    build(t, into=_Builder("p", 3))
+                    build(t)
         else:
-            keys = cherry_binomials(t, into=_Builder("p", 3))
-            assert keys == cherry_reference(t, into=_Builder("p", 3))
+            keys = cherry_binomials(t)
+            assert keys == cherry_reference(t)
             assert len(keys) == (3 if len(set(lows)) == 1 else 1)
 
 
 class TestBlockMinors:
     def test_complete_graph_empty(self):
-        assert block_minor_binomials(complete_graph(4), "p") == []
+        assert block_minor_binomials(complete_graph(4)) == []
 
     def test_star_graph(self):
         g = make_graph(4, [(1, 2), (1, 4), (2, 4), (3, 4)])
-        assert set(block_minor_binomials(g, "q")) == {
+        assert set(decoded(block_minor_binomials, g, "q")) == {
             B("q13*q24 - q14*q23"),
             B("q04*q13 - q14*q34"),
             B("q04*q23 - q24*q34"),
         }
-        assert set(block_minor_binomials(g, "p")) == {
+        assert set(decoded(block_minor_binomials, g, "p")) == {
             embed(B("s13*s24 - s14*s23"), "p"),
             embed(B("s44*s13 - s14*s34"), "p"),
             embed(B("s44*s23 - s24*s34"), "p"),
@@ -270,8 +277,8 @@ class TestBlockMinors:
 
     def test_path_graph_diagonal_minor(self):
         g = make_graph(3, [(1, 3), (2, 3)])
-        assert block_minor_binomials(g, "p") == [B("p03*p12 - p13*p23")]
-        assert block_minor_binomials(g, "q") == [embed(B("s33*s12 - s13*s23"), "q")]
+        assert decoded(block_minor_binomials, g, "p") == [B("p03*p12 - p13*p23")]
+        assert decoded(block_minor_binomials, g, "q") == [embed(B("s33*s12 - s13*s23"), "q")]
 
     def test_matches_bipartition_minor_oracle(self):
         # oracle: all 2x2 minors of every Sigma_{A u C, B u C} block, in
@@ -303,24 +310,24 @@ class TestBlockMinors:
                             if bino:
                                 oracle.add(bino)
             kind = coordinate_kind(t)
-            assert set(block_minor_binomials(g, kind)) == {embed(b, kind) for b in oracle}
+            assert set(decoded(block_minor_binomials, g, kind)) == {embed(b, kind) for b in oracle}
             checked += 1
 
 
 class TestCompletionBinomials:
     def test_all_distinct_empty(self):
         g = derive_graph(fixture_tree("uncolored_binary"))
-        assert completion_binomials(g, "p") == []
+        assert completion_binomials(g) == []
 
     def test_one_shared_pair(self):
         g = derive_graph(fixture_tree("leafcolor_g1"))  # 1,2 share a color
         sigma = {B("s13 - s23"), B("s14 - s24"), B("s11 - s22")}
-        assert set(completion_binomials(g, "p")) == {
+        assert set(decoded(completion_binomials, g, "p")) == {
             B("p13 - p23"),
             B("p14 - p24"),
             B("p01 - p02"),
         }
-        assert set(completion_binomials(g, "q")) == {embed(b, "q") for b in sigma}
+        assert set(decoded(completion_binomials, g, "q")) == {embed(b, "q") for b in sigma}
 
     def test_three_shared_vertices(self):
         g = make_graph(3, [(1, 2), (1, 3), (2, 3)])
@@ -338,7 +345,7 @@ class TestCompletionBinomials:
             B("s11 - s33"),
             B("s22 - s33"),
         }
-        assert set(completion_binomials(g, "q")) == {
+        assert set(decoded(completion_binomials, g, "q")) == {
             B("q13 - q23"),
             B("q12 - q23"),
             B("q12 - q13"),
@@ -346,7 +353,7 @@ class TestCompletionBinomials:
             B("q01 - q03"),
             B("q02 - q03"),
         }
-        assert set(completion_binomials(g, "p")) == {embed(b, "p") for b in sigma}
+        assert set(decoded(completion_binomials, g, "p")) == {embed(b, "p") for b in sigma}
 
 
 class TestEmbeddings:
@@ -371,7 +378,7 @@ class TestCombined:
         t = fixture_tree("leafcolor_g1")
         gens, kind = combined_binomials(classify(t))
         assert kind == "p"
-        expected = set(cherry_binomials(t)) | {
+        expected = set(cherry_quadrics(t)) | {
             B("p14 - p24"),
             B("p13 - p23"),
             B("p01 - p02"),

@@ -17,7 +17,6 @@ from treetoric.matrices import (
     SAMPLE_BOUND,
     SAMPLE_LABEL,
     MatrixPattern,
-    SymMatrix,
     invert_exact,
     pattern_from_graph,
     sample_projectives,
@@ -52,7 +51,7 @@ from oracles import (
 
 
 def identity(n):
-    return SymMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def rank_oracle(rows):
@@ -142,53 +141,6 @@ class TestPatterns:
         assert MatrixPattern(3, ("a", None, "b", None, None, "c")).tokens() == ["a", "b", "c"]
 
 
-class TestSymMatrix:
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            SymMatrix(((1, 2), (2,)))
-        with pytest.raises(ValueError, match="square"):
-            SymMatrix(((1, 2),))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            SymMatrix(((1, 2, 0), (2, 1, 0), (0, 1, 1)))
-
-    def test_list_rows_accepted(self):
-        m = SymMatrix([[1, 2], [2, 3]])
-        assert m[0, 1] == m[1, 0] == 2
-        assert SymMatrix([]).n == 0
-        # list rows are stored as tuple rows: hashable, equal to the
-        # tuple-built matrix, and closed to item assignment
-        assert all(type(row) is tuple for row in m.entries)
-        t = SymMatrix(((1, 2), (2, 3)))
-        assert m == t and hash(m) == hash(t)
-        with pytest.raises(TypeError):
-            m.entries[0][1] = 9
-
-    def test_integer_entries_kept(self):
-        # the constructor keeps int entries, and the matrix equals and hashes
-        # like the same matrix written in Fractions
-        m = SymMatrix([[1, 2], [2, 5]])
-        assert all(type(x) is int for row in m.entries for x in row)
-        f = SymMatrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(5)]])
-        assert m == f and hash(m) == hash(f)
-
-    def test_upper_triangle_round_trip(self):
-        # the boundary conversions agree with the tests' own rows <-> triangle
-        rng = random.Random(11)
-        for n in range(5):
-            upper = [rng.randint(-9, 9) for _ in range(n * (n + 1) // 2)]
-            m = SymMatrix.from_upper(n, upper)
-            assert [list(row) for row in m.entries] == rows_of(n, upper)
-            assert m.upper() == upper == upper_of(m.entries)
-
-    def test_immutable(self):
-        m = identity(2)
-        with pytest.raises(AttributeError, match="immutable"):
-            m.entries = ((0, 0), (0, 0))
-        assert m == identity(2)
-
-
 class TestSampling:
     def test_sample_lies_in_pattern_and_is_invertible(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
@@ -210,9 +162,9 @@ class TestSampling:
             for pat in (pattern_from_tree(t), pattern_from_graph(completion(derive_graph(t)))):
                 m = sample_point_reference(pat, seed=trial)
                 (sample,) = by_seed(sample_projectives(pat, [trial]))
-                assert pattern_upper(pat, sample.values) == upper_of(m.entries)
+                assert pattern_upper(pat, sample.values) == upper_of(m)
                 c = Fraction(1, sample.det)
-                assert fraction_inverse(m.entries) == [
+                assert fraction_inverse(m) == [
                     [c * a for a in row] for row in rows_of(pat.size, sample.adjugate)
                 ]
 
@@ -257,7 +209,7 @@ class TestSampling:
             assert samples == [by_seed(sample_projectives(p, [seed]))[0] for seed in seeds], name
             for seed, sample in zip(seeds, samples):
                 m = sample_point_reference(p, seed)
-                assert pattern_upper(p, sample.values) == upper_of(m.entries), (name, seed)
+                assert pattern_upper(p, sample.values) == upper_of(m), (name, seed)
                 tokens = p.tokens()
                 first = oracles.hash_draws("forward_vanishing", seed, 0, len(tokens), -1, 1)
                 retried += sample.values != dict(zip(tokens, first))
@@ -274,6 +226,17 @@ class TestSampling:
         allsame = pattern_of((("a", "a"), ("a", "a")))
         with pytest.raises(SamplingError):
             sample_projectives(allsame, [0])
+
+    def test_no_seeds_give_empty_lists(self):
+        # as the other batch kernels take an empty batch: one empty list
+        # per token and per triangle entry, and no determinant
+        for name in ("colored_star", "zeroed_block_g2"):
+            p = pattern_from_tree(fixture_tree(name))
+            samples = sample_projectives(p, [])
+            assert samples.values == {tok: [] for tok in p.tokens()}
+            assert samples.det == []
+            assert samples.adjugate == [[] for _ in p.classes]
+            assert by_seed(samples) == []
 
 
 # SHA-256 over the comma-joined draws of test_first_draws_are_pinned: 640
@@ -298,6 +261,12 @@ class TestDraws:
         assert draws != [s % 5 - 2 for s in slices[:200]]
         assert uniform_draws("label", 7, 3, 50, -2, 2) == draws[:50]
         assert uniform_draws("label", 7, 3, 0, -2, 2) == []
+
+    def test_empty_range_raises_unless_no_draw_is_asked(self):
+        for low, high in ((0, -1), (5, 4), (1, -(2**70))):
+            with pytest.raises(ValueError, match="no integer"):
+                uniform_draws("x", 0, 0, 1, low, high)
+            assert uniform_draws("x", 0, 0, 0, low, high) == []
 
     @pytest.mark.parametrize(
         "low, high",
@@ -336,12 +305,12 @@ class TestDraws:
 
 class TestInversion:
     def test_identity(self):
-        eye = identity(3)
-        assert invert_exact(eye) == eye
+        eye = upper_of(identity(3))
+        assert invert_exact(3, eye) == eye
 
     def test_diagonal(self):
-        m = SymMatrix([[2, 0], [0, 4]])
-        assert invert_exact(m) == SymMatrix(
+        m = upper_of([[2, 0], [0, 4]])
+        assert invert_exact(2, m) == upper_of(
             [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
         )
 
@@ -353,36 +322,43 @@ class TestInversion:
             for i in range(n):
                 for j in range(i, n):
                     rows[i][j] = rows[j][i] = rng.randint(-9, 9) + 20 * (i == j)
-            fractions = SymMatrix([[Fraction(x) for x in r] for r in rows])
-            assert invert_exact(SymMatrix(rows)) == invert_exact(fractions)
+            fractions = upper_of([[Fraction(x) for x in r] for r in rows])
+            assert invert_exact(n, upper_of(rows)) == invert_exact(n, fractions)
 
     def test_matches_adjugate_oracle(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
         m = sample_point_reference(p, seed=7)
-        inv = invert_exact(m)
-        oracle = adjugate_inverse([list(r) for r in m.entries])
-        assert [list(r) for r in inv.entries] == oracle
+        inv = invert_exact(p.size, upper_of(m))
+        oracle = adjugate_inverse(m)
+        assert rows_of(p.size, inv) == oracle
 
     def test_product_is_identity(self):
         p = pattern_from_tree(fixture_tree("uncolored_binary"))
         m = sample_point_reference(p, seed=2)
-        inv = invert_exact(m)
-        n = m.n
+        n = len(m)
+        inv = rows_of(n, invert_exact(n, upper_of(m)))
         for i in range(n):
             for j in range(n):
-                acc = sum(m[i, k] * inv[k, j] for k in range(n))
+                acc = sum(m[i][k] * inv[k][j] for k in range(n))
                 assert acc == (1 if i == j else 0)
 
     def test_involution(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
         for seed in range(5):
-            m = sample_point_reference(p, seed=seed)
-            assert invert_exact(invert_exact(m)) == m
+            m = upper_of(sample_point_reference(p, seed=seed))
+            assert invert_exact(p.size, invert_exact(p.size, m)) == m
 
     def test_singular_rejected(self):
-        m = SymMatrix([[1, 1], [1, 1]])
+        m = upper_of([[1, 1], [1, 1]])
         with pytest.raises(SingularMatrixError):
-            invert_exact(m)
+            invert_exact(2, m)
+
+    def test_triangle_length_checked(self):
+        # a triangle lists n(n + 1)/2 entries, as a pattern's classes do
+        for n, upper in ((2, [1, 0]), (2, [1, 0, 1, 0]), (0, [1]), (1, [])):
+            with pytest.raises(ValueError, match="triangle"):
+                invert_exact(n, upper)
+        assert invert_exact(0, []) == []
 
 
 class TestJordan:
@@ -418,16 +394,15 @@ class TestSerialization:
         values = {tok: Fraction(0) for tok in p.tokens()}
         for i, tok in enumerate(("1", "2", "3", "4")):
             values[tok] = Fraction(1)
-        m = SymMatrix.from_upper(p.size, pattern_upper(p, values))
+        m = rows_of(p.size, pattern_upper(p, values))
         assert m == identity(4)
-        assert det_cofactor(m.entries) == 1
+        assert det_cofactor(m) == 1
 
 
 class TestPatternContains:
     def test_perturbed_entry_detected(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
-        m = sample_point_reference(p, seed=1)
-        rows = [list(r) for r in m.entries]
+        rows = sample_point_reference(p, seed=1)
         # (0,3) shares the "blue" class with (1,3) and (2,3)
         rows[0][3] += Fraction(1, 7)
         rows[3][0] += Fraction(1, 7)
@@ -435,8 +410,7 @@ class TestPatternContains:
 
     def test_structural_zero_violation_detected(self):
         p = pattern_from_tree(fixture_tree("colored_star"))
-        m = sample_point_reference(p, seed=1)
-        rows = [list(r) for r in m.entries]
+        rows = sample_point_reference(p, seed=1)
         rows[0][2] = Fraction(1)
         rows[2][0] = Fraction(1)
         assert not contains_one(p, upper_of(rows))
@@ -533,12 +507,12 @@ class TestLinalg:
                     x = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                     rows[i][j] = rows[j][i] = x
             try:
-                inv = invert_exact(SymMatrix(rows))
+                inv = rows_of(n, invert_exact(n, upper_of(rows)))
             except SingularMatrixError:
                 continue
             for i in range(n):
                 for j in range(n):
-                    acc = sum(rows[i][k] * inv[k, j] for k in range(n))
+                    acc = sum(rows[i][k] * inv[k][j] for k in range(n))
                     assert acc == (1 if i == j else 0)
             inverted += 1
         assert inverted >= 15

@@ -20,9 +20,8 @@ from treetoric.classify import (
 )
 from treetoric.errors import NotApplicableError, TreeError
 from treetoric.graphs import derive_graph
-from treetoric.ideals import cherry_binomials
 from treetoric.laplacians import CoordinateMap
-from treetoric.matrices import SymMatrix, sample_projectives
+from treetoric.matrices import sample_projectives
 from treetoric.pipeline import (
     _SEED_STRIDE,
     TRIAL_CHUNK,
@@ -37,7 +36,7 @@ from treetoric.pipeline import (
 )
 from treetoric.trees import ColoredTree
 
-from conftest import fixture_tree, random_tree
+from conftest import cherry_quadrics, fixture_tree, random_tree
 from oracles import (
     by_seed,
     forward_vanishing_reference,
@@ -124,7 +123,7 @@ class TestContraction:
             {1: "cyan", 2: "yellow", 3: "magenta", 4: "violet", 5: "red", 7: "blue"},
         )
         assert derive_graph(t2).to_dict() == derive_graph(t).to_dict()
-        assert cherry_binomials(t2) == cherry_binomials(manual)
+        assert cherry_quadrics(t2) == cherry_quadrics(manual)
 
     def test_identity_contraction(self):
         t = fixture_tree("uncolored_binary")
@@ -615,8 +614,8 @@ class TestIntegerChecksMatchReference:
 
     def test_trials_hold_every_matrix_as_its_upper_triangle(self, monkeypatch):
         # both sampling checks pass on every applicable fixture with the
-        # row-matrix boundary patched to raise: no exact inverse, no
-        # SymMatrix, no rows <-> triangle conversion on the trial path
+        # one-matrix boundary patched to raise: no exact inverse and no
+        # one-triangle coordinate change on the trial path
         def forbidden(*args, **kwargs):
             raise AssertionError("a trial left the upper triangle")
 
@@ -624,8 +623,6 @@ class TestIntegerChecksMatchReference:
         monkeypatch.setattr(pipeline, "invert_exact", forbidden)
         monkeypatch.setattr(CoordinateMap, "apply", forbidden)
         monkeypatch.setattr(CoordinateMap, "unapply", forbidden)
-        for name in ("__init__", "upper", "from_upper"):
-            monkeypatch.setattr(SymMatrix, name, forbidden)
         applicable = [name for name, thm in EXPECTED_CLASSIFICATION.items() if thm != NONE]
         for name in applicable:
             report = verify_tree(fixture_tree(name), trials=10, seed=3)
